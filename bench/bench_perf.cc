@@ -72,7 +72,11 @@
 //    the cache hit rate; the hard gate ("served_digest_matches_cli")
 //    re-runs every distinct spec directly through RunExperiment + the
 //    shared renderer and requires digest AND payload byte-equality —
-//    the serving path must add no bytes and lose none.
+//    the serving path must add no bytes and lose none. A connection
+//    sweep then pipelines cached requests over 1/4/16/64 connections,
+//    byte-checks every payload, and gates the 1-connection p50 below
+//    10 ms ("cached_p50_within_floor"), so a write stall such as Nagle
+//    waiting on a delayed ACK fails the bench.
 //
 //  * "markov_scaling" — the sparse Markov/Ulam engine (PR 9): the
 //    biased binary IFS {x/2 w.p. 0.6, x/2 + 1/2 w.p. 0.4} discretised
@@ -1034,11 +1038,10 @@ ServingSection RunServingSuite() {
 }
 
 /// One point of the serving connection-count sweep: `connections`
-/// clients pipelining a fixed total of submissions through one
-/// transport, with every payload byte-compared against the pre-warmed
-/// baseline (the per-point hard gate).
+/// clients pipelining a fixed total of submissions, with every payload
+/// byte-compared against the pre-warmed baseline (the per-point hard
+/// gate).
 struct ConnectionSweepPoint {
-  std::string transport;  ///< "threads" | "epoll".
   size_t connections = 0;
   size_t num_jobs = 0;
   double wall_seconds = 0.0;
@@ -1048,21 +1051,25 @@ struct ConnectionSweepPoint {
   bool payloads_match = true;
 };
 
+/// Cached-request p50 at one connection must stay below this. On
+/// loopback a cached answer takes well under a millisecond; a write
+/// stall such as Nagle's algorithm waiting on a delayed ACK costs
+/// ~40 ms per request, so the gate fails the bench instead of letting
+/// the stall become the headline.
+constexpr double kCachedP50FloorMs = 10.0;
+
 struct ConnectionSweepSection {
   std::vector<ConnectionSweepPoint> points;
   bool payloads_match = true;  ///< Fold over every point's gate.
-  /// epoll jobs/s over threads jobs/s at 64 connections — the headline
-  /// number of the transport change (parity expected on core-starved
-  /// containers; the scaling curve and the gates are the bar).
-  double epoll_vs_threads_ratio_64 = 0.0;
+  /// The 1-connection point's p50 is below kCachedP50FloorMs.
+  bool cached_p50_within_floor = false;
 };
 
-/// The connection-count sweep: per transport, one server with the cache
-/// pre-warmed on every distinct spec, then 1/4/16/64 connections
-/// splitting a fixed number of pipelined submissions (window of 4 in
-/// flight per connection). Cache hits by construction, so the sweep
-/// measures transport cost — framing, wakeups, fan-in — not engine
-/// time.
+/// The connection-count sweep: one server with the cache pre-warmed on
+/// every distinct spec, then 1/4/16/64 connections splitting a fixed
+/// number of pipelined submissions (window of 4 in flight per
+/// connection). Cache hits by construction, so the sweep measures
+/// transport cost — framing, wakeups, fan-in — not engine time.
 ConnectionSweepSection RunConnectionSweep() {
   ConnectionSweepSection section;
   const std::vector<ServingJob> jobs = BuildServingJobs();
@@ -1070,162 +1077,147 @@ ConnectionSweepSection RunConnectionSweep() {
   constexpr size_t kWindow = 4;       // Outstanding per connection.
   constexpr size_t kCounts[] = {1, 4, 16, 64};
 
-  const eqimpact::serve::ServerTransport transports[] = {
-      eqimpact::serve::ServerTransport::kThreads,
-      eqimpact::serve::ServerTransport::kEpoll};
-  const char* transport_names[] = {"threads", "epoll"};
-  double jobs_per_sec_at_64[2] = {0.0, 0.0};
-
-  for (int t = 0; t < 2; ++t) {
-    eqimpact::serve::ServerOptions server_options;
-    server_options.transport = transports[t];
-    server_options.service.scheduler.num_workers = 2;
-    server_options.service.scheduler.queue_capacity = jobs.size();
-    eqimpact::serve::Server server(server_options);
-    if (!server.Start()) {
-      std::fprintf(stderr, "  connection_sweep: %s server failed to start\n",
-                   transport_names[t]);
-      section.payloads_match = false;
-      continue;
-    }
-
-    // Pre-warm: every distinct spec runs once; the sweep's submissions
-    // all answer from cache with these exact bytes.
-    std::vector<std::string> baseline(jobs.size());
-    bool warm_ok = true;
-    {
-      eqimpact::serve::Client client;
-      std::string error;
-      warm_ok = client.Connect(server.port(), &error);
-      for (size_t j = 0; warm_ok && j < jobs.size(); ++j) {
-        eqimpact::serve::ClientEvent last;
-        warm_ok = client.SubmitAndWait(jobs[j].request, &last, &error);
-        if (warm_ok) baseline[j] = last.payload;
-      }
-    }
-    if (!warm_ok) {
-      std::fprintf(stderr, "  connection_sweep: %s warm-up failed\n",
-                   transport_names[t]);
-      section.payloads_match = false;
-      server.Shutdown();
-      continue;
-    }
-
-    for (size_t connections : kCounts) {
-      ConnectionSweepPoint point;
-      point.transport = transport_names[t];
-      point.connections = connections;
-      point.num_jobs = kTotalJobs;
-      const size_t per_connection = kTotalJobs / connections;
-
-      std::vector<double> latencies_ms;
-      std::mutex collect_mutex;
-      bool ok = true;
-      const Clock::time_point start = Clock::now();
-      std::vector<std::thread> clients;
-      for (size_t c = 0; c < connections; ++c) {
-        clients.emplace_back([&, c] {
-          eqimpact::serve::Client client;
-          std::string error;
-          if (!client.Connect(server.port(), &error)) {
-            std::lock_guard<std::mutex> lock(collect_mutex);
-            ok = false;
-            return;
-          }
-          // Pipelined submission: keep up to kWindow requests in
-          // flight, matching results back to their spec by id.
-          struct Pending {
-            size_t spec = 0;
-            Clock::time_point sent;
-          };
-          std::map<std::string, Pending> inflight;
-          std::vector<double> local_latencies;
-          bool local_ok = true;
-          size_t next = 0;
-          size_t done = 0;
-          while (done < per_connection && local_ok) {
-            while (next < per_connection &&
-                   inflight.size() < kWindow) {
-              const size_t spec = (c + next) % jobs.size();
-              const std::string id =
-                  "c" + std::to_string(c) + "-" + std::to_string(next);
-              // Splice the id into the shared request line.
-              std::string request = "{\"id\": \"" + id + "\", " +
-                                    jobs[spec].request.substr(1);
-              Pending pending;
-              pending.spec = spec;
-              pending.sent = Clock::now();
-              inflight.emplace(id, pending);
-              if (!client.Send(request)) {
-                local_ok = false;
-                break;
-              }
-              ++next;
-            }
-            eqimpact::serve::ClientEvent event;
-            if (!client.ReadEvent(&event, &error)) {
-              local_ok = false;
-              break;
-            }
-            if (event.event != "result" && event.event != "error") {
-              continue;
-            }
-            auto found = inflight.find(event.id);
-            if (found == inflight.end() || event.event == "error" ||
-                event.payload != baseline[found->second.spec]) {
-              local_ok = false;
-              break;
-            }
-            local_latencies.push_back(
-                SecondsSince(found->second.sent) * 1e3);
-            inflight.erase(found);
-            ++done;
-          }
-          std::lock_guard<std::mutex> lock(collect_mutex);
-          if (!local_ok) ok = false;
-          latencies_ms.insert(latencies_ms.end(), local_latencies.begin(),
-                              local_latencies.end());
-        });
-      }
-      for (std::thread& client : clients) client.join();
-      point.wall_seconds = SecondsSince(start);
-      point.payloads_match =
-          ok && latencies_ms.size() == kTotalJobs;
-      point.jobs_per_sec =
-          point.wall_seconds > 0.0
-              ? static_cast<double>(kTotalJobs) / point.wall_seconds
-              : 0.0;
-      std::sort(latencies_ms.begin(), latencies_ms.end());
-      auto percentile = [&latencies_ms](double p) {
-        if (latencies_ms.empty()) return 0.0;
-        const size_t index = static_cast<size_t>(
-            p * static_cast<double>(latencies_ms.size() - 1) + 0.5);
-        return latencies_ms[index];
-      };
-      point.p50_latency_ms = percentile(0.5);
-      point.p95_latency_ms = percentile(0.95);
-      if (connections == 64) {
-        jobs_per_sec_at_64[t] = point.jobs_per_sec;
-      }
-      section.payloads_match =
-          section.payloads_match && point.payloads_match;
-      std::fprintf(stderr,
-                   "  connection_sweep %s conns=%zu %zu jobs %.3fs "
-                   "(%.1f jobs/s, p50 %.2fms, p95 %.2fms, payloads %s)\n",
-                   point.transport.c_str(), connections, kTotalJobs,
-                   point.wall_seconds, point.jobs_per_sec,
-                   point.p50_latency_ms, point.p95_latency_ms,
-                   point.payloads_match ? "equal" : "MISMATCH");
-      section.points.push_back(point);
-    }
-    server.Shutdown();
+  eqimpact::serve::ServerOptions server_options;
+  server_options.service.scheduler.num_workers = 2;
+  server_options.service.scheduler.queue_capacity = jobs.size();
+  eqimpact::serve::Server server(server_options);
+  if (!server.Start()) {
+    std::fprintf(stderr, "  connection_sweep: server failed to start\n");
+    section.payloads_match = false;
+    return section;
   }
-  if (jobs_per_sec_at_64[0] > 0.0) {
-    section.epoll_vs_threads_ratio_64 =
-        jobs_per_sec_at_64[1] / jobs_per_sec_at_64[0];
+
+  // Pre-warm: every distinct spec runs once; the sweep's submissions
+  // all answer from cache with these exact bytes.
+  std::vector<std::string> baseline(jobs.size());
+  bool warm_ok = true;
+  {
+    eqimpact::serve::Client client;
+    std::string error;
+    warm_ok = client.Connect(server.port(), &error);
+    for (size_t j = 0; warm_ok && j < jobs.size(); ++j) {
+      eqimpact::serve::ClientEvent last;
+      warm_ok = client.SubmitAndWait(jobs[j].request, &last, &error);
+      if (warm_ok) baseline[j] = last.payload;
+    }
+  }
+  if (!warm_ok) {
+    std::fprintf(stderr, "  connection_sweep: warm-up failed\n");
+    section.payloads_match = false;
+    server.Shutdown();
+    return section;
+  }
+
+  for (size_t connections : kCounts) {
+    ConnectionSweepPoint point;
+    point.connections = connections;
+    point.num_jobs = kTotalJobs;
+    const size_t per_connection = kTotalJobs / connections;
+
+    std::vector<double> latencies_ms;
+    std::mutex collect_mutex;
+    bool ok = true;
+    const Clock::time_point start = Clock::now();
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < connections; ++c) {
+      clients.emplace_back([&, c] {
+        eqimpact::serve::Client client;
+        std::string error;
+        if (!client.Connect(server.port(), &error)) {
+          std::lock_guard<std::mutex> lock(collect_mutex);
+          ok = false;
+          return;
+        }
+        // Pipelined submission: keep up to kWindow requests in
+        // flight, matching results back to their spec by id.
+        struct Pending {
+          size_t spec = 0;
+          Clock::time_point sent;
+        };
+        std::map<std::string, Pending> inflight;
+        std::vector<double> local_latencies;
+        bool local_ok = true;
+        size_t next = 0;
+        size_t done = 0;
+        while (done < per_connection && local_ok) {
+          while (next < per_connection &&
+                 inflight.size() < kWindow) {
+            const size_t spec = (c + next) % jobs.size();
+            const std::string id =
+                "c" + std::to_string(c) + "-" + std::to_string(next);
+            // Splice the id into the shared request line.
+            std::string request = "{\"id\": \"" + id + "\", " +
+                                  jobs[spec].request.substr(1);
+            Pending pending;
+            pending.spec = spec;
+            pending.sent = Clock::now();
+            inflight.emplace(id, pending);
+            if (!client.Send(request)) {
+              local_ok = false;
+              break;
+            }
+            ++next;
+          }
+          eqimpact::serve::ClientEvent event;
+          if (!client.ReadEvent(&event, &error)) {
+            local_ok = false;
+            break;
+          }
+          if (event.event != "result" && event.event != "error") {
+            continue;
+          }
+          auto found = inflight.find(event.id);
+          if (found == inflight.end() || event.event == "error" ||
+              event.payload != baseline[found->second.spec]) {
+            local_ok = false;
+            break;
+          }
+          local_latencies.push_back(
+              SecondsSince(found->second.sent) * 1e3);
+          inflight.erase(found);
+          ++done;
+        }
+        std::lock_guard<std::mutex> lock(collect_mutex);
+        if (!local_ok) ok = false;
+        latencies_ms.insert(latencies_ms.end(), local_latencies.begin(),
+                            local_latencies.end());
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    point.wall_seconds = SecondsSince(start);
+    point.payloads_match =
+        ok && latencies_ms.size() == kTotalJobs;
+    point.jobs_per_sec =
+        point.wall_seconds > 0.0
+            ? static_cast<double>(kTotalJobs) / point.wall_seconds
+            : 0.0;
+    std::sort(latencies_ms.begin(), latencies_ms.end());
+    auto percentile = [&latencies_ms](double p) {
+      if (latencies_ms.empty()) return 0.0;
+      const size_t index = static_cast<size_t>(
+          p * static_cast<double>(latencies_ms.size() - 1) + 0.5);
+      return latencies_ms[index];
+    };
+    point.p50_latency_ms = percentile(0.5);
+    point.p95_latency_ms = percentile(0.95);
+    if (connections == 1) {
+      section.cached_p50_within_floor =
+          point.payloads_match && point.p50_latency_ms < kCachedP50FloorMs;
+    }
+    section.payloads_match =
+        section.payloads_match && point.payloads_match;
     std::fprintf(stderr,
-                 "  connection_sweep epoll/threads at 64 conns: %.2fx\n",
-                 section.epoll_vs_threads_ratio_64);
+                 "  connection_sweep conns=%zu %zu jobs %.3fs "
+                 "(%.1f jobs/s, p50 %.2fms, p95 %.2fms, payloads %s)\n",
+                 connections, kTotalJobs, point.wall_seconds,
+                 point.jobs_per_sec, point.p50_latency_ms, point.p95_latency_ms,
+                 point.payloads_match ? "equal" : "MISMATCH");
+    section.points.push_back(point);
+  }
+  server.Shutdown();
+  if (!section.cached_p50_within_floor) {
+    std::fprintf(stderr, "  connection_sweep: cached p50 not below %.1f ms\n",
+                 kCachedP50FloorMs);
   }
   return section;
 }
@@ -1800,8 +1792,8 @@ int main(int argc, char** argv) {
   const FoldSection fold_section = RunFoldSuite();
 
   // --- Section 7: serving scaling (the experiment service, PR 8), ------
-  // plus the PR 10 transport comparison: connection-count sweep over
-  // both transports with per-point byte-equality gates.
+  // plus the connection-count sweep with per-point byte-equality gates
+  // and the cached-latency floor.
   const ServingSection serving_section = RunServingSuite();
   const ConnectionSweepSection connection_sweep = RunConnectionSweep();
 
@@ -1824,7 +1816,8 @@ int main(int argc, char** argv) {
       fold_section.dense_matches_hashed && shard_matches_unsharded &&
       shard_deterministic && checkpoint_resume_matches &&
       serving_section.served_digest_matches_cli &&
-      connection_sweep.payloads_match && markov_ok;
+      connection_sweep.payloads_match &&
+      connection_sweep.cached_p50_within_floor && markov_ok;
 
   // Emit the JSON document on stdout.
   std::printf("{\n");
@@ -2004,27 +1997,26 @@ int main(int argc, char** argv) {
               serving_section.p50_latency_ms);
   std::printf("    \"p95_latency_ms\": %.3f,\n",
               serving_section.p95_latency_ms);
-  // PR 10 additions: transport comparison fields are additive so the
-  // section's digest comparability (num_jobs/num_distinct keyed) is
-  // untouched by the transport change.
+  // The connection-sweep fields are additive so the section's digest
+  // comparability (num_jobs/num_distinct keyed) is untouched by them.
   std::printf("    \"connection_sweep\": [\n");
   for (size_t i = 0; i < connection_sweep.points.size(); ++i) {
     const ConnectionSweepPoint& p = connection_sweep.points[i];
     std::printf(
-        "      {\"transport\": \"%s\", \"connections\": %zu, "
+        "      {\"connections\": %zu, "
         "\"num_jobs\": %zu, \"wall_seconds\": %.6f, "
         "\"jobs_per_sec\": %.3f, \"p50_latency_ms\": %.3f, "
         "\"p95_latency_ms\": %.3f, \"payloads_match\": %s}%s\n",
-        p.transport.c_str(), p.connections, p.num_jobs, p.wall_seconds,
-        p.jobs_per_sec, p.p50_latency_ms, p.p95_latency_ms,
-        p.payloads_match ? "true" : "false",
+        p.connections, p.num_jobs, p.wall_seconds, p.jobs_per_sec,
+        p.p50_latency_ms, p.p95_latency_ms, p.payloads_match ? "true" : "false",
         i + 1 < connection_sweep.points.size() ? "," : "");
   }
   std::printf("    ],\n");
   std::printf("    \"connection_sweep_payloads_match\": %s,\n",
               connection_sweep.payloads_match ? "true" : "false");
-  std::printf("    \"epoll_vs_threads_ratio_64\": %.3f,\n",
-              connection_sweep.epoll_vs_threads_ratio_64);
+  std::printf("    \"cached_p50_floor_ms\": %.1f,\n", kCachedP50FloorMs);
+  std::printf("    \"cached_p50_within_floor\": %s,\n",
+              connection_sweep.cached_p50_within_floor ? "true" : "false");
   std::printf("    \"digest\": \"%016" PRIx64 "\"\n",
               serving_section.digest);
   std::printf("  },\n");

@@ -12,7 +12,6 @@
 //   run_experiment --serve [--port=P] [--port-file=PATH]
 //                  [--serve-workers=N] [--serve-queue=N]
 //                  [--serve-threads=N] [--serve-cache=N]
-//                  [--serve-transport=threads|epoll]
 //                  [--serve-max-connections=N] [--serve-idle-timeout=MS]
 //   run_experiment --certify [--scenario=NAME] [--cells=N]
 //                  [--force-scalar] [--set name=value]...
@@ -38,10 +37,8 @@
 // stdout (src/serve/render_json), so the two are byte-identical for the
 // same spec — CI diffs them. SIGTERM/SIGINT shut the server down
 // gracefully: stop accepting, drain every in-flight job, then exit 0.
-// --serve-transport selects the socket transport (default epoll: one
-// event-loop thread owns every connection with watermark backpressure;
-// threads: the original thread-per-connection transport, kept for
-// comparison). --serve-max-connections caps concurrent connections
+// One epoll event-loop thread owns every connection, with watermark
+// backpressure. --serve-max-connections caps concurrent connections
 // (typed too_many_connections rejection; 0 = unlimited) and
 // --serve-idle-timeout closes connections with no traffic for MS
 // milliseconds (0 = never).
@@ -117,10 +114,6 @@ struct CliSpec {
   size_t serve_queue = 16;     ///< Bounded admission queue depth.
   size_t serve_threads = 0;    ///< Total thread budget (0 = hardware).
   size_t serve_cache = 64;     ///< Result-cache capacity (entries).
-  /// --serve-transport=threads|epoll (epoll is the default: one
-  /// event-loop thread owns every connection; threads is the original
-  /// thread-per-connection transport).
-  std::string serve_transport = "epoll";
   size_t serve_max_connections = 256;  ///< 0 = unlimited.
   size_t serve_idle_timeout_ms = 0;    ///< 0 = no idle timeout.
   std::string scenario;
@@ -227,16 +220,6 @@ bool ParseArgs(int argc, char** argv, CliSpec* spec) {
       }
     } else if (arg.rfind("--serve-cache=", 0) == 0) {
       if (!parse_size_flag("--serve-cache=", &spec->serve_cache)) {
-        return false;
-      }
-    } else if (arg.rfind("--serve-transport=", 0) == 0) {
-      spec->serve_transport = value_of("--serve-transport=");
-      if (spec->serve_transport != "threads" &&
-          spec->serve_transport != "epoll") {
-        std::fprintf(stderr,
-                     "error: --serve-transport must be 'threads' or "
-                     "'epoll', got '%s'\n",
-                     spec->serve_transport.c_str());
         return false;
       }
     } else if (arg.rfind("--serve-max-connections=", 0) == 0) {
@@ -488,9 +471,6 @@ int RunServer(const CliSpec& spec) {
   options.service.scheduler.queue_capacity = spec.serve_queue;
   options.service.scheduler.total_threads = spec.serve_threads;
   options.service.cache_capacity = spec.serve_cache;
-  options.transport = spec.serve_transport == "threads"
-                          ? eqimpact::serve::ServerTransport::kThreads
-                          : eqimpact::serve::ServerTransport::kEpoll;
   options.limits.max_connections = spec.serve_max_connections;
   options.limits.idle_timeout_ms =
       static_cast<int64_t>(spec.serve_idle_timeout_ms);
@@ -513,10 +493,9 @@ int RunServer(const CliSpec& spec) {
     std::fclose(file);
   }
   std::fprintf(stderr,
-               "serving on 127.0.0.1:%u (transport=%s workers=%zu "
-               "queue=%zu job_threads=%zu cache=%zu)\n",
-               server.port(), spec.serve_transport.c_str(),
-               spec.serve_workers, spec.serve_queue,
+               "serving on 127.0.0.1:%u (workers=%zu queue=%zu "
+               "job_threads=%zu cache=%zu)\n",
+               server.port(), spec.serve_workers, spec.serve_queue,
                server.service().scheduler().job_threads(),
                spec.serve_cache);
 

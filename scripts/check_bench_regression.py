@@ -47,8 +47,8 @@ Checks, in order of severity:
    bit-for-bit its scalar reference breaks the layer's contract. The
    simd_scaling digest is checked like the other sections' (it pins the
    kernels' numerical behaviour; it is backend-independent by the same
-   contract, so scalar-forced, SSE2 and AVX2 builds must all produce
-   it). The PR 6 sections add three more flags of the same severity:
+   contract, so scalar-forced and AVX2 builds must both produce it).
+   The phi and fold sections add three more flags of the same severity:
    phi_scaling.vector_matches_scalar, phi_scaling.max_ulp_vs_libm <=
    phi_scaling.ulp_bound (the pinned CDF's documented accuracy
    contract), and fold_scaling.dense_matches_hashed (the dense refit
@@ -60,14 +60,16 @@ Checks, in order of severity:
    section adds served_digest_matches_cli: every job served over the
    experiment service must carry the same digest AND byte-identical
    payload as a direct engine run + CLI render of the same spec — the
-   serving layer is transport, never arithmetic. PR 10 extends the
-   same section with a connection_sweep array (1/4/16/64 pipelined
-   connections on both the threads and epoll transports): every sweep
-   point's payloads_match flag — and the folded
+   serving layer is transport, never arithmetic. The same section
+   carries a connection_sweep array (1/4/16/64 pipelined connections):
+   every sweep point's payloads_match flag — and the folded
    connection_sweep_payloads_match — is checked at the same severity,
    because each point byte-compares every served payload against the
-   pre-sweep baseline. Snapshots predating the sweep simply lack the
-   keys and are skipped. The PR 9
+   pre-sweep baseline, and so is cached_p50_within_floor (the cached
+   p50 at one connection must stay below cached_p50_floor_ms, so a
+   write stall such as Nagle waiting on a delayed ACK fails instead of
+   becoming the headline). Snapshots predating these keys simply lack
+   them and are skipped. The
    markov_scaling section adds three more: sparse_matches_dense (the
    sparse Ulam operator must equal the dense oracle entry for entry and
    propagate bit for bit), deterministic_across_thread_counts (build,
@@ -483,10 +485,15 @@ def main(argv):
             if not point.get("payloads_match", True):
                 errors += fail(
                     "serving_scaling connection_sweep: payload mismatch "
-                    f"at transport={point.get('transport')} "
-                    f"connections={point.get('connections')} — the "
+                    f"at connections={point.get('connections')} — the "
                     "transport corrupted or dropped a served payload"
                 )
+        if not serving.get("cached_p50_within_floor", True):
+            errors += fail(
+                "serving_scaling: cached p50 at one connection is not "
+                f"below {serving.get('cached_p50_floor_ms')} ms — a write "
+                "stall (e.g. Nagle waiting on a delayed ACK) is back"
+            )
     if "markov_scaling" in fresh:
         markov = fresh["markov_scaling"]
         for flag, meaning in (
@@ -635,25 +642,26 @@ def main(argv):
         snapshot.get("serving_scaling", {}).get("jobs_per_sec"),
         warnings,
     )
-    # Connection-sweep rates, per (transport, connection count). Warn
-    # only, like every rate; an older snapshot without the sweep has no
-    # reference points and contributes nothing.
+    # Connection-sweep rates, per connection count. Warn only, like
+    # every rate; an older snapshot without the sweep has no reference
+    # points and contributes nothing, and points of the removed threads
+    # transport (BENCH_perf_pr10.json) are not comparable.
     snapshot_sweep = {
-        (point.get("transport"), point.get("connections")):
-            point.get("jobs_per_sec")
+        point.get("connections"): point.get("jobs_per_sec")
         for point in snapshot.get("serving_scaling", {}).get(
             "connection_sweep", []
         )
+        if point.get("transport", "epoll") == "epoll"
     }
     for point in fresh.get("serving_scaling", {}).get(
         "connection_sweep", []
     ):
-        key = (point.get("transport"), point.get("connections"))
+        connections = point.get("connections")
         check_rate(
             f"serving_scaling connection_sweep jobs/sec "
-            f"({key[0]}, {key[1]} conns)",
+            f"({connections} conns)",
             point.get("jobs_per_sec"),
-            snapshot_sweep.get(key),
+            snapshot_sweep.get(connections),
             warnings,
         )
     # markov_scaling rates, per cell count (sparse matvec and build are

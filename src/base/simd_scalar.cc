@@ -57,16 +57,17 @@ inline double PinnedExp(double v) {
 
 }  // namespace
 
-bool SimdForceScalar() {
-#ifdef EQIMPACT_FORCE_SCALAR
-  return true;
-#else
-  return g_force_scalar.load(std::memory_order_relaxed);
-#endif
-}
-
 void SetSimdForceScalarForTesting(bool force) {
   g_force_scalar.store(force, std::memory_order_relaxed);
+}
+
+bool UseAvx2Lanes() {
+#if defined(EQIMPACT_AVX2_LANES)
+  static const bool cpu_has_avx2 = __builtin_cpu_supports("avx2");
+  return cpu_has_avx2 && !g_force_scalar.load(std::memory_order_relaxed);
+#else
+  return false;
+#endif
 }
 
 double NormalCdfScalar(double x) {

@@ -2,9 +2,10 @@
 #define EQIMPACT_BASE_SIMD_SCALAR_H_
 
 /// \file
-/// Process-wide switch that pins every vectorized kernel to its scalar
-/// reference lanes, and the pinned scalar reference of the standard
-/// normal CDF that the kernel layer vectorizes.
+/// The process-wide decision whether vectorized kernels run their AVX2
+/// lanes or their scalar references (with a test toggle that pins the
+/// references), and the pinned scalar reference of the standard normal
+/// CDF that the kernel layer vectorizes.
 ///
 /// The kernel layer (runtime/simd.h + runtime/kernels.h and
 /// rng::Pcg32::FillUniform) promises that the vector lanes are
@@ -16,19 +17,28 @@
 ///
 /// It lives in `base` — below both `rng` and `runtime` in the layer
 /// graph — because the PCG batch fill (rng) and the elementwise kernels
-/// (runtime) sit in different layers but must honour one switch. The
+/// (runtime) sit in different layers but must make one decision. The
 /// normal CDF reference lives here for the same reason: rng (the scalar
 /// entry `rng::StandardNormalCdf`) and runtime (the vector lanes of
 /// `kernels::NormalCdfBatch`) sit in different layers but must evaluate
 /// one function, operation for operation.
 
+// The vector lanes are AVX2 only. They need GCC or Clang on x86-64 (for
+// the target("avx2") function attribute and __builtin_cpu_supports), and
+// EQIMPACT_FORCE_SCALAR compiles them out. Every other target runs the
+// scalar references.
+#if !defined(EQIMPACT_FORCE_SCALAR) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define EQIMPACT_AVX2_LANES 1
+#endif
+
 namespace eqimpact {
 namespace base {
 
-/// True when kernel dispatch must use the scalar reference lanes: either
-/// the build compiled the vector lanes out (EQIMPACT_FORCE_SCALAR) or a
-/// test toggled them off at runtime.
-bool SimdForceScalar();
+/// True when kernels should enter their AVX2 lanes: the build compiled
+/// them (EQIMPACT_AVX2_LANES), the CPU supports AVX2 (checked once), and
+/// no test pinned the scalar references (SetSimdForceScalarForTesting).
+bool UseAvx2Lanes();
 
 /// Runtime toggle for tests (a no-op in EQIMPACT_FORCE_SCALAR builds,
 /// which are scalar regardless). Takes effect for kernel calls that
@@ -102,8 +112,8 @@ constexpr double kTailQ[5] = {2.56852019228982242e00, 1.87295284992346047e00,
                               2.33520497626869185e-3};
 
 // --- Pinned exp (Cody-Waite): n = nearest(v * log2 e) via the
-// round-to-even magic shift (SSE2 has no _mm_round_pd; the shifted-add
-// trick rounds identically in scalar and vector code), r = v - n ln 2 in
+// round-to-even magic shift (the shifted-add trick rounds identically in
+// scalar and vector code, with no rounding-mode intrinsic), r = v - n ln 2 in
 // two pieces, a degree-13 Taylor polynomial for exp(r) evaluated in
 // Estrin order (short dependency chains; the lanes replay the same
 // order), and a 2^n scale built from exponent bits in two factors (n/2

@@ -8,16 +8,6 @@
 namespace eqimpact {
 namespace linalg {
 
-double& Vector::operator[](size_t i) {
-  EQIMPACT_CHECK_LT(i, data_.size());
-  return data_[i];
-}
-
-double Vector::operator[](size_t i) const {
-  EQIMPACT_CHECK_LT(i, data_.size());
-  return data_[i];
-}
-
 Vector& Vector::operator+=(const Vector& other) {
   EQIMPACT_CHECK_EQ(size(), other.size());
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "base/check.h"
+
 namespace eqimpact {
 namespace linalg {
 
@@ -39,9 +41,16 @@ class Vector {
   /// Dimension.
   size_t size() const { return data_.size(); }
 
-  /// Element access with bounds checks.
-  double& operator[](size_t i);
-  double operator[](size_t i) const;
+  /// Element access with bounds checks. Inline: the sparse solvers call
+  /// it per element in their hot loops.
+  double& operator[](size_t i) {
+    EQIMPACT_CHECK_LT(i, data_.size());
+    return data_[i];
+  }
+  double operator[](size_t i) const {
+    EQIMPACT_CHECK_LT(i, data_.size());
+    return data_[i];
+  }
 
   /// Underlying storage (contiguous, row vector layout).
   const std::vector<double>& data() const { return data_; }

@@ -2,14 +2,11 @@
 
 #include "base/simd_scalar.h"
 
-// The AVX2 batch fill needs GCC/Clang for the target attribute +
-// __builtin_cpu_supports pair; it is compiled even in default builds and
-// entered only after the CPUID check. There is no SSE2 lane: the output
-// permutation needs per-lane variable 64-bit shifts, which first exist
-// in AVX2 (vpsrlvq). On other architectures the fill is the scalar loop.
-#if !defined(EQIMPACT_FORCE_SCALAR) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define EQIMPACT_PCG_AVX2 1
+// The AVX2 batch fill is compiled even in default builds and entered
+// only when base::UseAvx2Lanes() holds (see base/simd_scalar.h); its
+// output permutation needs AVX2's per-lane variable 64-bit shifts
+// (vpsrlvq). Without it the fill is the scalar loop.
+#if defined(EQIMPACT_AVX2_LANES)
 #include <immintrin.h>
 #endif
 
@@ -44,12 +41,7 @@ LcgJump JumpParams(uint64_t inc, uint64_t steps) {
   return acc;
 }
 
-#if defined(EQIMPACT_PCG_AVX2)
-
-bool CpuHasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
+#if defined(EQIMPACT_AVX2_LANES)
 
 // a * b mod 2^64 per 64-bit lane (AVX2 has no 64-bit multiply; build it
 // from 32 x 32 -> 64 partial products).
@@ -123,7 +115,7 @@ __attribute__((target("avx2"))) void FillUniformAvx2(uint64_t* state,
   *state = static_cast<uint64_t>(_mm256_extract_epi64(even, 0));
 }
 
-#endif  // EQIMPACT_PCG_AVX2
+#endif  // EQIMPACT_AVX2_LANES
 
 }  // namespace
 
@@ -134,10 +126,10 @@ uint64_t Pcg32::AdvanceState(uint64_t state, uint64_t inc, uint64_t steps) {
 
 void Pcg32::FillUniform(double* out, size_t n) {
   size_t filled = 0;
-#if defined(EQIMPACT_PCG_AVX2)
+#if defined(EQIMPACT_AVX2_LANES)
   // The staggered-stream setup costs ~8 scalar LCG steps plus the jump
   // parameters; below a couple of vectors it cannot win.
-  if (n >= 16 && !base::SimdForceScalar() && CpuHasAvx2()) {
+  if (n >= 16 && base::UseAvx2Lanes()) {
     FillUniformAvx2(&state_, inc_, out, n);
     filled = (n / 4) * 4;
   }

@@ -3,20 +3,13 @@
 #include <cmath>
 
 #include "base/simd_scalar.h"
-#include "runtime/simd.h"
 
-// Same architecture probes as runtime/simd.cc: the SSE2 lane is plain
-// code (part of the x86-64 baseline ABI), the AVX2 lane is compiled via
-// the target("avx2") function attribute so it exists in default builds
-// and is entered only when ActiveBackend() says the CPU supports it.
-#if !defined(EQIMPACT_FORCE_SCALAR) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define EQIMPACT_SIMD_X86 1
+// The AVX2 lanes compile through the target("avx2") function attribute,
+// so default builds carry them; they are entered only when
+// base::UseAvx2Lanes() says the CPU supports AVX2 and the force-scalar
+// switch is off (see base/simd_scalar.h).
+#if defined(EQIMPACT_AVX2_LANES)
 #include <immintrin.h>
-#elif !defined(EQIMPACT_FORCE_SCALAR) && defined(__aarch64__) && \
-    defined(__ARM_NEON)
-#define EQIMPACT_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace eqimpact {
@@ -98,280 +91,13 @@ void LinearPredictor2Scalar(const double* rows, size_t n, double w0,
   }
 }
 
-#if defined(EQIMPACT_SIMD_X86)
+#if defined(EQIMPACT_AVX2_LANES)
 
 // ---------------------------------------------------------------------------
-// SSE2 lanes (2 x double, baseline x86-64).
+// AVX2 lanes (4 x double).
 // ---------------------------------------------------------------------------
 
 namespace {
-
-void IncomeCodeSse2(const double* income, size_t n, double threshold,
-                    double* code) {
-  const __m128d thr = _mm_set1_pd(threshold);
-  const __m128d one = _mm_set1_pd(1.0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d mask = _mm_cmpge_pd(_mm_loadu_pd(income + i), thr);
-    _mm_storeu_pd(code + i, _mm_and_pd(mask, one));
-  }
-  IncomeCodeScalar(income + i, n - i, threshold, code + i);
-}
-
-void ScoreSweepSse2(const double* income, const double* adr, size_t n,
-                    const ScoreParams& params, double* code,
-                    unsigned char* approved) {
-  const __m128d thr = _mm_set1_pd(params.code_threshold);
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d base = _mm_set1_pd(params.base_points);
-  const __m128d w_adr = _mm_set1_pd(params.adr_weight);
-  const __m128d w_code = _mm_set1_pd(params.code_weight);
-  const __m128d cutoff = _mm_set1_pd(params.cutoff);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d code_v =
-        _mm_and_pd(_mm_cmpge_pd(_mm_loadu_pd(income + i), thr), one);
-    _mm_storeu_pd(code + i, code_v);
-    const __m128d score = _mm_add_pd(
-        _mm_add_pd(base, _mm_mul_pd(w_adr, _mm_loadu_pd(adr + i))),
-        _mm_mul_pd(w_code, code_v));
-    const int bits = _mm_movemask_pd(_mm_cmpgt_pd(score, cutoff));
-    approved[i] = static_cast<unsigned char>(bits & 1);
-    approved[i + 1] = static_cast<unsigned char>((bits >> 1) & 1);
-  }
-  ScoreSweepScalar(income + i, adr + i, n - i, params, code + i,
-                   approved + i);
-}
-
-void SurplusShareSse2(const double* income, size_t n, double income_multiple,
-                      double living_cost, double annual_rate, double* out) {
-  const __m128d multiple = _mm_set1_pd(income_multiple);
-  const __m128d living = _mm_set1_pd(living_cost);
-  const __m128d rate = _mm_set1_pd(annual_rate);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d z = _mm_loadu_pd(income + i);
-    const __m128d mortgage = _mm_mul_pd(multiple, z);
-    const __m128d numer =
-        _mm_sub_pd(_mm_sub_pd(z, living), _mm_mul_pd(rate, mortgage));
-    _mm_storeu_pd(out + i, _mm_div_pd(numer, z));
-  }
-  SurplusShareScalar(income + i, n - i, income_multiple, living_cost,
-                     annual_rate, out + i);
-}
-
-void GuardedRatioSse2(const double* num, const double* den, size_t n,
-                      double* out) {
-  const __m128d zero = _mm_setzero_pd();
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d d = _mm_loadu_pd(den + i);
-    const __m128d ratio = _mm_div_pd(_mm_loadu_pd(num + i), d);
-    // den <= 0 (or the ratio where the mask is false): andnot zeroes the
-    // masked lanes, matching the scalar `? 0.0 :` exactly (+0.0).
-    _mm_storeu_pd(out + i, _mm_andnot_pd(_mm_cmple_pd(d, zero), ratio));
-  }
-  GuardedRatioScalar(num + i, den + i, n - i, out + i);
-}
-
-void SigmoidBatchSse2(const double* t, size_t n, double* out) {
-  const size_t vec = n - n % 2;
-  // Stage 1 — the exp stays scalar libm, argument exactly as ml::Sigmoid
-  // forms it (branch on v >= 0, never -fabs, so NaN payloads match).
-  for (size_t i = 0; i < vec; ++i) {
-    const double v = t[i];
-    out[i] = std::exp(v >= 0.0 ? -v : v);
-  }
-  // Stage 2 — select the numerator and divide, two lanes at a time.
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d one = _mm_set1_pd(1.0);
-  for (size_t i = 0; i < vec; i += 2) {
-    const __m128d e = _mm_loadu_pd(out + i);
-    const __m128d mask = _mm_cmpge_pd(_mm_loadu_pd(t + i), zero);
-    const __m128d numer =
-        _mm_or_pd(_mm_and_pd(mask, one), _mm_andnot_pd(mask, e));
-    _mm_storeu_pd(out + i, _mm_div_pd(numer, _mm_add_pd(one, e)));
-  }
-  SigmoidBatchScalar(t + vec, n - vec, out + vec);
-}
-
-void LinearPredictor2Sse2(const double* rows, size_t n, double w0, double w1,
-                          double bias, bool add_bias, double* out) {
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d w0v = _mm_set1_pd(w0);
-  const __m128d w1v = _mm_set1_pd(w1);
-  const __m128d bv = _mm_set1_pd(bias);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d r0 = _mm_loadu_pd(rows + 2 * i);      // a0 c0
-    const __m128d r1 = _mm_loadu_pd(rows + 2 * i + 2);  // a1 c1
-    const __m128d a = _mm_unpacklo_pd(r0, r1);          // a0 a1
-    const __m128d c = _mm_unpackhi_pd(r0, r1);          // c0 c1
-    __m128d acc = _mm_add_pd(zero, _mm_mul_pd(a, w0v));
-    acc = _mm_add_pd(acc, _mm_mul_pd(c, w1v));
-    if (add_bias) acc = _mm_add_pd(acc, bv);
-    _mm_storeu_pd(out + i, acc);
-  }
-  LinearPredictor2Scalar(rows + 2 * i, n - i, w0, w1, bias, add_bias,
-                         out + i);
-}
-
-// SSE2 has no blendv: classic and/andnot/or select (NaN-safe, copies
-// raw lane bits).
-inline __m128d SelectSse2(__m128d mask, __m128d if_true, __m128d if_false) {
-  return _mm_or_pd(_mm_and_pd(mask, if_true),
-                   _mm_andnot_pd(mask, if_false));
-}
-
-// The pinned Cody-Waite exp of base::NormalCdfScalar, two lanes at a
-// time — every operation mirrors PinnedExp in base/simd_scalar.cc. The
-// truncating cvttpd matches the scalar int32 cast (n is exactly
-// integer-valued), and e + 1023 is always positive here, so the int32 ->
-// int64 widening of the exponent fields can zero-extend.
-inline __m128d PinnedExpSse2(__m128d v) {
-  namespace phi = base::phi;
-  const __m128d shift = _mm_set1_pd(phi::kExpShift);
-  const __m128d shifted =
-      _mm_add_pd(_mm_mul_pd(v, _mm_set1_pd(phi::kExpLog2E)), shift);
-  const __m128d n = _mm_sub_pd(shifted, shift);
-  __m128d r = _mm_sub_pd(v, _mm_mul_pd(n, _mm_set1_pd(phi::kExpLn2Hi)));
-  r = _mm_sub_pd(r, _mm_mul_pd(n, _mm_set1_pd(phi::kExpLn2Lo)));
-  const __m128d r2 = _mm_mul_pd(r, r);
-  const __m128d r4 = _mm_mul_pd(r2, r2);
-  const __m128d r8 = _mm_mul_pd(r4, r4);
-  const __m128d b0 = _mm_add_pd(_mm_set1_pd(phi::kExpCoeff[0]),
-                                _mm_mul_pd(_mm_set1_pd(phi::kExpCoeff[1]), r));
-  const __m128d b1 = _mm_add_pd(_mm_set1_pd(phi::kExpCoeff[2]),
-                                _mm_mul_pd(_mm_set1_pd(phi::kExpCoeff[3]), r));
-  const __m128d b2 = _mm_add_pd(_mm_set1_pd(phi::kExpCoeff[4]),
-                                _mm_mul_pd(_mm_set1_pd(phi::kExpCoeff[5]), r));
-  const __m128d b3 = _mm_add_pd(_mm_set1_pd(phi::kExpCoeff[6]),
-                                _mm_mul_pd(_mm_set1_pd(phi::kExpCoeff[7]), r));
-  const __m128d b4 = _mm_add_pd(_mm_set1_pd(phi::kExpCoeff[8]),
-                                _mm_mul_pd(_mm_set1_pd(phi::kExpCoeff[9]), r));
-  const __m128d b5 =
-      _mm_add_pd(_mm_set1_pd(phi::kExpCoeff[10]),
-                 _mm_mul_pd(_mm_set1_pd(phi::kExpCoeff[11]), r));
-  const __m128d b6 =
-      _mm_add_pd(_mm_set1_pd(phi::kExpCoeff[12]),
-                 _mm_mul_pd(_mm_set1_pd(phi::kExpCoeff[13]), r));
-  const __m128d q0 = _mm_add_pd(b0, _mm_mul_pd(b1, r2));
-  const __m128d q1 = _mm_add_pd(b2, _mm_mul_pd(b3, r2));
-  const __m128d q2 = _mm_add_pd(b4, _mm_mul_pd(b5, r2));
-  const __m128d h0 = _mm_add_pd(q0, _mm_mul_pd(q1, r4));
-  const __m128d h1 = _mm_add_pd(q2, _mm_mul_pd(b6, r4));
-  const __m128d p = _mm_add_pd(h0, _mm_mul_pd(h1, r8));
-  const __m128i ni = _mm_cvttpd_epi32(n);
-  const __m128i e1 = _mm_srai_epi32(ni, 1);
-  const __m128i e2 = _mm_sub_epi32(ni, e1);
-  const __m128i bias = _mm_set1_epi32(1023);
-  const __m128i zero32 = _mm_setzero_si128();
-  const __m128d s1 = _mm_castsi128_pd(_mm_slli_epi64(
-      _mm_unpacklo_epi32(_mm_add_epi32(e1, bias), zero32), 52));
-  const __m128d s2 = _mm_castsi128_pd(_mm_slli_epi64(
-      _mm_unpacklo_epi32(_mm_add_epi32(e2, bias), zero32), 52));
-  return _mm_mul_pd(_mm_mul_pd(p, s1), s2);
-}
-
-void NormalCdfSse2(const double* x, size_t n, double* out) {
-  namespace phi = base::phi;
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d half = _mm_set1_pd(0.5);
-  const __m128d sign = _mm_set1_pd(-0.0);
-  const __m128d clamp = _mm_set1_pd(phi::kClamp);
-  const __m128d neg_clamp = _mm_set1_pd(-phi::kClamp);
-  const __m128d sqrt2 = _mm_set1_pd(phi::kSqrt2);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d vx = _mm_loadu_pd(x + i);
-    const __m128d nan_mask = _mm_cmpunord_pd(vx, vx);
-    const __m128d hi_mask = _mm_cmpgt_pd(vx, clamp);
-    const __m128d lo_mask = _mm_cmplt_pd(vx, neg_clamp);
-    __m128d xc = SelectSse2(hi_mask, clamp, vx);
-    xc = SelectSse2(lo_mask, neg_clamp, xc);
-    const __m128d z = _mm_div_pd(_mm_xor_pd(xc, sign), sqrt2);
-    const __m128d y = _mm_andnot_pd(sign, z);
-    const __m128d s = _mm_mul_pd(z, z);
-    const __m128d centre_mask = _mm_cmple_pd(y, _mm_set1_pd(phi::kErfSwitch));
-    const __m128d far_mask = _mm_cmpgt_pd(y, _mm_set1_pd(phi::kTailSwitch));
-    const int centre_bits = _mm_movemask_pd(centre_mask);
-    const int tail_bits = (~centre_bits) & 0x3;  // NaN lanes land here.
-    __m128d phi_centre = zero;
-    __m128d phi_tail = zero;
-    if (centre_bits != 0) {
-      __m128d num = _mm_mul_pd(_mm_set1_pd(phi::kErfA[4]), s);
-      __m128d den = s;
-      for (int j = 0; j < 3; ++j) {
-        num = _mm_mul_pd(_mm_add_pd(num, _mm_set1_pd(phi::kErfA[j])), s);
-        den = _mm_mul_pd(_mm_add_pd(den, _mm_set1_pd(phi::kErfB[j])), s);
-      }
-      const __m128d erf = _mm_div_pd(
-          _mm_mul_pd(z, _mm_add_pd(num, _mm_set1_pd(phi::kErfA[3]))),
-          _mm_add_pd(den, _mm_set1_pd(phi::kErfB[3])));
-      phi_centre = _mm_mul_pd(half, _mm_sub_pd(one, erf));
-    }
-    if (tail_bits != 0) {
-      __m128d num = _mm_mul_pd(_mm_set1_pd(phi::kErfcC[8]), y);
-      __m128d den = y;
-      for (int j = 0; j < 7; ++j) {
-        num = _mm_mul_pd(_mm_add_pd(num, _mm_set1_pd(phi::kErfcC[j])), y);
-        den = _mm_mul_pd(_mm_add_pd(den, _mm_set1_pd(phi::kErfcD[j])), y);
-      }
-      __m128d ratio =
-          _mm_div_pd(_mm_add_pd(num, _mm_set1_pd(phi::kErfcC[7])),
-                     _mm_add_pd(den, _mm_set1_pd(phi::kErfcD[7])));
-      if (_mm_movemask_pd(far_mask) != 0) {
-        const __m128d inv = _mm_div_pd(one, s);
-        __m128d fnum = _mm_mul_pd(_mm_set1_pd(phi::kTailP[5]), inv);
-        __m128d fden = inv;
-        for (int j = 0; j < 4; ++j) {
-          fnum =
-              _mm_mul_pd(_mm_add_pd(fnum, _mm_set1_pd(phi::kTailP[j])), inv);
-          fden =
-              _mm_mul_pd(_mm_add_pd(fden, _mm_set1_pd(phi::kTailQ[j])), inv);
-        }
-        __m128d far = _mm_div_pd(
-            _mm_mul_pd(inv, _mm_add_pd(fnum, _mm_set1_pd(phi::kTailP[4]))),
-            _mm_add_pd(fden, _mm_set1_pd(phi::kTailQ[4])));
-        far = _mm_div_pd(_mm_sub_pd(_mm_set1_pd(phi::kSqrPi), far), y);
-        ratio = SelectSse2(far_mask, far, ratio);
-      }
-      // cvttpd truncates like the scalar int32 cast; clamped y keeps
-      // y * 16 < 425 in range (NaN lanes produce garbage, blended away).
-      const __m128d ysq = _mm_mul_pd(
-          _mm_cvtepi32_pd(
-              _mm_cvttpd_epi32(_mm_mul_pd(y, _mm_set1_pd(16.0)))),
-          _mm_set1_pd(0.0625));
-      const __m128d del = _mm_mul_pd(_mm_sub_pd(y, ysq), _mm_add_pd(y, ysq));
-      const __m128d scale = _mm_mul_pd(
-          PinnedExpSse2(_mm_xor_pd(_mm_mul_pd(ysq, ysq), sign)),
-          PinnedExpSse2(_mm_xor_pd(del, sign)));
-      const __m128d half_erfc =
-          _mm_mul_pd(half, _mm_mul_pd(scale, ratio));
-      phi_tail = SelectSse2(_mm_cmplt_pd(z, zero),
-                            _mm_sub_pd(one, half_erfc), half_erfc);
-    }
-    __m128d result;
-    if (tail_bits == 0) {
-      result = phi_centre;
-    } else if (centre_bits == 0) {
-      result = phi_tail;
-    } else {
-      result = SelectSse2(centre_mask, phi_centre, phi_tail);
-    }
-    result = SelectSse2(hi_mask, one, result);
-    result = SelectSse2(lo_mask, zero, result);
-    result = SelectSse2(nan_mask, vx, result);
-    _mm_storeu_pd(out + i, result);
-  }
-  NormalCdfBatchScalar(x + i, n - i, out + i);
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 lanes (4 x double). Compiled via the target attribute; only
-// entered when ActiveBackend() returned kAvx2 after the CPUID check.
-// ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"))) void IncomeCodeAvx2(const double* income,
                                                     size_t n,
@@ -494,9 +220,11 @@ __attribute__((target("avx2"))) void LinearPredictor2Avx2(
                          out + i);
 }
 
-// PinnedExp, four lanes at a time — same operation sequence as the SSE2
-// lane and the scalar reference. AVX2's cvtepi32_epi64 sign-extends, but
-// e + 1023 is always positive here, so it agrees with zero-extension.
+// The pinned Cody-Waite exp of base::NormalCdfScalar, four lanes at a
+// time — every operation mirrors PinnedExp in base/simd_scalar.cc. The
+// truncating cvttpd matches the scalar int32 cast (n is exactly
+// integer-valued), and e + 1023 is always positive here, so the
+// sign-extending cvtepi32_epi64 agrees with the scalar bit assembly.
 __attribute__((target("avx2"))) inline __m256d PinnedExpAvx2(__m256d v) {
   namespace phi = base::phi;
   const __m256d shift = _mm256_set1_pd(phi::kExpShift);
@@ -679,6 +407,8 @@ __attribute__((target("avx2"))) void NormalCdfAvx2(const double* x, size_t n,
         ratio_a = _mm256_blendv_pd(ratio_a, far_a, far_mask_a);
         ratio_b = _mm256_blendv_pd(ratio_b, far_b, far_mask_b);
       }
+      // cvttpd truncates like the scalar int32 cast; clamped y keeps
+      // y * 16 < 425 in range (NaN lanes produce garbage, blended away).
       const __m256d ysq_a = _mm256_mul_pd(
           _mm256_cvtepi32_pd(
               _mm256_cvttpd_epi32(_mm256_mul_pd(ya, _mm256_set1_pd(16.0)))),
@@ -828,261 +558,7 @@ __attribute__((target("avx2"))) void NormalCdfAvx2(const double* x, size_t n,
 
 }  // namespace
 
-#elif defined(EQIMPACT_SIMD_NEON)
-
-// ---------------------------------------------------------------------------
-// NEON lanes (2 x double, AArch64).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void IncomeCodeNeon(const double* income, size_t n, double threshold,
-                    double* code) {
-  const float64x2_t thr = vdupq_n_f64(threshold);
-  const float64x2_t one = vdupq_n_f64(1.0);
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t mask = vcgeq_f64(vld1q_f64(income + i), thr);
-    vst1q_f64(code + i, vbslq_f64(mask, one, zero));
-  }
-  IncomeCodeScalar(income + i, n - i, threshold, code + i);
-}
-
-void ScoreSweepNeon(const double* income, const double* adr, size_t n,
-                    const ScoreParams& params, double* code,
-                    unsigned char* approved) {
-  const float64x2_t thr = vdupq_n_f64(params.code_threshold);
-  const float64x2_t one = vdupq_n_f64(1.0);
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  const float64x2_t base = vdupq_n_f64(params.base_points);
-  const float64x2_t w_adr = vdupq_n_f64(params.adr_weight);
-  const float64x2_t w_code = vdupq_n_f64(params.code_weight);
-  const float64x2_t cutoff = vdupq_n_f64(params.cutoff);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t code_mask = vcgeq_f64(vld1q_f64(income + i), thr);
-    const float64x2_t code_v = vbslq_f64(code_mask, one, zero);
-    vst1q_f64(code + i, code_v);
-    const float64x2_t score =
-        vaddq_f64(vaddq_f64(base, vmulq_f64(w_adr, vld1q_f64(adr + i))),
-                  vmulq_f64(w_code, code_v));
-    const uint64x2_t approved_mask = vcgtq_f64(score, cutoff);
-    approved[i] =
-        static_cast<unsigned char>(vgetq_lane_u64(approved_mask, 0) & 1u);
-    approved[i + 1] =
-        static_cast<unsigned char>(vgetq_lane_u64(approved_mask, 1) & 1u);
-  }
-  ScoreSweepScalar(income + i, adr + i, n - i, params, code + i,
-                   approved + i);
-}
-
-void SurplusShareNeon(const double* income, size_t n, double income_multiple,
-                      double living_cost, double annual_rate, double* out) {
-  const float64x2_t multiple = vdupq_n_f64(income_multiple);
-  const float64x2_t living = vdupq_n_f64(living_cost);
-  const float64x2_t rate = vdupq_n_f64(annual_rate);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t z = vld1q_f64(income + i);
-    const float64x2_t mortgage = vmulq_f64(multiple, z);
-    const float64x2_t numer =
-        vsubq_f64(vsubq_f64(z, living), vmulq_f64(rate, mortgage));
-    vst1q_f64(out + i, vdivq_f64(numer, z));
-  }
-  SurplusShareScalar(income + i, n - i, income_multiple, living_cost,
-                     annual_rate, out + i);
-}
-
-void GuardedRatioNeon(const double* num, const double* den, size_t n,
-                      double* out) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t d = vld1q_f64(den + i);
-    const float64x2_t ratio = vdivq_f64(vld1q_f64(num + i), d);
-    vst1q_f64(out + i, vbslq_f64(vcleq_f64(d, zero), zero, ratio));
-  }
-  GuardedRatioScalar(num + i, den + i, n - i, out + i);
-}
-
-void SigmoidBatchNeon(const double* t, size_t n, double* out) {
-  const size_t vec = n - n % 2;
-  for (size_t i = 0; i < vec; ++i) {
-    const double v = t[i];
-    out[i] = std::exp(v >= 0.0 ? -v : v);
-  }
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  const float64x2_t one = vdupq_n_f64(1.0);
-  for (size_t i = 0; i < vec; i += 2) {
-    const float64x2_t e = vld1q_f64(out + i);
-    const uint64x2_t mask = vcgeq_f64(vld1q_f64(t + i), zero);
-    const float64x2_t numer = vbslq_f64(mask, one, e);
-    vst1q_f64(out + i, vdivq_f64(numer, vaddq_f64(one, e)));
-  }
-  SigmoidBatchScalar(t + vec, n - vec, out + vec);
-}
-
-void LinearPredictor2Neon(const double* rows, size_t n, double w0, double w1,
-                          double bias, bool add_bias, double* out) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  const float64x2_t w0v = vdupq_n_f64(w0);
-  const float64x2_t w1v = vdupq_n_f64(w1);
-  const float64x2_t bv = vdupq_n_f64(bias);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2x2_t r = vld2q_f64(rows + 2 * i);  // deinterleaved a, c
-    float64x2_t acc = vaddq_f64(zero, vmulq_f64(r.val[0], w0v));
-    acc = vaddq_f64(acc, vmulq_f64(r.val[1], w1v));
-    if (add_bias) acc = vaddq_f64(acc, bv);
-    vst1q_f64(out + i, acc);
-  }
-  LinearPredictor2Scalar(rows + 2 * i, n - i, w0, w1, bias, add_bias,
-                         out + i);
-}
-
-inline bool AnyLaneNeon(uint64x2_t mask) {
-  return (vgetq_lane_u64(mask, 0) | vgetq_lane_u64(mask, 1)) != 0;
-}
-
-// PinnedExp, two lanes at a time — same operation sequence as the scalar
-// reference (vcvtq_s64_f64 truncates toward zero like the int32 cast;
-// n is exactly integer-valued and small, so the widths agree).
-inline float64x2_t PinnedExpNeon(float64x2_t v) {
-  namespace phi = base::phi;
-  const float64x2_t shift = vdupq_n_f64(phi::kExpShift);
-  const float64x2_t shifted =
-      vaddq_f64(vmulq_f64(v, vdupq_n_f64(phi::kExpLog2E)), shift);
-  const float64x2_t n = vsubq_f64(shifted, shift);
-  float64x2_t r = vsubq_f64(v, vmulq_f64(n, vdupq_n_f64(phi::kExpLn2Hi)));
-  r = vsubq_f64(r, vmulq_f64(n, vdupq_n_f64(phi::kExpLn2Lo)));
-  const float64x2_t r2 = vmulq_f64(r, r);
-  const float64x2_t r4 = vmulq_f64(r2, r2);
-  const float64x2_t r8 = vmulq_f64(r4, r4);
-  const float64x2_t b0 = vaddq_f64(
-      vdupq_n_f64(phi::kExpCoeff[0]), vmulq_f64(vdupq_n_f64(phi::kExpCoeff[1]), r));
-  const float64x2_t b1 = vaddq_f64(
-      vdupq_n_f64(phi::kExpCoeff[2]), vmulq_f64(vdupq_n_f64(phi::kExpCoeff[3]), r));
-  const float64x2_t b2 = vaddq_f64(
-      vdupq_n_f64(phi::kExpCoeff[4]), vmulq_f64(vdupq_n_f64(phi::kExpCoeff[5]), r));
-  const float64x2_t b3 = vaddq_f64(
-      vdupq_n_f64(phi::kExpCoeff[6]), vmulq_f64(vdupq_n_f64(phi::kExpCoeff[7]), r));
-  const float64x2_t b4 = vaddq_f64(
-      vdupq_n_f64(phi::kExpCoeff[8]), vmulq_f64(vdupq_n_f64(phi::kExpCoeff[9]), r));
-  const float64x2_t b5 =
-      vaddq_f64(vdupq_n_f64(phi::kExpCoeff[10]),
-                vmulq_f64(vdupq_n_f64(phi::kExpCoeff[11]), r));
-  const float64x2_t b6 =
-      vaddq_f64(vdupq_n_f64(phi::kExpCoeff[12]),
-                vmulq_f64(vdupq_n_f64(phi::kExpCoeff[13]), r));
-  const float64x2_t q0 = vaddq_f64(b0, vmulq_f64(b1, r2));
-  const float64x2_t q1 = vaddq_f64(b2, vmulq_f64(b3, r2));
-  const float64x2_t q2 = vaddq_f64(b4, vmulq_f64(b5, r2));
-  const float64x2_t h0 = vaddq_f64(q0, vmulq_f64(q1, r4));
-  const float64x2_t h1 = vaddq_f64(q2, vmulq_f64(b6, r4));
-  const float64x2_t p = vaddq_f64(h0, vmulq_f64(h1, r8));
-  const int64x2_t ni = vcvtq_s64_f64(n);
-  const int64x2_t e1 = vshrq_n_s64(ni, 1);  // Arithmetic, like `>> 1`.
-  const int64x2_t e2 = vsubq_s64(ni, e1);
-  const int64x2_t bias = vdupq_n_s64(1023);
-  const float64x2_t s1 =
-      vreinterpretq_f64_s64(vshlq_n_s64(vaddq_s64(e1, bias), 52));
-  const float64x2_t s2 =
-      vreinterpretq_f64_s64(vshlq_n_s64(vaddq_s64(e2, bias), 52));
-  return vmulq_f64(vmulq_f64(p, s1), s2);
-}
-
-void NormalCdfNeon(const double* x, size_t n, double* out) {
-  namespace phi = base::phi;
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  const float64x2_t one = vdupq_n_f64(1.0);
-  const float64x2_t half = vdupq_n_f64(0.5);
-  const uint64x2_t sign = vreinterpretq_u64_f64(vdupq_n_f64(-0.0));
-  const float64x2_t clamp = vdupq_n_f64(phi::kClamp);
-  const float64x2_t neg_clamp = vdupq_n_f64(-phi::kClamp);
-  const float64x2_t sqrt2 = vdupq_n_f64(phi::kSqrt2);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t vx = vld1q_f64(x + i);
-    const uint64x2_t ord_mask = vceqq_f64(vx, vx);
-    const uint64x2_t hi_mask = vcgtq_f64(vx, clamp);
-    const uint64x2_t lo_mask = vcltq_f64(vx, neg_clamp);
-    float64x2_t xc = vbslq_f64(hi_mask, clamp, vx);
-    xc = vbslq_f64(lo_mask, neg_clamp, xc);
-    const float64x2_t z = vdivq_f64(
-        vreinterpretq_f64_u64(veorq_u64(vreinterpretq_u64_f64(xc), sign)),
-        sqrt2);
-    const float64x2_t y = vreinterpretq_f64_u64(
-        vbicq_u64(vreinterpretq_u64_f64(z), sign));
-    const float64x2_t s = vmulq_f64(z, z);
-    const uint64x2_t centre_mask =
-        vcleq_f64(y, vdupq_n_f64(phi::kErfSwitch));
-    const uint64x2_t far_mask = vcgtq_f64(y, vdupq_n_f64(phi::kTailSwitch));
-    const uint64x2_t tail_mask =
-        veorq_u64(centre_mask, vdupq_n_u64(~0ULL));  // NaN lanes land here.
-    float64x2_t phi_centre = zero;
-    float64x2_t phi_tail = zero;
-    if (AnyLaneNeon(centre_mask)) {
-      float64x2_t num = vmulq_f64(vdupq_n_f64(phi::kErfA[4]), s);
-      float64x2_t den = s;
-      for (int j = 0; j < 3; ++j) {
-        num = vmulq_f64(vaddq_f64(num, vdupq_n_f64(phi::kErfA[j])), s);
-        den = vmulq_f64(vaddq_f64(den, vdupq_n_f64(phi::kErfB[j])), s);
-      }
-      const float64x2_t erf =
-          vdivq_f64(vmulq_f64(z, vaddq_f64(num, vdupq_n_f64(phi::kErfA[3]))),
-                    vaddq_f64(den, vdupq_n_f64(phi::kErfB[3])));
-      phi_centre = vmulq_f64(half, vsubq_f64(one, erf));
-    }
-    if (AnyLaneNeon(tail_mask)) {
-      float64x2_t num = vmulq_f64(vdupq_n_f64(phi::kErfcC[8]), y);
-      float64x2_t den = y;
-      for (int j = 0; j < 7; ++j) {
-        num = vmulq_f64(vaddq_f64(num, vdupq_n_f64(phi::kErfcC[j])), y);
-        den = vmulq_f64(vaddq_f64(den, vdupq_n_f64(phi::kErfcD[j])), y);
-      }
-      float64x2_t ratio =
-          vdivq_f64(vaddq_f64(num, vdupq_n_f64(phi::kErfcC[7])),
-                    vaddq_f64(den, vdupq_n_f64(phi::kErfcD[7])));
-      if (AnyLaneNeon(far_mask)) {
-        const float64x2_t inv = vdivq_f64(one, s);
-        float64x2_t fnum = vmulq_f64(vdupq_n_f64(phi::kTailP[5]), inv);
-        float64x2_t fden = inv;
-        for (int j = 0; j < 4; ++j) {
-          fnum = vmulq_f64(vaddq_f64(fnum, vdupq_n_f64(phi::kTailP[j])), inv);
-          fden = vmulq_f64(vaddq_f64(fden, vdupq_n_f64(phi::kTailQ[j])), inv);
-        }
-        float64x2_t far = vdivq_f64(
-            vmulq_f64(inv, vaddq_f64(fnum, vdupq_n_f64(phi::kTailP[4]))),
-            vaddq_f64(fden, vdupq_n_f64(phi::kTailQ[4])));
-        far = vdivq_f64(vsubq_f64(vdupq_n_f64(phi::kSqrPi), far), y);
-        ratio = vbslq_f64(far_mask, far, ratio);
-      }
-      const float64x2_t ysq = vmulq_f64(
-          vcvtq_f64_s64(vcvtq_s64_f64(vmulq_f64(y, vdupq_n_f64(16.0)))),
-          vdupq_n_f64(0.0625));
-      const float64x2_t del = vmulq_f64(vsubq_f64(y, ysq), vaddq_f64(y, ysq));
-      const float64x2_t scale = vmulq_f64(
-          PinnedExpNeon(vreinterpretq_f64_u64(veorq_u64(
-              vreinterpretq_u64_f64(vmulq_f64(ysq, ysq)), sign))),
-          PinnedExpNeon(vreinterpretq_f64_u64(
-              veorq_u64(vreinterpretq_u64_f64(del), sign))));
-      const float64x2_t half_erfc = vmulq_f64(half, vmulq_f64(scale, ratio));
-      phi_tail = vbslq_f64(vcltq_f64(z, zero), vsubq_f64(one, half_erfc),
-                           half_erfc);
-    }
-    float64x2_t result = vbslq_f64(centre_mask, phi_centre, phi_tail);
-    result = vbslq_f64(hi_mask, one, result);
-    result = vbslq_f64(lo_mask, zero, result);
-    result = vbslq_f64(ord_mask, result, vx);
-    vst1q_f64(out + i, result);
-  }
-  NormalCdfBatchScalar(x + i, n - i, out + i);
-}
-
-}  // namespace
-
-#endif  // EQIMPACT_SIMD_NEON
+#endif  // EQIMPACT_AVX2_LANES
 
 // ---------------------------------------------------------------------------
 // Dispatch.
@@ -1090,158 +566,79 @@ void NormalCdfNeon(const double* x, size_t n, double* out) {
 
 void IncomeCode(const double* income, size_t n, double threshold,
                 double* code) {
-  const simd::Backend backend = simd::ActiveBackend();
-#if defined(EQIMPACT_SIMD_X86)
-  if (backend == simd::Backend::kAvx2) {
+#if defined(EQIMPACT_AVX2_LANES)
+  if (base::UseAvx2Lanes()) {
     IncomeCodeAvx2(income, n, threshold, code);
     return;
   }
-  if (backend == simd::Backend::kSse2) {
-    IncomeCodeSse2(income, n, threshold, code);
-    return;
-  }
-#elif defined(EQIMPACT_SIMD_NEON)
-  if (backend == simd::Backend::kNeon) {
-    IncomeCodeNeon(income, n, threshold, code);
-    return;
-  }
 #endif
-  (void)backend;
   IncomeCodeScalar(income, n, threshold, code);
 }
 
 void ScoreSweep(const double* income, const double* adr, size_t n,
                 const ScoreParams& params, double* code,
                 unsigned char* approved) {
-  const simd::Backend backend = simd::ActiveBackend();
-#if defined(EQIMPACT_SIMD_X86)
-  if (backend == simd::Backend::kAvx2) {
+#if defined(EQIMPACT_AVX2_LANES)
+  if (base::UseAvx2Lanes()) {
     ScoreSweepAvx2(income, adr, n, params, code, approved);
     return;
   }
-  if (backend == simd::Backend::kSse2) {
-    ScoreSweepSse2(income, adr, n, params, code, approved);
-    return;
-  }
-#elif defined(EQIMPACT_SIMD_NEON)
-  if (backend == simd::Backend::kNeon) {
-    ScoreSweepNeon(income, adr, n, params, code, approved);
-    return;
-  }
 #endif
-  (void)backend;
   ScoreSweepScalar(income, adr, n, params, code, approved);
 }
 
 void SurplusShare(const double* income, size_t n, double income_multiple,
                   double living_cost, double annual_rate, double* out) {
-  const simd::Backend backend = simd::ActiveBackend();
-#if defined(EQIMPACT_SIMD_X86)
-  if (backend == simd::Backend::kAvx2) {
+#if defined(EQIMPACT_AVX2_LANES)
+  if (base::UseAvx2Lanes()) {
     SurplusShareAvx2(income, n, income_multiple, living_cost, annual_rate,
                      out);
     return;
   }
-  if (backend == simd::Backend::kSse2) {
-    SurplusShareSse2(income, n, income_multiple, living_cost, annual_rate,
-                     out);
-    return;
-  }
-#elif defined(EQIMPACT_SIMD_NEON)
-  if (backend == simd::Backend::kNeon) {
-    SurplusShareNeon(income, n, income_multiple, living_cost, annual_rate,
-                     out);
-    return;
-  }
 #endif
-  (void)backend;
   SurplusShareScalar(income, n, income_multiple, living_cost, annual_rate,
                      out);
 }
 
 void GuardedRatio(const double* num, const double* den, size_t n,
                   double* out) {
-  const simd::Backend backend = simd::ActiveBackend();
-#if defined(EQIMPACT_SIMD_X86)
-  if (backend == simd::Backend::kAvx2) {
+#if defined(EQIMPACT_AVX2_LANES)
+  if (base::UseAvx2Lanes()) {
     GuardedRatioAvx2(num, den, n, out);
     return;
   }
-  if (backend == simd::Backend::kSse2) {
-    GuardedRatioSse2(num, den, n, out);
-    return;
-  }
-#elif defined(EQIMPACT_SIMD_NEON)
-  if (backend == simd::Backend::kNeon) {
-    GuardedRatioNeon(num, den, n, out);
-    return;
-  }
 #endif
-  (void)backend;
   GuardedRatioScalar(num, den, n, out);
 }
 
 void SigmoidBatch(const double* t, size_t n, double* out) {
-  const simd::Backend backend = simd::ActiveBackend();
-#if defined(EQIMPACT_SIMD_X86)
-  if (backend == simd::Backend::kAvx2) {
+#if defined(EQIMPACT_AVX2_LANES)
+  if (base::UseAvx2Lanes()) {
     SigmoidBatchAvx2(t, n, out);
     return;
   }
-  if (backend == simd::Backend::kSse2) {
-    SigmoidBatchSse2(t, n, out);
-    return;
-  }
-#elif defined(EQIMPACT_SIMD_NEON)
-  if (backend == simd::Backend::kNeon) {
-    SigmoidBatchNeon(t, n, out);
-    return;
-  }
 #endif
-  (void)backend;
   SigmoidBatchScalar(t, n, out);
 }
 
 void NormalCdfBatch(const double* x, size_t n, double* out) {
-  const simd::Backend backend = simd::ActiveBackend();
-#if defined(EQIMPACT_SIMD_X86)
-  if (backend == simd::Backend::kAvx2) {
+#if defined(EQIMPACT_AVX2_LANES)
+  if (base::UseAvx2Lanes()) {
     NormalCdfAvx2(x, n, out);
     return;
   }
-  if (backend == simd::Backend::kSse2) {
-    NormalCdfSse2(x, n, out);
-    return;
-  }
-#elif defined(EQIMPACT_SIMD_NEON)
-  if (backend == simd::Backend::kNeon) {
-    NormalCdfNeon(x, n, out);
-    return;
-  }
 #endif
-  (void)backend;
   NormalCdfBatchScalar(x, n, out);
 }
 
 void LinearPredictor2(const double* rows, size_t n, double w0, double w1,
                       double bias, bool add_bias, double* out) {
-  const simd::Backend backend = simd::ActiveBackend();
-#if defined(EQIMPACT_SIMD_X86)
-  if (backend == simd::Backend::kAvx2) {
+#if defined(EQIMPACT_AVX2_LANES)
+  if (base::UseAvx2Lanes()) {
     LinearPredictor2Avx2(rows, n, w0, w1, bias, add_bias, out);
     return;
   }
-  if (backend == simd::Backend::kSse2) {
-    LinearPredictor2Sse2(rows, n, w0, w1, bias, add_bias, out);
-    return;
-  }
-#elif defined(EQIMPACT_SIMD_NEON)
-  if (backend == simd::Backend::kNeon) {
-    LinearPredictor2Neon(rows, n, w0, w1, bias, add_bias, out);
-    return;
-  }
 #endif
-  (void)backend;
   LinearPredictor2Scalar(rows, n, w0, w1, bias, add_bias, out);
 }
 

@@ -2,71 +2,26 @@
 
 #include "base/simd_scalar.h"
 
-// Architecture probes shared with runtime/kernels.cc: the x86-64 lanes
-// need GCC/Clang for the target("avx2") function attribute and
-// __builtin_cpu_supports; SSE2 is part of the x86-64 baseline ABI. The
-// NEON lane requires AArch64 (128-bit float64x2_t does not exist on
-// 32-bit ARM).
-#if !defined(EQIMPACT_FORCE_SCALAR) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define EQIMPACT_SIMD_X86 1
-#elif !defined(EQIMPACT_FORCE_SCALAR) && defined(__aarch64__) && \
-    defined(__ARM_NEON)
-#define EQIMPACT_SIMD_NEON 1
-#endif
-
 namespace eqimpact {
 namespace runtime {
 namespace simd {
 
 Backend CompiledBackend() {
-#if defined(EQIMPACT_SIMD_X86)
+#if defined(EQIMPACT_AVX2_LANES)
   return Backend::kAvx2;
-#elif defined(EQIMPACT_SIMD_NEON)
-  return Backend::kNeon;
 #else
   return Backend::kScalar;
 #endif
 }
 
 Backend ActiveBackend() {
-  if (base::SimdForceScalar()) return Backend::kScalar;
-#if defined(EQIMPACT_SIMD_X86)
-  static const Backend best =
-      __builtin_cpu_supports("avx2") ? Backend::kAvx2 : Backend::kSse2;
-  return best;
-#elif defined(EQIMPACT_SIMD_NEON)
-  return Backend::kNeon;
-#else
-  return Backend::kScalar;
-#endif
+  return base::UseAvx2Lanes() ? Backend::kAvx2 : Backend::kScalar;
 }
 
-size_t LaneWidth(Backend backend) {
-  switch (backend) {
-    case Backend::kAvx2:
-      return 4;
-    case Backend::kSse2:
-    case Backend::kNeon:
-      return 2;
-    case Backend::kScalar:
-      return 1;
-  }
-  return 1;
-}
+size_t LaneWidth(Backend backend) { return backend == Backend::kAvx2 ? 4 : 1; }
 
 const char* BackendName(Backend backend) {
-  switch (backend) {
-    case Backend::kAvx2:
-      return "avx2";
-    case Backend::kSse2:
-      return "sse2";
-    case Backend::kNeon:
-      return "neon";
-    case Backend::kScalar:
-      return "scalar";
-  }
-  return "scalar";
+  return backend == Backend::kAvx2 ? "avx2" : "scalar";
 }
 
 }  // namespace simd

@@ -4,51 +4,44 @@
 #include <cstddef>
 
 /// \file
-/// Portable SIMD backend selection for the kernel sublayer.
+/// SIMD backend reporting for the kernel sublayer.
 ///
 /// The library's elementwise hot paths (runtime/kernels.h, plus
 /// rng::Pcg32::FillUniform) each ship a scalar reference implementation
-/// and one or more vector lanes. Which lanes exist is decided at compile
-/// time from the target architecture:
+/// and one vector lane, AVX2 (4 x double). The AVX2 lane is compiled on
+/// x86-64 with GCC or Clang through the `target("avx2")` function
+/// attribute, so default builds carry it, and it is entered only after a
+/// one-time CPUID check (base::UseAvx2Lanes). Every other target, and
+/// any build with -DEQIMPACT_FORCE_SCALAR=ON, runs the scalar reference
+/// only. There is exactly one vector lane so that every lane that ships
+/// runs in CI: the AVX2 runners execute it, and the force-scalar switch
+/// lets one test binary compare it with the reference.
 ///
-///   * x86-64 (GCC/Clang) — an SSE2 lane (baseline, always available)
-///     and an AVX2 lane compiled via the `target("avx2")` function
-///     attribute, so it exists even in default builds and is entered
-///     only after a one-time CPUID check.
-///   * AArch64 — a NEON lane (2 x double, always available).
-///   * Everything else, or any build with -DEQIMPACT_FORCE_SCALAR=ON —
-///     the scalar reference only.
-///
-/// Determinism contract: every vector lane is bit-for-bit the scalar
+/// Determinism contract: the vector lane is bit-for-bit the scalar
 /// reference on every input — NaN payloads, infinities, subnormals,
 /// signed zeros, and every tail length included. All kernels are purely
 /// elementwise (no reductions are ever reassociated), so simulation
 /// digests are invariant across backends; tests/simd_test.cc enforces
 /// this, and the CI build matrix runs the full suite with the vector
-/// lanes forced off and with -march=native. The whole project compiles
+/// lane compiled out and with -march=native. The whole project compiles
 /// with -ffp-contract=off so a vector lane's explicit mul+add sequence
 /// can never diverge from an FMA-contracted scalar reference.
 ///
 /// Adding a kernel: implement the scalar reference in
-/// runtime/kernels.cc, add a lane per backend (guarded by the same
-/// preprocessor blocks as the existing ones, widest first), dispatch on
-/// ActiveBackend() in the public entry, and extend the bitwise
-/// equivalence suite in tests/simd_test.cc with adversarial inputs and
-/// every tail remainder. Kernels must stay elementwise; anything that
-/// reduces belongs in the ordered-reduction machinery of
-/// runtime/parallel_for.h instead.
+/// runtime/kernels.cc, add an AVX2 lane inside the EQIMPACT_AVX2_LANES
+/// block, dispatch on base::UseAvx2Lanes() in the public entry, and
+/// extend the bitwise equivalence suite in tests/simd_test.cc with
+/// adversarial inputs and every tail remainder. Kernels must stay
+/// elementwise; anything that reduces belongs in the ordered-reduction
+/// machinery of runtime/parallel_for.h instead.
 
 namespace eqimpact {
 namespace runtime {
 namespace simd {
 
-/// Vector backends, widest last. Which ones are compiled in is a
-/// compile-time property; which one runs also depends on the CPU (AVX2)
-/// and the force-scalar switch.
+/// Where a kernel call runs: the scalar reference or the AVX2 lane.
 enum class Backend {
   kScalar,
-  kSse2,  // x86-64 baseline: 2 x double.
-  kNeon,  // AArch64 baseline: 2 x double.
   kAvx2,  // x86-64 with AVX2: 4 x double (entered after a CPUID check).
 };
 
@@ -56,16 +49,15 @@ enum class Backend {
 /// and the force-scalar switch).
 Backend CompiledBackend();
 
-/// Backend the kernels dispatch to right now: CompiledBackend()
-/// narrowed by the CPU's capabilities and by
-/// base::SimdForceScalar() / SetSimdForceScalarForTesting.
+/// Backend the kernels dispatch to right now: kAvx2 exactly when
+/// base::UseAvx2Lanes() holds.
 Backend ActiveBackend();
 
 /// Lane width of `backend` in doubles (1 for scalar).
 size_t LaneWidth(Backend backend);
 
-/// Stable lower-case name ("scalar", "sse2", "neon", "avx2") for
-/// logging and the bench JSON.
+/// Stable lower-case name ("scalar", "avx2") for logging and the bench
+/// JSON.
 const char* BackendName(Backend backend);
 
 }  // namespace simd

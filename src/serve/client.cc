@@ -1,6 +1,7 @@
 #include "serve/client.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -84,6 +85,9 @@ bool Client::Connect(uint16_t port, std::string* error) {
     *error = std::string("socket: ") + std::strerror(errno);
     return false;
   }
+  // Request lines are complete messages; see serve::EventLoop.
+  const int no_delay = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof(no_delay));
   sockaddr_in address;
   std::memset(&address, 0, sizeof(address));
   address.sin_family = AF_INET;

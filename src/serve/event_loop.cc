@@ -1,6 +1,8 @@
 #include "serve/event_loop.h"
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -219,6 +221,9 @@ void EventLoop::HandleAccept() {
       ::close(client);
       continue;
     }
+    // Event lines are complete messages (see the class comment).
+    const int no_delay = 1;
+    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof(no_delay));
     if (limits_.socket_send_buffer > 0) {
       ::setsockopt(client, SOL_SOCKET, SO_SNDBUF,
                    &limits_.socket_send_buffer,
@@ -346,8 +351,8 @@ void EventLoop::HandleReadable(Connection* connection) {
       return;
     }
     if (n == 0) {
-      // Peer hung up: matching the threads transport, the connection is
-      // closed out and any still-running job's events are dropped.
+      // Peer hung up: the connection is closed out and any still-running
+      // job's events are dropped.
       CloseConnection(connection->id);
       return;
     }

@@ -19,12 +19,11 @@
 namespace eqimpact {
 namespace serve {
 
-/// Connection-lifecycle limits shared by both serving transports. Every
-/// limit exists because thread-per-connection made it unnecessary and an
-/// event loop makes its absence fatal: a stalled client must not hold
-/// memory forever, a hostile client must not grow a line buffer without
-/// bound, and a flood of connections must be rejected with a typed
-/// event, not absorbed until the process dies.
+/// Connection-lifecycle limits of the event loop. Every limit exists
+/// because one loop serves every connection: a stalled client must not
+/// hold memory forever, a hostile client must not grow a line buffer
+/// without bound, and a flood of connections must be rejected with a
+/// typed event, not absorbed until the process dies.
 struct TransportLimits {
   /// Concurrent connections; one past the cap is answered with a single
   /// typed `too_many_connections` error event and closed. 0 = unlimited.
@@ -41,8 +40,7 @@ struct TransportLimits {
   /// job events into the connection (they wait in a per-connection
   /// pending queue) and stops reading its requests; once an EPOLLOUT
   /// drain brings the queue to or below the low watermark the held
-  /// events flow again. The threads transport ignores these (its writer
-  /// blocks in send(), which is the kernel's own backpressure).
+  /// events flow again.
   size_t write_high_watermark = 256 * 1024;
   size_t write_low_watermark = 64 * 1024;
   /// SO_SNDBUF for accepted sockets; 0 keeps the kernel default. A test
@@ -68,8 +66,8 @@ struct TransportStats {
   size_t open_connections = 0;
 };
 
-/// Lock-free counters behind TransportStats; shared by both transports
-/// and safe to bump from any thread.
+/// Lock-free counters behind TransportStats: bumped by the loop thread,
+/// read from any thread.
 class TransportCounters {
  public:
   void Accepted() { accepted_.fetch_add(1, std::memory_order_relaxed); }
@@ -118,10 +116,9 @@ class TransportCounters {
   std::atomic<size_t> open_{0};
 };
 
-/// Incremental '\n' framing with a hard per-line cap, shared by both
-/// transports (and directly testable). Carriage returns before the
-/// newline are stripped and empty lines are skipped, matching the
-/// original reader's framing byte for byte. When a line exceeds the cap
+/// Incremental '\n' framing with a hard per-line cap (directly
+/// testable). Carriage returns before the newline are stripped and
+/// empty lines are skipped. When a line exceeds the cap
 /// the framer calls `on_overflow` once, drops what it buffered, and
 /// discards input until the next '\n' — the connection resyncs instead
 /// of growing without bound or dying.
@@ -142,10 +139,9 @@ class LineFramer {
   bool discarding_ = false;
 };
 
-/// The epoll serving transport: one thread, one level-triggered epoll
+/// The serving transport: one thread, one level-triggered epoll
 /// instance owning accept, read and write readiness for every
-/// connection — the readiness-based replacement for thread-per-
-/// connection once connection count, not job cost, is the wall.
+/// connection.
 ///
 /// Ownership and the wakeup path:
 ///
@@ -157,13 +153,15 @@ class LineFramer {
 ///    appends to a mutex-protected completion queue and pokes an
 ///    eventfd the loop waits on. The loop drains the queue on wakeup
 ///    and routes each line to its connection's queues (lines for a
-///    connection that has since closed are dropped, exactly as the
-///    threads transport drops sends to a hung-up client).
+///    connection that has since closed are dropped).
 ///  * Request lines parse on the loop thread and enter the service
 ///    synchronously (validation is microseconds; engine work runs on
-///    the scheduler pool), so the wire protocol, event order per
-///    connection and every payload byte are identical to the threads
-///    transport's.
+///    the scheduler pool), so events reach each connection in the order
+///    the service emits them.
+///  * Accepted sockets set TCP_NODELAY: every event line is a complete
+///    message, and Nagle's algorithm would hold a small line written
+///    behind an unacknowledged one until the peer's delayed ACK (~40 ms
+///    on Linux loopback).
 ///
 /// Backpressure, line caps, idle timeouts and the connection cap are
 /// per TransportLimits above. Idle deadlines live in a sorted deadline

@@ -1,68 +1,14 @@
 #include "serve/server.h"
 
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/types.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <utility>
-
-#include "serve/protocol.h"
 
 namespace eqimpact {
 namespace serve {
-namespace {
-
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-/// One client connection (threads transport): the socket, a write lock
-/// serializing event lines from worker threads, and the reader thread.
-/// Held by shared_ptr because event sinks may outlive the reader (a job
-/// finishing after the client hung up writes into a closed-out
-/// connection and is ignored).
-struct Server::Connection {
-  int fd = -1;
-  std::mutex write_mutex;
-  std::thread reader;
-  std::atomic<bool> closed{false};
-  /// Set by the reader as its very last action — the only state a join
-  /// may wait on. `closed` is not that: Send() flips it on a dead peer
-  /// while the reader can still be blocked in recv().
-  std::atomic<bool> reader_done{false};
-  /// Steady-clock ms of the last read or write, for the idle timeout.
-  std::atomic<int64_t> last_activity_ms{0};
-
-  /// Writes one event line, serialized against concurrent senders.
-  /// Errors (client gone) mark the connection closed; MSG_NOSIGNAL
-  /// keeps a dead peer from raising SIGPIPE.
-  void Send(const std::string& line) {
-    std::lock_guard<std::mutex> lock(write_mutex);
-    if (closed.load()) return;
-    size_t sent = 0;
-    while (sent < line.size()) {
-      const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        closed.store(true);
-        return;
-      }
-      sent += static_cast<size_t>(n);
-    }
-    last_activity_ms.store(SteadyNowMs(), std::memory_order_relaxed);
-  }
-};
 
 Server::Server(const ServerOptions& options)
     : options_(options),
@@ -71,227 +17,64 @@ Server::Server(const ServerOptions& options)
 Server::~Server() { Shutdown(); }
 
 bool Server::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listen_fd < 0) {
     std::perror("serve: socket");
     return false;
   }
   const int enable = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &enable,
-               sizeof(enable));
+  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
   sockaddr_in address;
   std::memset(&address, 0, sizeof(address));
   address.sin_family = AF_INET;
   address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   address.sin_port = htons(options_.port);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
+  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&address),
              sizeof(address)) < 0) {
     std::perror("serve: bind");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    ::close(listen_fd);
     return false;
   }
-  if (::listen(listen_fd_, 64) < 0) {
+  if (::listen(listen_fd, 64) < 0) {
     std::perror("serve: listen");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    ::close(listen_fd);
     return false;
   }
   sockaddr_in bound;
   socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+  if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound),
                     &bound_len) == 0) {
     port_ = ntohs(bound.sin_port);
   }
-  if (options_.transport == ServerTransport::kEpoll) {
-    loop_.reset(
-        new EventLoop(listen_fd_, service_.get(), options_.limits));
-    listen_fd_ = -1;  // The loop owns it now.
-    if (!loop_->Init()) {
-      loop_.reset();
-      return false;
-    }
-    loop_thread_ = std::thread([this] { loop_->Run(); });
-    return true;
+  // The loop owns the listener from here on, including on failure.
+  loop_.reset(new EventLoop(listen_fd, service_.get(), options_.limits));
+  if (!loop_->Init()) {
+    loop_.reset();
+    return false;
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  loop_thread_ = std::thread([this] { loop_->Run(); });
   return true;
-}
-
-void Server::PruneFinishedLocked() {
-  size_t kept = 0;
-  for (size_t i = 0; i < connections_.size(); ++i) {
-    if (connections_[i]->reader_done.load()) {
-      if (connections_[i]->reader.joinable()) {
-        connections_[i]->reader.join();
-      }
-      {
-        // Close under the write lock: a worker Send() that already
-        // passed its closed check may still be inside ::send() on this
-        // fd, and releasing the number early would let the kernel hand
-        // it to a different client.
-        std::lock_guard<std::mutex> write_lock(
-            connections_[i]->write_mutex);
-        connections_[i]->closed.store(true);
-        ::close(connections_[i]->fd);
-      }
-      continue;
-    }
-    connections_[kept++] = std::move(connections_[i]);
-  }
-  connections_.resize(kept);
-  counters_.SetOpen(kept);
-}
-
-void Server::AcceptLoop() {
-  for (;;) {
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR) continue;
-      // The listener was shut down by Shutdown (or failed hard): stop.
-      return;
-    }
-    if (shutting_down_.load()) {
-      ::close(client);
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      PruneFinishedLocked();
-      if (options_.limits.max_connections > 0 &&
-          connections_.size() >= options_.limits.max_connections) {
-        const std::string line = ErrorEventLine(
-            "", ErrorCode::kTooManyConnections,
-            "connection limit reached (max " +
-                std::to_string(options_.limits.max_connections) + ")");
-        // Count before close: a client that sees our EOF must already
-        // find the rejection in the stats.
-        counters_.Rejected();
-        (void)!::send(client, line.data(), line.size(), MSG_NOSIGNAL);
-        ::close(client);
-        continue;
-      }
-      if (options_.limits.socket_send_buffer > 0) {
-        ::setsockopt(client, SOL_SOCKET, SO_SNDBUF,
-                     &options_.limits.socket_send_buffer,
-                     sizeof(options_.limits.socket_send_buffer));
-      }
-      auto connection = std::make_shared<Connection>();
-      connection->fd = client;
-      connection->last_activity_ms.store(SteadyNowMs(),
-                                         std::memory_order_relaxed);
-      connections_.push_back(connection);
-      counters_.Accepted();
-      counters_.SetOpen(connections_.size());
-      connection->reader =
-          std::thread([this, connection] { ConnectionLoop(connection); });
-    }
-  }
-}
-
-void Server::ConnectionLoop(std::shared_ptr<Connection> connection) {
-  LineFramer framer(options_.limits.max_line_bytes);
-  char chunk[4096];
-  for (;;) {
-    if (options_.limits.idle_timeout_ms > 0) {
-      const int64_t idle = SteadyNowMs() - connection->last_activity_ms
-                                               .load(std::memory_order_relaxed);
-      const int64_t remaining = options_.limits.idle_timeout_ms - idle;
-      if (remaining <= 0) {
-        counters_.IdleClose();
-        break;
-      }
-      struct pollfd poll_fd;
-      poll_fd.fd = connection->fd;
-      poll_fd.events = POLLIN;
-      poll_fd.revents = 0;
-      const int ready = ::poll(&poll_fd, 1, static_cast<int>(remaining));
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (ready == 0) continue;  // Re-check idle against writes too.
-    }
-    const ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    connection->last_activity_ms.store(SteadyNowMs(),
-                                       std::memory_order_relaxed);
-    framer.Feed(
-        chunk, static_cast<size_t>(n),
-        [this, &connection](std::string&& line) {
-          // The sink holds the connection alive until the job's terminal
-          // event; a send to a hung-up client is dropped, never fatal.
-          service_->Submit(line,
-                           [connection](const std::string& event_line) {
-                             connection->Send(event_line);
-                           });
-        },
-        [this, &connection]() {
-          counters_.OversizedLine();
-          connection->Send(ErrorEventLine(
-              "", ErrorCode::kBadRequest,
-              "request line exceeds " +
-                  std::to_string(options_.limits.max_line_bytes) +
-                  " bytes"));
-        });
-  }
-  connection->closed.store(true);
-  // Signal EOF to the peer now; the descriptor itself is closed by
-  // PruneFinishedLocked / Shutdown after the join (a worker's Send may
-  // still hold it, so the fd number must stay reserved until then).
-  ::shutdown(connection->fd, SHUT_RDWR);
-  connection->reader_done.store(true);
 }
 
 void Server::Shutdown() {
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
   if (shutdown_complete_) return;
   shutdown_complete_ = true;
-  shutting_down_.store(true);
-  if (loop_) {
-    // Epoll: stop accepting, drain the service (every result event
-    // reaches the completion queue before Shutdown returns), then flush
-    // queued bytes out and let the loop exit.
-    loop_->StopAccepting();
+  if (!loop_) {
     service_->Shutdown();
-    loop_->BeginFlushShutdown();
-    if (loop_thread_.joinable()) loop_thread_.join();
     return;
   }
-  // Threads: wake the accept thread with shutdown() and join it BEFORE
-  // closing the descriptor — closing first lets the kernel reuse the fd
-  // number while accept() may still be entered on it.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  // No new connections exist past this point; drain the accepted
-  // backlog to completion — every in-flight stream finishes before any
-  // socket is torn down.
+  // Stop accepting, drain the service (every result event reaches the
+  // completion queue before Shutdown returns), then flush queued bytes
+  // out and let the loop exit.
+  loop_->StopAccepting();
   service_->Shutdown();
-  std::vector<std::shared_ptr<Connection>> connections;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
-    counters_.SetOpen(0);
-  }
-  for (auto& connection : connections) {
-    connection->closed.store(true);
-    ::shutdown(connection->fd, SHUT_RDWR);
-    if (connection->reader.joinable()) connection->reader.join();
-    // Same fd-reuse guard as PruneFinishedLocked: wait out any Send()
-    // already past its closed check before releasing the fd number.
-    std::lock_guard<std::mutex> write_lock(connection->write_mutex);
-    ::close(connection->fd);
-  }
+  loop_->BeginFlushShutdown();
+  if (loop_thread_.joinable()) loop_thread_.join();
 }
 
 TransportStats Server::transport_stats() const {
-  if (loop_) return loop_->stats();
-  return counters_.Snapshot();
+  return loop_ ? loop_->stats() : TransportStats();
 }
 
 }  // namespace serve

@@ -1,13 +1,10 @@
 #ifndef EQIMPACT_SERVE_SERVER_H_
 #define EQIMPACT_SERVE_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/event_loop.h"
 #include "serve/service.h"
@@ -15,38 +12,27 @@
 namespace eqimpact {
 namespace serve {
 
-/// Which transport owns the sockets. kEpoll is the default: one
-/// event-loop thread for every connection. kThreads is the original
-/// thread-per-connection transport, kept selectable for one PR so the
-/// bench can compare both and CI can smoke each.
-enum class ServerTransport { kThreads, kEpoll };
-
 /// Server configuration.
 struct ServerOptions {
   ServiceOptions service;
   /// TCP port to listen on (loopback only). 0 = ephemeral; read the
   /// bound port back through port().
   uint16_t port = 0;
-  ServerTransport transport = ServerTransport::kEpoll;
   /// Connection-lifecycle limits (caps, idle timeout, backpressure
-  /// watermarks). Both transports honor the caps and the idle timeout;
-  /// the watermarks only apply to epoll (the threads transport's writer
-  /// blocks in send(), which is the kernel's own backpressure).
+  /// watermarks).
   TransportLimits limits;
 };
 
 /// Loopback TCP front end of the experiment service: line-delimited
 /// JSON over 127.0.0.1 (see serve/protocol.h), dependency-free POSIX
-/// sockets. The server only frames lines and moves event bytes;
-/// scheduling, caching and dedup live in ExperimentService. Two
-/// transports share the wire protocol byte for byte (ServerTransport
-/// above): a single-threaded epoll event loop (serve/event_loop.h) and
-/// the original thread-per-connection reader/writer.
+/// sockets. The server binds the listener and runs one epoll event loop
+/// (serve/event_loop.h) on its own thread; the loop owns every socket.
+/// Scheduling, caching and dedup live in ExperimentService.
 ///
 /// Lifecycle: construct, Start() (binds and begins accepting), serve,
 /// Shutdown() — which stops accepting, lets the service drain every
-/// in-flight job (streams keep flowing while draining), then closes
-/// the remaining connections. Shutdown is what the CLI's SIGTERM
+/// in-flight job (streams keep flowing while draining), then flushes and
+/// closes the remaining connections. Shutdown is what the CLI's SIGTERM
 /// handler calls: a kill during a burst still flushes every accepted
 /// job's result before exit.
 class Server {
@@ -57,7 +43,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and starts the transport. Returns false (with a
+  /// Binds, listens and starts the event loop. Returns false (with a
   /// message on stderr) when the port cannot be bound.
   bool Start();
 
@@ -65,44 +51,24 @@ class Server {
   uint16_t port() const { return port_; }
 
   /// Graceful shutdown: stop accepting, drain in-flight jobs, flush and
-  /// close connections, join every thread. Idempotent; also run by the
-  /// destructor.
+  /// close connections, join the loop thread. Idempotent; also run by
+  /// the destructor.
   void Shutdown();
 
   ExperimentService& service() { return *service_; }
 
-  /// Lifecycle counters of the running transport (accepts, rejections,
-  /// backpressure pauses, ...).
+  /// Lifecycle counters of the event loop (accepts, rejections,
+  /// backpressure pauses, ...). All zero before Start.
   TransportStats transport_stats() const;
 
  private:
-  struct Connection;
-
-  void AcceptLoop();
-  void ConnectionLoop(std::shared_ptr<Connection> connection);
-  /// Joins and drops connections whose reader has exited (so the
-  /// threads-mode connection list and the max-connection count track
-  /// live connections, not every connection ever accepted). Callers
-  /// hold connections_mutex_.
-  void PruneFinishedLocked();
-
   const ServerOptions options_;
   std::unique_ptr<ExperimentService> service_;
-  int listen_fd_ = -1;
   uint16_t port_ = 0;
-  std::atomic<bool> shutting_down_{false};
   std::mutex shutdown_mutex_;
   bool shutdown_complete_ = false;
-
-  // Epoll transport.
   std::unique_ptr<EventLoop> loop_;
   std::thread loop_thread_;
-
-  // Threads transport.
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  TransportCounters counters_;
 };
 
 }  // namespace serve

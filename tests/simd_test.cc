@@ -98,8 +98,8 @@ std::vector<double> AdversarialInput(size_t n, size_t phase) {
   return ::testing::AssertionSuccess();
 }
 
-// Every size from empty through several multiples of the widest lane
-// count (4), so every tail remainder of every backend width is hit.
+// Every size from empty through several multiples of the AVX2 lane
+// count (4), so every tail remainder is hit.
 std::vector<size_t> TailSizes() {
   std::vector<size_t> sizes;
   for (size_t n = 0; n <= 18; ++n) sizes.push_back(n);
@@ -121,6 +121,24 @@ TEST(SimdBackendTest, ActiveBackendRespectsForceScalar) {
   EXPECT_STREQ(runtime::simd::BackendName(runtime::simd::Backend::kScalar),
                "scalar");
   EXPECT_EQ(runtime::simd::LaneWidth(runtime::simd::Backend::kScalar), 1u);
+}
+
+// The bitwise suites below compare each dispatched entry with its scalar
+// reference. On a build and CPU with AVX2 that comparison must go through
+// the AVX2 lane, or it proves nothing about the lane.
+TEST(SimdBackendTest, DispatchUsesAvx2WhereCompiledAndSupported) {
+#if defined(EQIMPACT_AVX2_LANES)
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "CPU without AVX2";
+  EXPECT_TRUE(base::UseAvx2Lanes());
+  EXPECT_EQ(runtime::simd::CompiledBackend(), runtime::simd::Backend::kAvx2);
+  EXPECT_EQ(runtime::simd::ActiveBackend(), runtime::simd::Backend::kAvx2);
+  EXPECT_STREQ(runtime::simd::BackendName(runtime::simd::Backend::kAvx2),
+               "avx2");
+  EXPECT_EQ(runtime::simd::LaneWidth(runtime::simd::Backend::kAvx2), 4u);
+#else
+  EXPECT_FALSE(base::UseAvx2Lanes());
+  EXPECT_EQ(runtime::simd::CompiledBackend(), runtime::simd::Backend::kScalar);
+#endif
 }
 
 TEST(SimdKernelTest, IncomeCodeBitwiseEqualOnAdversarialInputs) {
