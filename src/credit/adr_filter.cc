@@ -75,8 +75,8 @@ double AdrFilter::PooledRaceAdr(Race race) const {
 }
 
 std::vector<double> AdrFilter::UserAdrSnapshot() const {
-  std::vector<double> snapshot;
-  SnapshotInto(&snapshot);
+  std::vector<double> snapshot(races_.size());
+  AdrInto(0, races_.size(), snapshot.data());
   return snapshot;
 }
 
@@ -86,11 +86,6 @@ void AdrFilter::AdrInto(size_t begin, size_t end, double* out) const {
   runtime::kernels::GuardedRatio(default_weight_.data() + begin,
                                  offer_weight_.data() + begin, end - begin,
                                  out);
-}
-
-void AdrFilter::SnapshotInto(std::vector<double>* out) const {
-  out->resize(races_.size());
-  AdrInto(0, races_.size(), out->data());
 }
 
 }  // namespace credit

@@ -99,16 +99,12 @@ class AdrFilter {
   /// Writes UserAdr(i) for every i in [begin, end) into
   /// out[0..end - begin) through the vectorized guarded-ratio kernel —
   /// bit-for-bit the per-user calls. The batch engine's per-chunk read
-  /// of the trailing ADR features and the bulk of SnapshotInto.
+  /// of the trailing ADR features and its per-chunk write of the year's
+  /// cross-section.
   void AdrInto(size_t begin, size_t end, double* out) const;
 
   /// Snapshot of every user's ADR.
   std::vector<double> UserAdrSnapshot() const;
-
-  /// Writes the snapshot into `out` (resized to num_users), reusing its
-  /// capacity — the engine's per-year cross-section without a fresh
-  /// allocation.
-  void SnapshotInto(std::vector<double>* out) const;
 
   /// Raw per-user state arrays — the checkpoint layer's serialization
   /// view (index-aligned with races()).

@@ -51,46 +51,46 @@ std::vector<ml::ScorecardFactor> TableOneTemplates() {
 // the approved users' training examples, in user-index order. Merged
 // sequentially in chunk order, so the folded history is identical at
 // every thread count. The examples travel in one of two forms: raw
-// (adr, code) rows + labels for the generic hashed fold, or — on the
-// dense-fold fast path — one packed uint32 per example holding the
-// integer filter counters the ADR is the ratio of:
-//   (offers << 17) | (defaults << 2) | (code << 1) | label
-// (offers <= kMaxDenseYears < 2^15, defaults <= offers), which both
-// shrinks the yield traffic 3x and gives the merge its table index
-// without touching a double.
+// (adr, code) rows + labels for the generic hashed fold, or, on the
+// dense-fold fast path, a per-slot label tally over the (offers,
+// defaults, code) slots the ADR is the exact ratio of (see DenseSlot).
 struct ChunkYield {
   std::array<size_t, kNumRaces> race_offers = {0, 0, 0};
-  std::vector<double> rows;      // (adr, income code) pairs, row-major.
-  std::vector<double> labels;    // 1 repaid, 0 default.
-  std::vector<uint32_t> packed;  // Dense-fold form (see above).
+  std::vector<double> rows;    // (adr, income code) pairs, row-major.
+  std::vector<double> labels;  // 1 repaid, 0 default.
+  ml::SlotCounts counts;       // Dense-fold form.
 
   void Clear() {
     race_offers = {0, 0, 0};
     rows.clear();
     labels.clear();
-    packed.clear();
+    counts.Clear();
   }
 };
 
-// Dense-fold packing layout and limits.
-constexpr uint32_t kPackedOffersShift = 17;
-constexpr uint32_t kPackedDefaultsShift = 2;
-constexpr uint32_t kPackedDefaultsMask = 0x7fff;
-constexpr size_t kMaxDenseYears = 32767;  // offers must fit 15 bits.
-constexpr uint32_t kNoDenseGroup = 0xffffffffu;
+// Longest horizon the dense fold tallies: every chunk holds a tally of
+// DenseSlot(num_years, 0, 0) slots, 8 * num_years^2 bytes. Longer runs
+// take the hashed fold, which gives the same bits.
+constexpr size_t kMaxDenseYears = 64;
 
-// Index into the dense (offers, defaults, code) -> group table: pairs
-// with defaults <= offers enumerate triangularly, the code is the low
-// bit. offers here is the pre-update counter, <= year index < num_years.
+// Index into the dense (offers, defaults, code) slot space: pairs with
+// defaults <= offers enumerate triangularly, the code is the low bit.
+// offers here is the pre-update counter, <= year index < num_years.
 inline size_t DenseSlot(uint32_t offers, uint32_t defaults, uint32_t code) {
   return (static_cast<size_t>(offers) * (offers + 1) / 2 + defaults) * 2 +
          code;
 }
 
-// Per-chunk scratch of the kernel passes, index-aligned within the
-// chunk. Owned by the chunk like its yield and kept across years, so
-// steady-state years run the vector kernels over warm buffers without a
-// single allocation.
+// Shards of an unsharded run per worker. ParallelFor hands the shards
+// out dynamically, so a worker on a slower core takes fewer of them: on
+// a shared 4-core host, one shard per worker ran the credit year 10%
+// slower than handing out single chunks, four per worker matched it.
+constexpr size_t kShardsPerWorker = 4;
+
+// Scratch of the kernel passes, index-aligned within the chunk being
+// run. Owned by a shard (a few per worker) rather than by a chunk, and
+// kept across years, so steady-state years run the vector kernels over
+// warm buffers without a single allocation.
 struct ChunkScratch {
   std::vector<double> income_uniforms;  // 2 pre-drawn draws per user.
   std::vector<double> adr;              // Trailing ADR features.
@@ -168,10 +168,7 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
   const size_t num_years =
       static_cast<size_t>(options_.last_year - options_.first_year) + 1;
   const size_t chunk_size = options_.users_per_chunk;
-  const runtime::ShardPlan plan =
-      runtime::MakeShardPlan(num_users, chunk_size, options_.num_shards);
-  const size_t num_chunks = plan.num_chunks;
-  const size_t num_shards = plan.num_shards();
+  const size_t num_chunks = runtime::NumChunks(num_users, chunk_size);
 
   const runtime::SeedSequence seeds(options_.seed);
   const runtime::SeedSequence income_streams = seeds.Child(kIncomeStream);
@@ -227,47 +224,51 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
 
   // Within-trial dispatch: one persistent pool for the whole trial (the
   // per-year passes are far too fine-grained to spawn threads per call).
-  // With one thread or one chunk everything runs inline on this thread.
   // A caller-owned pool (options().pool) replaces the engine's own, so
   // sequential multi-trial drivers amortize one pool across trials; the
-  // worker count never affects the output.
+  // worker count never affects the output. A one-chunk trial runs
+  // everything inline on this thread, even when handed a pool, and so
+  // does every observer that fans out over YearSnapshot::dispatch.
   runtime::ParallelForOptions dispatch;
+  dispatch.num_threads = 1;
   std::unique_ptr<runtime::ThreadPool> pool;
-  if (options_.pool != nullptr) {
+  if (num_chunks > 1 && options_.pool != nullptr) {
     dispatch.pool = options_.pool;
-  } else {
-    dispatch.num_threads = options_.num_threads;
+  } else if (num_chunks > 1) {
+    runtime::ParallelForOptions requested;
+    requested.num_threads = options_.num_threads;
     const size_t workers =
-        std::min(runtime::EffectiveNumThreads(dispatch), num_chunks);
+        std::min(runtime::EffectiveNumThreads(requested), num_chunks);
     if (workers > 1) {
       pool = std::make_unique<runtime::ThreadPool>(workers);
       dispatch.pool = pool.get();
-    } else {
-      dispatch.num_threads = 1;
     }
   }
   const size_t num_workers = runtime::EffectiveNumThreads(dispatch);
 
-  // Chunk dispatch, shard-aware: unsharded runs keep the flat
-  // chunk-parallel path; sharded runs go shard-parallel, each shard
-  // walking its contiguous chunk range in order. Both execute exactly
-  // the same chunk bodies on exactly the same (chunk, begin, end)
-  // triples — sharding regroups execution, never the work.
+  // Chunk dispatch: the population is cut into shards of whole,
+  // contiguous chunks — options().num_shards of them, or
+  // kShardsPerWorker per worker when unsharded — and each shard is one
+  // ParallelFor iteration walking its chunks in order. Every
+  // configuration executes exactly the same chunk bodies on exactly the
+  // same (chunk, begin, end) triples — sharding regroups execution,
+  // never the work. A shard runs on one worker at a time, so it picks
+  // the kernel scratch, never an output.
+  const runtime::ShardPlan plan = runtime::MakeShardPlan(
+      num_users, chunk_size,
+      options_.num_shards > 1 ? options_.num_shards
+                              : kShardsPerWorker * num_workers);
   const auto for_each_chunk =
-      [&](const std::function<void(size_t, size_t, size_t)>& chunk_body) {
-        if (num_shards == 1) {
-          runtime::ParallelForChunks(num_users, chunk_size, chunk_body,
-                                     dispatch);
-          return;
-        }
+      [&](const std::function<void(size_t, size_t, size_t, size_t)>&
+              chunk_body) {
         runtime::ParallelFor(
-            num_shards,
+            plan.num_shards(),
             [&](size_t s) {
               const runtime::ShardRange& shard = plan.shards[s];
               for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
                 const size_t begin = c * chunk_size;
                 const size_t end = std::min(begin + chunk_size, num_users);
-                chunk_body(c, begin, end);
+                chunk_body(s, c, begin, end);
               }
             },
             dispatch);
@@ -303,41 +304,41 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
   history_options.bin_widths = {adr_bin_width, 0.0};
   ml::BinnedDataset history(2, history_options);
   // Dense-fold fast path: under the paper's accumulating filter every
-  // ADR is the exact ratio of two small integer counters, so the
-  // (counters, code) triple indexes a flat per-trial table of history
-  // group ids and the per-row fold becomes one array lookup. Only valid
-  // while the counters are exact integers (forgetting factor 1, exact
-  // ADR grouping) and group ids are never invalidated (accumulated
-  // history — Clear would orphan the cache).
+  // ADR is the exact ratio of two small integer counters, so each chunk
+  // tallies its examples per (counters, code) slot, and the year's fold
+  // is one BinnedDataset::AddCounts per chunk, in chunk order, instead of
+  // a row per example. slot_rows holds each slot's (adr, code) row, the
+  // same IEEE division AdrInto's guarded ratio performs, and
+  // dense_groups caches slot -> group across years. Only valid while
+  // the counters are exact integers (forgetting factor 1, exact ADR
+  // grouping) and group ids are never invalidated (accumulated history
+  // — Clear would orphan the cache).
   const bool dense_fold =
       options_.dense_history_fold && options_.forgetting_factor == 1.0 &&
       adr_bin_width == 0.0 && options_.accumulate_history &&
       num_years <= kMaxDenseYears;
-  const size_t dense_slots =
-      dense_fold ? DenseSlot(static_cast<uint32_t>(num_years), 0, 0) : 0;
-  std::vector<uint32_t> dense_groups;
-  if (dense_fold && num_shards == 1) {
-    dense_groups.assign(dense_slots, kNoDenseGroup);
+  const uint32_t dense_years =
+      dense_fold ? static_cast<uint32_t>(num_years) : 0;
+  const size_t dense_slots = DenseSlot(dense_years, 0, 0);
+  std::vector<double> slot_rows(2 * dense_slots);
+  for (uint32_t offers = 0; offers < dense_years; ++offers) {
+    for (uint32_t defaults = 0; defaults <= offers; ++defaults) {
+      for (uint32_t code = 0; code < 2; ++code) {
+        double* row = &slot_rows[2 * DenseSlot(offers, defaults, code)];
+        row[0] = offers == 0 ? 0.0
+                             : static_cast<double>(defaults) /
+                                   static_cast<double>(offers);
+        row[1] = code;
+      }
+    }
   }
-  // Sharded history staging: each shard folds its own chunks' yields
-  // into a per-shard dataset (with a per-shard dense table mapping
-  // counters to *local* group ids), re-assigned every year; the global
-  // history then absorbs the staged datasets in shard order. Group
-  // creation order is preserved — a group's global first occurrence
-  // lives in the first shard containing it, at that shard's local first
-  // occurrence — and every folded weight is an exact integer-valued
-  // double, so the merged history is bitwise the unsharded fold.
-  std::vector<ml::BinnedDataset> shard_history;
-  std::vector<std::vector<uint32_t>> shard_dense;
-  if (num_shards > 1) {
-    shard_history.assign(num_shards, ml::BinnedDataset(2, history_options));
-    if (dense_fold) shard_dense.assign(num_shards, std::vector<uint32_t>());
-  }
+  std::vector<uint32_t> dense_groups(dense_slots,
+                                     ml::BinnedDataset::kNoSlotGroup);
   if (resume) {
     EQIMPACT_CHECK(history.Deserialize(&*resume));
     // dense_groups deliberately stays cold: it is a pure cache (a slot
-    // miss re-derives the group through AddRow, which finds the existing
-    // group by key), so resumed bits never depend on it.
+    // miss re-derives the group by key, finding the existing group), so
+    // resumed bits never depend on it.
   }
   std::optional<ml::Scorecard> current_scorecard;
   const std::vector<ml::ScorecardFactor> factor_templates =
@@ -372,11 +373,16 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
   // Hot-path scalars hoisted out of the sweep.
   const double code_threshold = options_.income_code_threshold;
 
-  // Reused per-year buffers.
+  // Reused per-year buffers. The snapshot (every user's post-update
+  // ADR) is written chunk by chunk in pass 2, only when someone reads it.
   std::vector<double> uniforms(num_users);
   std::vector<ChunkYield> yields(num_chunks);
-  std::vector<ChunkScratch> scratches(num_chunks);
-  std::vector<double> adr_snapshot;
+  if (dense_fold) {
+    for (ChunkYield& yield : yields) yield.counts = ml::SlotCounts(dense_slots);
+  }
+  std::vector<ChunkScratch> scratches(plan.num_shards());
+  const bool snapshot_users = options_.keep_user_adr || observer != nullptr;
+  std::vector<double> adr_snapshot(snapshot_users ? num_users : 0);
   const std::vector<double>& incomes = population.incomes();
 
   if (resume) {
@@ -480,10 +486,10 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
     const YearIncomeSampler sampler(income_model, year);
     const runtime::SeedSequence income_year = income_streams.Child(k);
     const runtime::SeedSequence repayment_year = repayment_streams.Child(k);
-    for_each_chunk([&](size_t c, size_t begin, size_t end) {
+    for_each_chunk([&](size_t s, size_t c, size_t begin, size_t end) {
       rng::Random income_rng(income_year.Seed(c));
       rng::Random repayment_rng(repayment_year.Seed(c));
-      ChunkScratch& scratch = scratches[c];
+      ChunkScratch& scratch = scratches[s];
       const size_t count = end - begin;
       scratch.income_uniforms.resize(2 * count);
       income_rng.FillUniformDouble(scratch.income_uniforms.data(),
@@ -525,8 +531,9 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
     score_params.cutoff = options_.cutoff;
 
     // Pass 2 — scoring sweep: decide, act, filter. Each user touches only
-    // their own filter slots and each chunk only its own yield and
-    // scratch, so chunks run concurrently; the pre-drawn uniform makes
+    // their own filter slots, each chunk writes only its own yield and
+    // snapshot range, and the kernel scratch belongs to the shard running
+    // the chunk, so chunks run concurrently; the pre-drawn uniform makes
     // the repayment action a pure function of (income, uniform). The
     // per-user work is staged through the vector kernels: trailing ADRs
     // and the code/score/cut-off test sweep branch-free over the SoA
@@ -536,10 +543,11 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
     // scores decline, like the legacy !(score > cutoff) test), approved
     // incomes are compacted so the expensive normal CDF runs only for
     // them, and a final scalar loop applies the repayment action and
-    // filter update in user order.
-    for_each_chunk([&](size_t c, size_t begin, size_t end) {
+    // filter update in user order. The chunk then writes its users'
+    // post-update ADRs into the year's snapshot.
+    for_each_chunk([&](size_t s, size_t c, size_t begin, size_t end) {
       ChunkYield& yield = yields[c];
-      ChunkScratch& scratch = scratches[c];
+      ChunkScratch& scratch = scratches[s];
       yield.Clear();
       const size_t count = end - begin;
       scratch.adr.resize(count);
@@ -581,17 +589,13 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
         const double p = scratch.probability[t];
         const bool repaid = p > 0.0 && uniforms[i] < p;
         if (dense_fold) {
-          // Pack the pre-update integer counters whose guarded
-          // ratio is exactly scratch.adr[j]; the merge rebuilds the
-          // row from them on a first occurrence.
-          const uint32_t offers =
-              static_cast<uint32_t>(filter.UserOfferWeight(i));
-          const uint32_t defaults =
-              static_cast<uint32_t>(filter.UserDefaultWeight(i));
-          const uint32_t code_bit = scratch.code[j] != 0.0 ? 1u : 0u;
-          yield.packed.push_back((offers << kPackedOffersShift) |
-                                 (defaults << kPackedDefaultsShift) |
-                                 (code_bit << 1) | (repaid ? 1u : 0u));
+          // Tally under the pre-update integer counters whose guarded
+          // ratio is exactly scratch.adr[j].
+          yield.counts.Add(
+              DenseSlot(static_cast<uint32_t>(filter.UserOfferWeight(i)),
+                        static_cast<uint32_t>(filter.UserDefaultWeight(i)),
+                        scratch.code[j] != 0.0 ? 1u : 0u),
+              repaid);
         } else {
           yield.rows.push_back(scratch.adr[j]);
           yield.rows.push_back(scratch.code[j]);
@@ -600,88 +604,32 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
         filter.Update(i, true, repaid);
         ++yield.race_offers[race_ids[i]];
       }
+      if (snapshot_users) {
+        filter.AdrInto(begin, end, &adr_snapshot[begin]);
+        if (options_.keep_user_adr) {
+          for (size_t i = begin; i < end; ++i) {
+            result.user_adr[i].push_back(adr_snapshot[i]);
+          }
+        }
+      }
     });
 
-    // Merge the chunk yields in chunk (= user) order, weight-folding this
+    // Merge the chunk yields in chunk (= user) order, folding this
     // year's observations into the grouped history. The fold order is the
     // trial order (chunk 0, 1, ...), so group indices — and with them the
-    // fit's accumulation order — are identical at every thread count.
-    // Sharded runs fold shard-locally in parallel first and merge the
-    // staged datasets in shard order, which traverses the same chunk
-    // sequence (see shard_history above).
+    // fit's accumulation order — are identical at every thread and shard
+    // count.
     std::array<size_t, kNumRaces> race_offers = {0, 0, 0};
+    if (!options_.accumulate_history) history.Clear();
     for (const ChunkYield& yield : yields) {
       for (size_t r = 0; r < kNumRaces; ++r) {
         race_offers[r] += yield.race_offers[r];
       }
-    }
-    // Zero-hash dense fold: one table lookup per example. A first
-    // occurrence rebuilds the (adr, code) row from the packed
-    // counters — the division is the same IEEE operation AdrInto's
-    // guarded ratio performed, so the row bits match the hashed
-    // fold's — and goes through AddRow, which groups by bit pattern;
-    // value-aliasing counter pairs (1/2 and 2/4) therefore cache the
-    // same group id, and group creation order stays the fold order.
-    const auto fold_packed = [](ml::BinnedDataset& target,
-                                std::vector<uint32_t>& table,
-                                const ChunkYield& yield) {
-      for (const uint32_t packed : yield.packed) {
-        const uint32_t offers = packed >> kPackedOffersShift;
-        const uint32_t defaults =
-            (packed >> kPackedDefaultsShift) & kPackedDefaultsMask;
-        const uint32_t code_bit = (packed >> 1) & 1u;
-        const double label = (packed & 1u) ? 1.0 : 0.0;
-        const size_t slot = DenseSlot(offers, defaults, code_bit);
-        const uint32_t cached = table[slot];
-        if (cached != kNoDenseGroup) {
-          target.AddRowToGroup(cached, label);
-        } else {
-          const double row[2] = {
-              offers == 0 ? 0.0
-                          : static_cast<double>(defaults) /
-                                static_cast<double>(offers),
-              code_bit ? 1.0 : 0.0};
-          table[slot] = static_cast<uint32_t>(target.AddRow(row, label));
-        }
-      }
-    };
-    if (num_shards > 1) {
-      runtime::ParallelFor(
-          num_shards,
-          [&](size_t s) {
-            const runtime::ShardRange& shard = plan.shards[s];
-            ml::BinnedDataset& staged = shard_history[s];
-            staged.Clear();
-            if (dense_fold) {
-              std::vector<uint32_t>& table = shard_dense[s];
-              table.assign(dense_slots, kNoDenseGroup);
-              for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
-                fold_packed(staged, table, yields[c]);
-              }
-            } else {
-              for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
-                staged.AddBatch(yields[c].rows.data(),
-                                yields[c].labels.data(),
-                                yields[c].labels.size());
-              }
-            }
-          },
-          dispatch);
-      if (!options_.accumulate_history) history.Clear();
-      for (size_t s = 0; s < num_shards; ++s) {
-        history.Merge(shard_history[s]);
-      }
-    } else {
-      if (!options_.accumulate_history) history.Clear();
       if (dense_fold) {
-        for (const ChunkYield& yield : yields) {
-          fold_packed(history, dense_groups, yield);
-        }
+        history.AddCounts(yield.counts, slot_rows.data(), &dense_groups);
       } else {
-        for (const ChunkYield& yield : yields) {
-          history.AddBatch(yield.rows.data(), yield.labels.data(),
-                           yield.labels.size());
-        }
+        history.AddBatch(yield.rows.data(), yield.labels.data(),
+                         yield.labels.size());
       }
     }
 
@@ -697,17 +645,9 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
     }
     result.overall_adr.push_back(summary.overall_adr);
 
-    if (options_.keep_user_adr || observer) {
-      filter.SnapshotInto(&adr_snapshot);
-      if (options_.keep_user_adr) {
-        for (size_t i = 0; i < num_users; ++i) {
-          result.user_adr[i].push_back(adr_snapshot[i]);
-        }
-      }
-      if (observer) {
-        observer(
-            YearSnapshot{k, year, adr_snapshot, result.races, race_ids});
-      }
+    if (observer) {
+      observer(YearSnapshot{k, year, adr_snapshot, result.races, race_ids,
+                            dispatch});
     }
 
     if (options_.checkpoint_sink) write_checkpoint(k + 1);

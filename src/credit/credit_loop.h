@@ -10,6 +10,7 @@
 #include "credit/race.h"
 #include "credit/repayment_model.h"
 #include "ml/logistic_regression.h"
+#include "runtime/parallel_for.h"
 
 namespace eqimpact {
 namespace credit {
@@ -54,19 +55,21 @@ struct CreditLoopOptions {
   /// the scorecard's resolution). 0 forces exact grouping; a positive
   /// width forces that bin width. The income code is always exact.
   double history_adr_bin_width = -1.0;
-  /// Fold each year's observations into the grouped history through a
-  /// dense per-trial (offers, defaults, income code) -> group table —
-  /// an array lookup per row — instead of the generic
-  /// quantize+hash+probe path. Output is bitwise-identical (pinned by
-  /// CreditLoopTest.DenseHistoryFoldMatchesHashedFold): the table keys
-  /// on the exact integer filter counters whose guarded ratio IS the
-  /// ADR feature, first occurrences still go through
-  /// BinnedDataset::AddRow so value-aliasing rationals (1/2 vs 2/4)
-  /// share a group exactly as before, and the fold order is unchanged.
-  /// The engine applies it only when the counters are exact — the
-  /// accumulating filter (forgetting_factor == 1) with exact ADR
-  /// grouping and an accumulated history — and falls back to the
-  /// hashed fold otherwise. Off = always use the hashed fold.
+  /// Fold each year's observations into the grouped history as per-chunk
+  /// tallies over the dense (offers, defaults, income code) slot space —
+  /// an increment per row in the parallel sweep, then one
+  /// BinnedDataset::AddCounts per chunk — instead of the generic
+  /// quantize+hash+probe path per row. Output is bitwise-identical
+  /// (pinned by CreditLoopTest.DenseHistoryFoldMatchesHashedFold): the
+  /// slots key on the exact integer filter counters whose guarded ratio
+  /// IS the ADR feature, a slot's group is found by key so
+  /// value-aliasing rationals (1/2 vs 2/4) share a group exactly as
+  /// before, chunks fold in chunk order with their slots in first-seen
+  /// order, and whole-number weights sum exactly. The engine applies it
+  /// only when the counters are exact — the accumulating filter
+  /// (forgetting_factor == 1) with exact ADR grouping, an accumulated
+  /// history and at most 64 years — and falls back to the hashed fold
+  /// otherwise. Off = always use the hashed fold.
   bool dense_history_fold = true;
   /// Behavioural model parameters (equations (10)-(11)).
   RepaymentModelOptions repayment;
@@ -99,7 +102,8 @@ struct CreditLoopOptions {
   /// engine would otherwise construct per Run — lets a sequential
   /// multi-trial driver amortize one pool across trials. Not owned;
   /// must be idle when Run is called and outlive it. Never affects the
-  /// simulated output (which is thread-count invariant by design).
+  /// simulated output (which is thread-count invariant by design). A
+  /// one-chunk trial runs inline and leaves it idle.
   runtime::ThreadPool* pool = nullptr;
   /// Record the full per-user ADR series in the result (the raw material
   /// of Figures 4/5). Disable for very large cohorts and consume the
@@ -110,12 +114,12 @@ struct CreditLoopOptions {
 
   /// Population shards for the within-trial passes. Each shard owns a
   /// contiguous range of whole chunks (see runtime::MakeShardPlan) and
-  /// runs its own two-pass sweep plus its own staged history fold, with
-  /// per-shard results merged in shard order — which visits chunks in
-  /// exactly the global chunk order, so every coefficient, series and
+  /// walks it in order on one worker; the chunk yields then fold in
+  /// chunk order exactly as unsharded, so every coefficient, series and
   /// digest is bitwise-identical to the unsharded run at any
   /// (num_shards, users_per_chunk, num_threads) configuration. 0 and 1
-  /// both mean unsharded; values above the chunk count are clamped.
+  /// both mean unsharded, which walks four shards per worker; values
+  /// above the chunk count are clamped.
   /// Like num_threads (and unlike users_per_chunk), this knob never
   /// moves a bit of output — it only regroups execution and scales the
   /// engine out across shard-parallel workers.
@@ -181,11 +185,19 @@ struct YearSnapshot {
   /// dense ids (for group-indexed consumers like stats::AdrAccumulator).
   const std::vector<Race>& races;
   const std::vector<uint8_t>& race_ids;
+  /// The engine's within-trial dispatch, idle for the duration of the
+  /// callback: an observer may fan its own work out over it (as
+  /// sim::CreditScenario's group-parallel accumulator fill does) and
+  /// must be done with it when it returns. One thread and no pool
+  /// whenever the trial is a single chunk (num_users <= users_per_chunk),
+  /// so small trials never dispatch.
+  const runtime::ParallelForOptions& dispatch;
 };
 
 /// Streaming consumer of per-year cross-sections — the memory-bounded
 /// alternative to CreditLoopResult::user_adr (e.g. a
-/// stats::AdrAccumulator fill).
+/// stats::AdrAccumulator fill). Called once per year, on the thread that
+/// called Run.
 using YearObserver = std::function<void(const YearSnapshot&)>;
 
 /// The paper's credit-scoring closed loop (Figure 1 instantiated for
@@ -202,7 +214,14 @@ using YearObserver = std::function<void(const YearSnapshot&)>;
 /// the scorecard weights hoisted into scalars). Chunks carry RNG
 /// sub-streams derived from (stream, year, chunk index), so the passes
 /// parallelise over options().num_threads workers with output
-/// bitwise-identical to the sequential run.
+/// bitwise-identical to the sequential run. The second pass also leaves
+/// each chunk's refit examples as a tally and its users' post-update
+/// ADRs in the year's snapshot, so what stays serial per year is the
+/// chunk-ordered fold of the tallies, the refit, the per-race summary
+/// and the observer. Each chunk owns its outputs (yield, snapshot
+/// range). The passes walk the chunks shard by shard (num_shards shards,
+/// or four per worker when unsharded), and the kernel scratch belongs to
+/// a shard, so its memory scales with the worker count, not the cohort.
 ///
 /// The training history is held as sufficient statistics, not rows: each
 /// year's observations are weight-merged into an ml::BinnedDataset of

@@ -131,19 +131,6 @@ size_t BinnedDataset::AddRow(const double* features, double label,
   return g;
 }
 
-void BinnedDataset::AddRowToGroup(size_t g, double label, double weight) {
-  EQIMPACT_CHECK(label == 0.0 || label == 1.0);
-  EQIMPACT_CHECK_GT(weight, 0.0);
-  EQIMPACT_CHECK_LT(g, num_groups());
-  weight_[g] += weight;
-  total_weight_ += weight;
-  if (label == 1.0) {
-    positive_[g] += weight;
-    total_positive_ += weight;
-  }
-  ++num_rows_absorbed_;
-}
-
 void BinnedDataset::Add(const linalg::Vector& features, double label,
                         double weight) {
   EQIMPACT_CHECK_EQ(features.size(), num_features_);
@@ -157,21 +144,34 @@ void BinnedDataset::AddBatch(const double* features, const double* labels,
   }
 }
 
-void BinnedDataset::Merge(const BinnedDataset& other) {
-  EQIMPACT_CHECK_EQ(other.num_features_, num_features_);
-  EQIMPACT_CHECK(other.options_.bin_widths == options_.bin_widths);
-  for (size_t og = 0; og < other.num_groups(); ++og) {
-    // Re-quantizing the representative reproduces the original key (it
-    // is the exact value or the bin centre of its own bin), so merged
-    // groups land in the same group a direct AddRow would have.
-    const double* row = other.row(og);
-    const size_t g = GroupFor(KeyOf(row), row);
-    weight_[g] += other.weight_[og];
-    positive_[g] += other.positive_[og];
+void SlotCounts::Clear() {
+  for (const uint32_t slot : seen_) {
+    counts_[2 * slot] = 0;
+    counts_[2 * slot + 1] = 0;
   }
-  total_weight_ += other.total_weight_;
-  total_positive_ += other.total_positive_;
-  num_rows_absorbed_ += other.num_rows_absorbed_;
+  seen_.clear();
+}
+
+void BinnedDataset::AddCounts(const SlotCounts& counts,
+                              const double* slot_rows,
+                              std::vector<uint32_t>* slot_groups) {
+  EQIMPACT_CHECK_EQ(slot_groups->size(), counts.num_slots());
+  for (const uint32_t slot : counts.seen()) {
+    uint32_t& g = (*slot_groups)[slot];
+    if (g == kNoSlotGroup) {
+      const double* row = slot_rows + slot * num_features_;
+      g = static_cast<uint32_t>(GroupFor(KeyOf(row), row));
+    }
+    const size_t positives = counts.positives(slot);
+    const size_t rows = counts.negatives(slot) + positives;
+    weight_[g] += static_cast<double>(rows);
+    total_weight_ += static_cast<double>(rows);
+    if (positives > 0) {
+      positive_[g] += static_cast<double>(positives);
+      total_positive_ += static_cast<double>(positives);
+    }
+    num_rows_absorbed_ += rows;
+  }
 }
 
 BinnedDataset BinnedDataset::FromDataset(const Dataset& data,

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/check.h"
 #include "base/serial.h"
 #include "linalg/vector.h"
 #include "ml/dataset.h"
@@ -21,6 +22,43 @@ struct BinnedDatasetOptions {
   /// (k + 0.5) * w, so every surrogate feature value differs from the
   /// raw one it stands for by at most w / 2.
   std::vector<double> bin_widths;
+};
+
+/// Unit-weight observations tallied over a dense slot space in which
+/// every slot stands for one fixed feature row: per-slot label counts
+/// plus the touched slots in first-seen order. BinnedDataset::AddCounts
+/// folds a tally exactly as the row-by-row AddRow calls it replaces, so
+/// a producer can tally consecutive ranges of one insertion sequence in
+/// parallel and fold the tallies in range order (the credit loop's
+/// per-chunk refit history).
+class SlotCounts {
+ public:
+  SlotCounts() = default;
+  /// Tally over slots [0, num_slots), all counts zero.
+  explicit SlotCounts(size_t num_slots) : counts_(2 * num_slots, 0) {}
+
+  /// Counts one observation of `slot` with label 1 (`positive`) or 0.
+  void Add(size_t slot, bool positive) {
+    EQIMPACT_CHECK_LT(2 * slot + 1, counts_.size());
+    uint32_t* counts = &counts_[2 * slot];
+    if (counts[0] == 0 && counts[1] == 0) {
+      seen_.push_back(static_cast<uint32_t>(slot));
+    }
+    ++counts[positive ? 1 : 0];
+  }
+
+  /// Zeroes the touched slots; keeps the capacity.
+  void Clear();
+
+  size_t num_slots() const { return counts_.size() / 2; }
+  /// Touched slots in the order of their first observation.
+  const std::vector<uint32_t>& seen() const { return seen_; }
+  uint32_t negatives(size_t slot) const { return counts_[2 * slot]; }
+  uint32_t positives(size_t slot) const { return counts_[2 * slot + 1]; }
+
+ private:
+  std::vector<uint32_t> counts_;  // (label 0, label 1) per slot.
+  std::vector<uint32_t> seen_;
 };
 
 /// Sufficient-statistics view of a binary-classification training set:
@@ -50,16 +88,8 @@ class BinnedDataset {
 
   /// Folds one observation with the given weight into its group and
   /// returns the group index (stable for the dataset's lifetime until
-  /// Clear, so callers may cache it and fold repeats of the same row
-  /// through AddRowToGroup without re-keying).
-  /// CHECK-fails unless label is 0 or 1 and weight > 0.
+  /// Clear). CHECK-fails unless label is 0 or 1 and weight > 0.
   size_t AddRow(const double* features, double label, double weight = 1.0);
-
-  /// Folds one observation into an existing group `g` (an index returned
-  /// by AddRow since the last Clear), skipping the quantize-hash-probe
-  /// path entirely — the credit loop's dense-index fast path.
-  /// CHECK-fails on an out-of-range group.
-  void AddRowToGroup(size_t g, double label, double weight = 1.0);
 
   /// AddRow from a Vector (checked dimension; convenience, not hot path).
   void Add(const linalg::Vector& features, double label, double weight = 1.0);
@@ -68,10 +98,21 @@ class BinnedDataset {
   /// with their `labels` — the credit loop's per-chunk yearly merge.
   void AddBatch(const double* features, const double* labels, size_t count);
 
-  /// Folds every group of `other` into this dataset (same num_features
-  /// and bin widths; CHECK-fails otherwise). Groups of `other` that are
-  /// new here are appended in `other`'s group order.
-  void Merge(const BinnedDataset& other);
+  /// Marks an unknown slot in AddCounts' slot -> group cache.
+  static constexpr uint32_t kNoSlotGroup = 0xffffffffu;
+
+  /// Folds a tally, slot by slot in first-seen order. Slot s stands for
+  /// the row at slot_rows + s * num_features(); `slot_groups` (one entry
+  /// per slot, kNoSlotGroup where unknown, kept across calls until
+  /// Clear) caches each slot's group. While every weight in the dataset
+  /// is a whole number below 2^53, the result, group order and
+  /// num_rows_absorbed included, is bitwise that of unit-weight AddRow
+  /// calls for the tallied observations in sequence order: such sums are
+  /// exact in any order, and a group is created at its first slot's
+  /// first observation either way. Slots whose rows share a key (1/2 and
+  /// 2/4) share a group.
+  void AddCounts(const SlotCounts& counts, const double* slot_rows,
+                 std::vector<uint32_t>* slot_groups);
 
   /// Groups an existing raw dataset (unit weights).
   static BinnedDataset FromDataset(

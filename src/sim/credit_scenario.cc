@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "credit/race.h"
+#include "runtime/parallel_for.h"
 #include "sim/text_table.h"
 
 namespace eqimpact {
@@ -100,10 +101,29 @@ TrialOutcome CreditScenario::RunTrial(const TrialContext& context,
   loop_options.checkpoint_sink = context.checkpoint_sink;
   loop_options.resume_state = context.resume_state;
   credit::CreditScoringLoop loop(loop_options);
-  credit::CreditLoopResult record =
-      loop.Run([impacts](const credit::YearSnapshot& snapshot) {
-        impacts->AddCrossSection(snapshot.step, snapshot.user_adr,
-                                 snapshot.race_ids);
+  // The yearly cross-section fills one accumulator cell per group; with
+  // the engine's workers idle during the callback, the groups fill in
+  // parallel, each from its own compacted values (kept across years).
+  // Cell (k, g) sees the same values in the same order either way, so the
+  // accumulator's bits do not depend on the path.
+  std::vector<std::vector<double>> group_values;
+  credit::CreditLoopResult record = loop.Run(
+      [impacts, &group_values](const credit::YearSnapshot& snapshot) {
+        if (runtime::EffectiveNumThreads(snapshot.dispatch) == 1) {
+          impacts->AddCrossSection(snapshot.step, snapshot.user_adr,
+                                   snapshot.race_ids);
+          return;
+        }
+        group_values.resize(impacts->num_groups());
+        runtime::ParallelFor(
+            impacts->num_groups(),
+            [&](size_t g) {
+              impacts->AddGroupCrossSection(snapshot.step, g,
+                                            snapshot.user_adr,
+                                            snapshot.race_ids,
+                                            &group_values[g]);
+            },
+            snapshot.dispatch);
       });
 
   TrialOutcome outcome;

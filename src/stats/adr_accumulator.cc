@@ -1,6 +1,7 @@
 #include "stats/adr_accumulator.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "base/check.h"
 
@@ -30,10 +31,29 @@ size_t AdrAccumulator::CellIndex(size_t k, size_t g) const {
 }
 
 size_t AdrAccumulator::BinIndex(double value) const {
-  // Clamp-then-bin, matching stats::Histogram::Add.
+  // Clamp-then-bin, matching stats::Histogram::Add. NaN, which clamps to
+  // itself and has no integer conversion, counts in the last bin.
+  if (std::isnan(value)) return num_bins_ - 1;
   double clamped = std::clamp(value, lo_, hi_);
   size_t bin = static_cast<size_t>((clamped - lo_) / bin_width_);
   return std::min(bin, num_bins_ - 1);
+}
+
+// Out of line, so that both cross-section forms run the same
+// instructions: the sign of a NaN that an operation like inf - inf
+// creates follows the operand order the compiler picked for an addition,
+// which two inlined copies of the loop need not share. The moments fold
+// into a local copy that stays in registers.
+__attribute__((noinline)) void AdrAccumulator::FoldRun(size_t cell,
+                                                       const double* values,
+                                                       size_t n) {
+  RunningStats cell_stats = stats_[cell];
+  int64_t* cell_bins = &bin_counts_[cell * num_bins_];
+  for (size_t i = 0; i < n; ++i) {
+    cell_stats.Add(values[i]);
+    ++cell_bins[BinIndex(values[i])];
+  }
+  stats_[cell] = cell_stats;
 }
 
 void AdrAccumulator::Add(size_t k, size_t g, double value) {
@@ -47,14 +67,42 @@ void AdrAccumulator::AddCrossSection(size_t k,
                                      const std::vector<uint8_t>& groups) {
   EQIMPACT_CHECK_EQ(values.size(), groups.size());
   EQIMPACT_CHECK_LT(k, num_steps_);
-  RunningStats* step_stats = &stats_[k * num_groups_];
-  int64_t* step_bins = &bin_counts_[k * num_groups_ * num_bins_];
-  for (size_t i = 0; i < values.size(); ++i) {
-    size_t g = groups[i];
+  // One fold per run of consecutive values of one group.
+  for (size_t i = 0, end = 0; i < values.size(); i = end) {
+    const size_t g = groups[i];
     EQIMPACT_CHECK_LT(g, num_groups_);
-    step_stats[g].Add(values[i]);
-    ++step_bins[g * num_bins_ + BinIndex(values[i])];
+    for (end = i + 1; end < values.size() && groups[end] == g;) ++end;
+    FoldRun(k * num_groups_ + g, &values[i], end - i);
   }
+}
+
+void AdrAccumulator::AddGroupCrossSection(size_t k, size_t g,
+                                          const std::vector<double>& values,
+                                          const std::vector<uint8_t>& groups,
+                                          std::vector<double>* scratch) {
+  EQIMPACT_CHECK_EQ(values.size(), groups.size());
+  const size_t cell = CellIndex(k, g);
+  const size_t n = values.size();
+  const uint8_t* ids = groups.data();
+  // Byte compares keep the counting loop vectorizable.
+  const uint8_t id = static_cast<uint8_t>(g);
+  size_t members = 0;
+  uint8_t top = 0;
+  for (size_t i = 0; i < n; ++i) {
+    members += ids[i] == id;
+    top = std::max(top, ids[i]);
+  }
+  EQIMPACT_CHECK(n == 0 || top < num_groups_);
+  if (g > 0xff) return;  // Group ids are bytes: no members.
+  // Branch-free compaction: every value is written, and the cursor only
+  // moves past group g's, so the buffer needs one spare slot.
+  scratch->resize(members + 1);
+  double* compacted = scratch->data();
+  for (size_t i = 0, m = 0; i < n && members > 0; ++i) {
+    compacted[m] = values[i];
+    m += ids[i] == id;
+  }
+  FoldRun(cell, compacted, members);
 }
 
 void AdrAccumulator::Merge(const AdrAccumulator& other) {

@@ -62,6 +62,18 @@ class AdrAccumulator {
   void AddCrossSection(size_t k, const std::vector<double>& values,
                        const std::vector<uint8_t>& groups);
 
+  /// Group `g`'s share of AddCrossSection(k, values, groups): compacts
+  /// the values[i] with groups[i] == g, in index order, into `scratch`
+  /// (which keeps its capacity for the next call) and folds them into
+  /// cell (k, g) through the same fold loop AddCrossSection runs, so the
+  /// cell's moments, min/max and bins end bitwise as AddCrossSection
+  /// leaves them. Only cell (k, g) is written, so calls for distinct
+  /// groups may run concurrently: the group-parallel cross-section.
+  void AddGroupCrossSection(size_t k, size_t g,
+                            const std::vector<double>& values,
+                            const std::vector<uint8_t>& groups,
+                            std::vector<double>* scratch);
+
   /// Merges `other` into this accumulator. CHECK-fails unless the shapes
   /// (groups, steps, bins, range) match. Merge order affects the
   /// floating-point moments, so parallel reductions must merge in a fixed
@@ -109,6 +121,9 @@ class AdrAccumulator {
  private:
   size_t CellIndex(size_t k, size_t g) const;
   size_t BinIndex(double value) const;
+  /// Folds values[0..n) in order into cell `cell`: the one fold loop
+  /// behind both cross-section forms.
+  void FoldRun(size_t cell, const double* values, size_t n);
   double QuantileFromBins(double p, const int64_t* bins, int64_t total,
                           double min_value, double max_value) const;
 

@@ -7,15 +7,6 @@
 namespace eqimpact {
 namespace stats {
 
-void RunningStats::Add(double x) {
-  ++count_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 void RunningStats::Merge(const RunningStats& other) {
   if (other.count_ == 0) return;
   if (count_ == 0) {

@@ -1,6 +1,7 @@
 #ifndef EQIMPACT_STATS_RUNNING_STATS_H_
 #define EQIMPACT_STATS_RUNNING_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -19,8 +20,16 @@ class RunningStats {
  public:
   RunningStats() = default;
 
-  /// Adds one observation.
-  void Add(double x);
+  /// Adds one observation. Inline, so that a loop adding into a local
+  /// accumulator keeps the state in registers.
+  void Add(double x) {
+    ++count_;
+    double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
 
   /// Merges another accumulator into this one (Chan et al. update).
   void Merge(const RunningStats& other);

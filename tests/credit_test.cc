@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <numeric>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,8 @@
 #include "credit/repayment_model.h"
 #include "rng/normal.h"
 #include "rng/random.h"
+#include "runtime/parallel_for.h"
+#include "runtime/thread_pool.h"
 
 namespace eqimpact {
 namespace {
@@ -620,6 +624,61 @@ TEST(CreditLoopTest, YearObserverSeesEveryCrossSection) {
       });
   EXPECT_EQ(calls, reference.years.size());
   EXPECT_TRUE(all_match);
+}
+
+TEST(CreditLoopTest, DenseTallyFoldMatchesHashedFoldCheckpointBytes) {
+  // Every year's checkpoint serializes the grouped history (group order,
+  // weights, num_rows_absorbed) next to the rest of the loop state. The
+  // per-chunk tally fold, reduced in chunk order from 16 chunks on 4
+  // threads (and from 3 shards), must leave it byte-identical to the
+  // row-by-row hashed fold.
+  const auto checkpoints = [](bool dense, size_t shards) {
+    credit::CreditLoopOptions options = SmallLoopOptions(15);
+    options.num_users = 1000;
+    options.users_per_chunk = 64;
+    options.num_threads = 4;
+    options.num_shards = shards;
+    options.dense_history_fold = dense;
+    std::vector<std::vector<uint8_t>> blobs;
+    options.checkpoint_sink = [&blobs](size_t,
+                                       const std::vector<uint8_t>& state) {
+      blobs.push_back(state);
+    };
+    credit::CreditScoringLoop(options).Run();
+    return blobs;
+  };
+  const std::vector<std::vector<uint8_t>> hashed = checkpoints(false, 1);
+  ASSERT_EQ(hashed.size(), 19u);
+  EXPECT_TRUE(checkpoints(true, 1) == hashed);
+  EXPECT_TRUE(checkpoints(true, 3) == hashed);
+}
+
+TEST(CreditLoopTest, ObserverRunsOnCallerWithIdleDispatch) {
+  // The observer is called once per year on the calling thread. It gets
+  // the engine's dispatch, which is sequential for a one-chunk trial even
+  // when the caller hands the engine a pool.
+  runtime::ThreadPool pool(3);
+  for (const size_t users : {size_t{200}, size_t{1000}}) {
+    credit::CreditLoopOptions options = SmallLoopOptions(16);
+    options.num_users = users;
+    options.users_per_chunk = 256;
+    options.keep_user_adr = false;
+    options.pool = &pool;
+    size_t calls = 0;
+    const std::thread::id caller = std::this_thread::get_id();
+    credit::CreditScoringLoop(options).Run(
+        [&](const credit::YearSnapshot& snapshot) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          if (users <= options.users_per_chunk) {
+            EXPECT_EQ(snapshot.dispatch.pool, nullptr);
+            EXPECT_EQ(runtime::EffectiveNumThreads(snapshot.dispatch), 1u);
+          } else {
+            EXPECT_EQ(snapshot.dispatch.pool, &pool);
+          }
+          ++calls;
+        });
+    EXPECT_EQ(calls, 19u);
+  }
 }
 
 TEST(CreditLoopTest, ChunkSizeIsPartOfTheStreamLayout) {

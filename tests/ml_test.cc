@@ -212,31 +212,6 @@ TEST(BinnedDatasetTest, PerFeatureWidthsMixExactAndBinned) {
   EXPECT_DOUBLE_EQ(data.row(1)[1], 1.0);
 }
 
-TEST(BinnedDatasetTest, MergeMatchesDirectBuild) {
-  rng::Random random(42);
-  ml::BinnedDataset direct(2);
-  ml::BinnedDataset left(2);
-  ml::BinnedDataset right(2);
-  for (int i = 0; i < 400; ++i) {
-    const double row[2] = {
-        static_cast<double>(random.UniformInt(8)) / 8.0,
-        random.Bernoulli(0.5) ? 1.0 : 0.0};
-    const double label = random.Bernoulli(0.4) ? 1.0 : 0.0;
-    direct.AddRow(row, label);
-    (i < 250 ? left : right).AddRow(row, label);
-  }
-  left.Merge(right);
-  ASSERT_EQ(left.num_groups(), direct.num_groups());
-  EXPECT_DOUBLE_EQ(left.total_weight(), direct.total_weight());
-  EXPECT_EQ(left.num_rows_absorbed(), direct.num_rows_absorbed());
-  for (size_t g = 0; g < direct.num_groups(); ++g) {
-    EXPECT_DOUBLE_EQ(left.row(g)[0], direct.row(g)[0]);
-    EXPECT_DOUBLE_EQ(left.row(g)[1], direct.row(g)[1]);
-    EXPECT_DOUBLE_EQ(left.weight(g), direct.weight(g));
-    EXPECT_DOUBLE_EQ(left.positive_weight(g), direct.positive_weight(g));
-  }
-}
-
 TEST(BinnedDatasetTest, ClearKeepsConfigurationDropsGroups) {
   ml::BinnedDataset data(1);
   const double x = 3.0;
@@ -276,6 +251,85 @@ TEST(BinnedDatasetTest, ManyGroupsSurviveRehashing) {
     EXPECT_DOUBLE_EQ(data.row(g)[0], static_cast<double>(g));
     EXPECT_DOUBLE_EQ(data.weight(g), 2.0);
     EXPECT_DOUBLE_EQ(data.positive_weight(g), 1.0);
+  }
+}
+
+std::vector<uint8_t> DatasetBytes(const ml::BinnedDataset& data) {
+  base::BinaryWriter writer;
+  data.Serialize(&writer);
+  return writer.TakeBuffer();
+}
+
+TEST(BinnedDatasetTest, SlotCountFoldMatchesRowFoldBytes) {
+  // Slots stand for (d/o, code) rows as in the credit loop's dense fold.
+  // Slots 1 (1/2) and 3 (2/4) alias in value and are first seen in
+  // different chunks; slot 4 (1/3) is first seen in the last chunk.
+  const std::vector<double> slot_rows = {
+      0.0,        0.0,  // 0
+      1.0 / 2.0,  1.0,  // 1
+      1.0 / 4.0,  0.0,  // 2
+      2.0 / 4.0,  1.0,  // 3
+      1.0 / 3.0,  1.0,  // 4
+  };
+  const std::vector<std::vector<std::pair<size_t, bool>>> chunks = {
+      {{2, false}, {1, true}, {2, true}, {0, false}, {2, true}},
+      {{3, false}, {0, true}, {3, true}, {1, false}},
+      {{4, true}, {3, true}, {2, false}, {4, false}, {0, true}},
+  };
+  // Both folds start from a populated dataset, as every year after the
+  // first does.
+  ml::BinnedDataset row_fold(2);
+  const double seed_row[2] = {0.75, 0.0};
+  row_fold.AddRow(seed_row, 1.0);
+  ml::BinnedDataset count_fold = row_fold;
+  std::vector<uint32_t> slot_groups(5, ml::BinnedDataset::kNoSlotGroup);
+  ml::SlotCounts counts(5);  // One tally, cleared between chunks.
+  for (const auto& chunk : chunks) {
+    counts.Clear();
+    for (const auto& [slot, positive] : chunk) {
+      row_fold.AddRow(&slot_rows[2 * slot], positive ? 1.0 : 0.0);
+      counts.Add(slot, positive);
+    }
+    count_fold.AddCounts(counts, slot_rows.data(), &slot_groups);
+  }
+  EXPECT_EQ(DatasetBytes(count_fold), DatasetBytes(row_fold));
+  EXPECT_EQ(count_fold.num_rows_absorbed(), 15u);
+  EXPECT_EQ(count_fold.num_groups(), 5u);
+  EXPECT_EQ(slot_groups[1], slot_groups[3]);
+}
+
+TEST(BinnedDatasetTest, SlotCountFoldMatchesRowFoldOnRandomSequences) {
+  rng::Random random(31);
+  for (int round = 0; round < 20; ++round) {
+    // 2 * 6 slots over rationals d/o with o < 6; many alias (0/1 = 0/2,
+    // 1/2 = 2/4, ...).
+    std::vector<double> slot_rows;
+    for (int o = 1; o <= 6; ++o) {
+      for (int code = 0; code < 2; ++code) {
+        const int d = static_cast<int>(random.UniformInt(o + 1));
+        slot_rows.push_back(static_cast<double>(d) / o);
+        slot_rows.push_back(code);
+      }
+    }
+    const size_t num_slots = slot_rows.size() / 2;
+    ml::BinnedDataset row_fold(2);
+    ml::BinnedDataset count_fold(2);
+    std::vector<uint32_t> slot_groups(num_slots,
+                                      ml::BinnedDataset::kNoSlotGroup);
+    ml::SlotCounts counts(num_slots);
+    for (int chunk = 0; chunk < 8; ++chunk) {
+      counts.Clear();
+      const int rows = static_cast<int>(random.UniformInt(40));
+      for (int r = 0; r < rows; ++r) {
+        const size_t slot = random.UniformInt(num_slots);
+        const bool positive = random.Bernoulli(0.7);
+        row_fold.AddRow(&slot_rows[2 * slot], positive ? 1.0 : 0.0);
+        counts.Add(slot, positive);
+      }
+      count_fold.AddCounts(counts, slot_rows.data(), &slot_groups);
+      ASSERT_EQ(DatasetBytes(count_fold), DatasetBytes(row_fold))
+          << "round " << round << " chunk " << chunk;
+    }
   }
 }
 
@@ -827,33 +881,6 @@ TEST(BinnedDatasetTest, CollidingKeysStayDistinct) {
     EXPECT_DOUBLE_EQ(data.row(g)[0], static_cast<double>(g) * 0x1p-52);
     EXPECT_DOUBLE_EQ(data.weight(g), 1.5);
     EXPECT_DOUBLE_EQ(data.positive_weight(g), 0.5);
-  }
-}
-
-TEST(BinnedDatasetTest, AddRowToGroupMatchesKeyedAddRow) {
-  // The index AddRow returns stays valid until Clear, and folding
-  // through it is exactly the keyed fold.
-  ml::BinnedDataset keyed(2);
-  ml::BinnedDataset cached(2);
-  std::vector<size_t> group_of;
-  rng::Random random(99);
-  for (int i = 0; i < 64; ++i) {
-    const double row[2] = {static_cast<double>(i % 8), 1.0};
-    const double label = random.Bernoulli(0.4) ? 1.0 : 0.0;
-    const double weight = 1.0 + (i % 3);
-    keyed.AddRow(row, label, weight);
-    if (i < 8) {
-      group_of.push_back(cached.AddRow(row, label, weight));
-      EXPECT_EQ(group_of.back(), static_cast<size_t>(i));
-    } else {
-      cached.AddRowToGroup(group_of[i % 8], label, weight);
-    }
-  }
-  ASSERT_EQ(keyed.num_groups(), cached.num_groups());
-  EXPECT_DOUBLE_EQ(keyed.total_weight(), cached.total_weight());
-  for (size_t g = 0; g < keyed.num_groups(); ++g) {
-    EXPECT_DOUBLE_EQ(keyed.weight(g), cached.weight(g));
-    EXPECT_DOUBLE_EQ(keyed.positive_weight(g), cached.positive_weight(g));
   }
 }
 

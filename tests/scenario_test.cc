@@ -91,13 +91,7 @@ void ExpectAccumulatorsBitwiseEqual(const stats::AdrAccumulator& a,
   }
 }
 
-TEST(CreditScenarioTest, WrapperMatchesLegacyImplementationBitwise) {
-  sim::MultiTrialOptions options;
-  options.loop.num_users = 120;
-  options.num_trials = 3;
-  options.master_seed = 17;
-  options.keep_raw_series = true;
-
+void ExpectWrapperMatchesLegacy(const sim::MultiTrialOptions& options) {
   sim::MultiTrialResult legacy = LegacyRunMultiTrial(options);
   sim::MultiTrialResult wrapped = sim::RunMultiTrial(options);
 
@@ -116,6 +110,53 @@ TEST(CreditScenarioTest, WrapperMatchesLegacyImplementationBitwise) {
               wrapped.race_envelopes[r].std_dev);
   }
   ExpectAccumulatorsBitwiseEqual(legacy.pooled_adr, wrapped.pooled_adr);
+}
+
+TEST(CreditScenarioTest, WrapperMatchesLegacyImplementationBitwise) {
+  sim::MultiTrialOptions options;
+  options.loop.num_users = 120;
+  options.num_trials = 3;
+  options.master_seed = 17;
+  options.keep_raw_series = true;
+  ExpectWrapperMatchesLegacy(options);
+}
+
+// 16 chunks on 4 loop threads: the engine's parallel pass-2 tail and the
+// scenario's group-parallel accumulator fill, against the legacy driver's
+// sequential AddCrossSection observer.
+sim::CreditScenarioOptions MultiChunkCreditOptions() {
+  sim::CreditScenarioOptions options;
+  options.loop.num_users = 1000;
+  options.loop.users_per_chunk = 64;
+  options.loop.num_threads = 4;
+  return options;
+}
+
+TEST(CreditScenarioTest, WrapperMatchesLegacyImplementationBitwiseMultiChunk) {
+  sim::MultiTrialOptions options;
+  options.loop = MultiChunkCreditOptions().loop;
+  options.num_trials = 3;
+  options.master_seed = 17;
+  options.keep_raw_series = true;
+  ExpectWrapperMatchesLegacy(options);
+}
+
+TEST(CreditScenarioTest, MultiChunkParallelDigestIsPinned) {
+  // Recorded before the credit year's tail went chunk- and group-parallel
+  // (sequential fold, snapshot and cross-section): the same bits on a
+  // shared trial pool and on one thread.
+  constexpr uint64_t kPinned = 0x3f3125055b120079ULL;
+  for (const size_t trial_threads : {size_t{4}, size_t{1}}) {
+    sim::CreditScenario scenario(MultiChunkCreditOptions());
+    sim::ExperimentOptions options;
+    options.num_trials = 3;
+    options.master_seed = 17;
+    options.num_threads = 1;
+    options.trial_threads = trial_threads;
+    EXPECT_EQ(sim::ExperimentDigest(sim::RunExperiment(&scenario, options)),
+              kPinned)
+        << "trial_threads=" << trial_threads;
+  }
 }
 
 TEST(CreditScenarioTest, SurfacesGroupLabels) {

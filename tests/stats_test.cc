@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -524,6 +525,50 @@ TEST(AdrAccumulatorTest, DeserializeRejectsTruncatedBytes) {
     base::BinaryReader reader(bytes.data(), cut);
     EXPECT_FALSE(target.Deserialize(&reader)) << "cut at " << cut;
   }
+}
+
+TEST(AdrAccumulatorTest, GroupCrossSectionMatchesCrossSectionBitwise) {
+  // Groups 0 and 1 hold finite values, some outside [lo, hi], so their
+  // moments depend on the fold order; group 0 also gets signed zeros,
+  // group 3 infinities and a NaN, and group 2 stays empty. Each step
+  // takes two cross-sections, so the second folds onto a populated cell.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  rng::Random random(11);
+  std::vector<double> values;
+  std::vector<uint8_t> groups;
+  for (int i = 0; i < 40; ++i) {
+    values.push_back(random.UniformDouble(-0.5, 1.5));
+    groups.push_back(static_cast<uint8_t>(i % 2));
+  }
+  for (const double zero : {-0.0, 0.0, -0.0}) {
+    values.push_back(zero);
+    groups.push_back(0);
+  }
+  for (const double special : {inf, 0.5, -inf, nan, 0.25}) {
+    values.push_back(special);
+    groups.push_back(3);
+  }
+  const std::vector<double> reversed(values.rbegin(), values.rend());
+  const std::vector<uint8_t> reversed_groups(groups.rbegin(), groups.rend());
+  stats::AdrAccumulator whole(4, 2, 8, 0.0, 1.0);
+  stats::AdrAccumulator grouped(4, 2, 8, 0.0, 1.0);
+  std::vector<double> scratch;
+  for (int pass = 0; pass < 2; ++pass) {
+    whole.AddCrossSection(0, values, groups);
+    whole.AddCrossSection(1, reversed, reversed_groups);
+    for (size_t g = 0; g < 4; ++g) {
+      grouped.AddGroupCrossSection(0, g, values, groups, &scratch);
+      grouped.AddGroupCrossSection(1, g, reversed, reversed_groups,
+                                   &scratch);
+    }
+  }
+  EXPECT_EQ(AccumulatorBytes(grouped), AccumulatorBytes(whole));
+  EXPECT_EQ(grouped.count(0, 2), 0);
+  EXPECT_EQ(grouped.count(0, 3), 10);
+  EXPECT_TRUE(std::isnan(grouped.stats(0, 3).Mean()));
+  // Both infinities clamp to an end bin; NaN counts in the last one.
+  EXPECT_EQ(grouped.bin_count(0, 3, 7), 4);
 }
 
 TEST(AdrAccumulatorTest, GroupEnvelopeTracksPerStepMoments) {
