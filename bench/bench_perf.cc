@@ -70,12 +70,13 @@
 //    connections, then the identical burst again for deterministic
 //    cache hits. Reports jobs/s, p50/p95 submit-to-result latency and
 //    the cache hit rate; the hard gate ("served_digest_matches_cli")
-//    re-runs every distinct spec directly through RunExperiment + the
-//    shared renderer and requires digest AND payload byte-equality —
-//    the serving path must add no bytes and lose none. A connection
-//    sweep then pipelines cached requests over 1/4/16/64 connections,
-//    byte-checks every payload, and gates the 1-connection p50 below
-//    10 ms ("cached_p50_within_floor"), so a write stall such as Nagle
+//    re-runs every distinct spec directly through the CLI's
+//    run-and-render path (serve::RunJobSpec) and requires digest AND
+//    payload byte-equality — the transport, queue and cache must add
+//    no bytes and lose none. A connection sweep then pipelines cached
+//    requests over 1/4/16/64 connections, byte-checks every payload,
+//    and gates the 1-connection p50 below 10 ms
+//    ("cached_p50_within_floor"), so a write stall such as Nagle
 //    waiting on a delayed ACK fails the bench.
 //
 //  * "markov_scaling" — the sparse Markov/Ulam engine (PR 9): the
@@ -149,12 +150,13 @@
 #include "runtime/simd.h"
 #include "runtime/thread_pool.h"
 #include "serve/client.h"
+#include "serve/protocol.h"
 #include "serve/render_json.h"
 #include "serve/server.h"
+#include "serve/service.h"
 #include "sim/experiment.h"
 #include "sim/market_scenario.h"
 #include "sim/multi_trial.h"
-#include "sim/scenario_registry.h"
 #include "stats/adr_accumulator.h"
 
 namespace {
@@ -828,17 +830,6 @@ FoldSection RunFoldSuite() {
 
 // --- serving_scaling helpers. ----------------------------------------------
 
-/// One distinct serving-bench job: the request line plus everything
-/// needed to reproduce its payload directly through the engine + the
-/// shared renderer (the hard gate).
-struct ServingJob {
-  std::string request;
-  std::string scenario;
-  std::string parameter;
-  double value = 0.0;
-  size_t trials = 0;
-};
-
 struct ServingSection {
   size_t num_jobs = 0;      ///< Total submissions (both bursts).
   size_t num_distinct = 0;  ///< Distinct specs (first burst).
@@ -857,40 +848,25 @@ struct ServingSection {
 /// Twelve distinct small jobs across the three built-in scenarios.
 /// Values chosen so every spec is distinct and every run is sub-second.
 /// Shared by the serving burst suite and the connection-count sweep.
-std::vector<ServingJob> BuildServingJobs() {
-  std::vector<ServingJob> jobs;
-  for (double users : {150.0, 200.0, 250.0, 300.0}) {
-    ServingJob job;
-    job.scenario = "credit";
-    job.parameter = "num_users";
-    job.value = users;
-    job.trials = 2;
-    jobs.push_back(job);
-  }
-  for (double exploration : {0.05, 0.1, 0.2, 0.4}) {
-    ServingJob job;
-    job.scenario = "market";
-    job.parameter = "exploration";
-    job.value = exploration;
-    job.trials = 2;
-    jobs.push_back(job);
-  }
-  for (double gain : {0.02, 0.05, 0.1, 0.2}) {
-    ServingJob job;
-    job.scenario = "ensemble";
-    job.parameter = "gain";
-    job.value = gain;
-    job.trials = 2;
-    jobs.push_back(job);
-  }
-  for (ServingJob& job : jobs) {
-    char request[160];
-    std::snprintf(request, sizeof(request),
-                  "{\"scenario\": \"%s\", \"trials\": %zu, "
-                  "\"set\": {\"%s\": %g}}",
-                  job.scenario.c_str(), job.trials, job.parameter.c_str(),
-                  job.value);
-    job.request = request;
+std::vector<eqimpact::serve::JobSpec> BuildServingJobs() {
+  const struct {
+    const char* scenario;
+    const char* parameter;
+    double values[4];
+  } kGrid[] = {
+      {"credit", "num_users", {150.0, 200.0, 250.0, 300.0}},
+      {"market", "exploration", {0.05, 0.1, 0.2, 0.4}},
+      {"ensemble", "gain", {0.02, 0.05, 0.1, 0.2}},
+  };
+  std::vector<eqimpact::serve::JobSpec> jobs;
+  for (const auto& row : kGrid) {
+    for (const double value : row.values) {
+      eqimpact::serve::JobSpec job;
+      job.scenario = row.scenario;
+      job.num_trials = 2;
+      job.assignments.emplace_back(row.parameter, value);
+      jobs.push_back(job);
+    }
   }
   return jobs;
 }
@@ -902,7 +878,7 @@ std::vector<ServingJob> BuildServingJobs() {
 ServingSection RunServingSuite() {
   ServingSection section;
 
-  const std::vector<ServingJob> jobs = BuildServingJobs();
+  const std::vector<eqimpact::serve::JobSpec> jobs = BuildServingJobs();
   section.num_distinct = jobs.size();
   section.num_jobs = 2 * jobs.size();
   constexpr size_t kConnections = 4;
@@ -946,8 +922,8 @@ ServingSection RunServingSuite() {
         for (size_t j = c; j < jobs.size(); j += kConnections) {
           eqimpact::serve::ClientEvent last;
           const Clock::time_point start = Clock::now();
-          const bool ok =
-              client.SubmitAndWait(jobs[j].request, &last, &error);
+          const bool ok = client.SubmitAndWait(
+              eqimpact::serve::EncodeJobSpec(jobs[j]), &last, &error);
           const double latency_ms = SecondsSince(start) * 1e3;
           std::lock_guard<std::mutex> lock(collect_mutex);
           if (!ok) {
@@ -995,34 +971,19 @@ ServingSection RunServingSuite() {
   // first burst's bytes unchanged.
   bool matches = transport_ok;
   eqimpact::base::Fnv1a digest;
+  eqimpact::serve::JobRunOptions direct_run;
+  direct_run.num_threads = 1;
+  direct_run.provenance_json = eqimpact::serve::RenderProvenance(
+      /*force_scalar=*/false, /*num_shards=*/0, /*checkpoint_path=*/"",
+      /*resume=*/false, "\"served\": true");
   for (size_t j = 0; j < jobs.size(); ++j) {
-    const ServingJob& job = jobs[j];
-    std::unique_ptr<eqimpact::sim::Scenario> scenario =
-        eqimpact::sim::CreateScenario(job.scenario);
-    if (scenario == nullptr ||
-        !scenario->SetParameter(job.parameter, job.value)) {
-      matches = false;
-      continue;
-    }
-    eqimpact::sim::ExperimentOptions options;
-    options.num_trials = job.trials;
-    options.num_threads = 1;
-    const eqimpact::sim::ExperimentResult direct =
-        eqimpact::sim::RunExperiment(scenario.get(), options);
-    eqimpact::serve::RenderHeader header;
-    header.num_trials = job.trials;
-    header.provenance_json = eqimpact::serve::RenderProvenance(
-        /*force_scalar=*/false, /*num_shards=*/0, /*checkpoint_path=*/"",
-        /*resume=*/false, "\"served\": true");
-    const uint64_t direct_digest =
-        eqimpact::sim::ExperimentDigest(direct);
-    const std::string direct_payload =
-        eqimpact::serve::RenderExperimentJson(direct, header);
-    if (digests[j] != direct_digest || payloads[j] != direct_payload ||
+    const eqimpact::serve::JobResult direct =
+        eqimpact::serve::RunJobSpec(jobs[j], direct_run);
+    if (digests[j] != direct.digest || payloads[j] != direct.payload ||
         repeat_payloads[j] != payloads[j]) {
       matches = false;
     }
-    digest.Mix(direct_digest);
+    digest.Mix(direct.digest);
   }
   section.served_digest_matches_cli = matches;
   section.digest = digest.hash();
@@ -1072,7 +1033,7 @@ struct ConnectionSweepSection {
 /// transport cost — framing, wakeups, fan-in — not engine time.
 ConnectionSweepSection RunConnectionSweep() {
   ConnectionSweepSection section;
-  const std::vector<ServingJob> jobs = BuildServingJobs();
+  const std::vector<eqimpact::serve::JobSpec> jobs = BuildServingJobs();
   constexpr size_t kTotalJobs = 128;  // Per point; divisible by 64.
   constexpr size_t kWindow = 4;       // Outstanding per connection.
   constexpr size_t kCounts[] = {1, 4, 16, 64};
@@ -1097,7 +1058,8 @@ ConnectionSweepSection RunConnectionSweep() {
     warm_ok = client.Connect(server.port(), &error);
     for (size_t j = 0; warm_ok && j < jobs.size(); ++j) {
       eqimpact::serve::ClientEvent last;
-      warm_ok = client.SubmitAndWait(jobs[j].request, &last, &error);
+      warm_ok = client.SubmitAndWait(eqimpact::serve::EncodeJobSpec(jobs[j]),
+                                     &last, &error);
       if (warm_ok) baseline[j] = last.payload;
     }
   }
@@ -1143,16 +1105,13 @@ ConnectionSweepSection RunConnectionSweep() {
           while (next < per_connection &&
                  inflight.size() < kWindow) {
             const size_t spec = (c + next) % jobs.size();
-            const std::string id =
-                "c" + std::to_string(c) + "-" + std::to_string(next);
-            // Splice the id into the shared request line.
-            std::string request = "{\"id\": \"" + id + "\", " +
-                                  jobs[spec].request.substr(1);
+            eqimpact::serve::JobSpec request = jobs[spec];
+            request.id = "c" + std::to_string(c) + "-" + std::to_string(next);
             Pending pending;
             pending.spec = spec;
             pending.sent = Clock::now();
-            inflight.emplace(id, pending);
-            if (!client.Send(request)) {
+            inflight.emplace(request.id, pending);
+            if (!client.Send(eqimpact::serve::EncodeJobSpec(request))) {
               local_ok = false;
               break;
             }

@@ -1,10 +1,12 @@
 // Loopback client of the experiment service (run_experiment --serve):
-// builds one job spec from CLI flags (the same flag vocabulary as
-// run_experiment), submits it over line-delimited JSON, streams the
-// progress events to stderr and prints the result payload — the
-// CLI-identical JSON document — to stdout. CI byte-diffs this output
-// against a direct run_experiment run of the same spec (filtering only
-// the single-line provenance field).
+// reads one serve::JobSpec from its job flags with the flag codec that
+// run_experiment uses (serve::ParseJobFlags), so it accepts exactly the
+// command lines run_experiment accepts and rejects a bad one with exit
+// 2 before it connects. It sends the spec as one JSON request line
+// (serve::EncodeJobSpec), streams the progress events to stderr and
+// prints the result payload — the CLI-identical JSON document — to
+// stdout. CI byte-diffs this output against a direct run_experiment run
+// of the same spec (filtering only the single-line provenance field).
 //
 // Usage:
 //   experiment_client (--port=P | --port-file=PATH)
@@ -17,223 +19,71 @@
 // Exit status: 0 on a result event, 1 on a typed error event or
 // transport failure, 2 on bad usage.
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "serve/client.h"
-#include "serve/json.h"
-
-namespace {
+#include "serve/protocol.h"
 
 using eqimpact::serve::Client;
 using eqimpact::serve::ClientEvent;
-using eqimpact::serve::JsonValue;
-
-struct ClientSpec {
-  size_t port = 0;
-  std::string port_file;
-  std::string raw_request;  ///< --request: sent verbatim, flags ignored.
-  std::string id;
-  std::string scenario;
-  bool quiet = false;
-  size_t trials = 0;         ///< 0 = omit (server default).
-  bool have_seed = false;
-  size_t seed = 0;
-  size_t bins = 0;
-  size_t threads = 0;
-  bool have_threads = false;
-  size_t trial_threads = 0;
-  bool have_trial_threads = false;
-  size_t point_threads = 0;
-  bool have_point_threads = false;
-  JsonValue set = JsonValue::Object();
-  JsonValue sweep = JsonValue::Object();
-  bool have_set = false;
-  bool have_sweep = false;
-};
-
-bool ParseDouble(const std::string& text, double* value) {
-  char* end = nullptr;
-  *value = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0' && !text.empty();
-}
-
-bool ParseSize(const std::string& text, size_t* value) {
-  if (text.empty() || text[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') return false;
-  *value = static_cast<size_t>(parsed);
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, ClientSpec* spec) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    auto next_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    auto parse_size_flag = [&arg, &value_of](const char* prefix,
-                                             size_t* value) {
-      if (!ParseSize(value_of(prefix), value)) {
-        std::fprintf(stderr,
-                     "error: bad %s value '%s' (want a non-negative "
-                     "integer)\n",
-                     prefix, value_of(prefix).c_str());
-        return false;
-      }
-      return true;
-    };
-    if (arg.rfind("--port=", 0) == 0) {
-      if (!parse_size_flag("--port=", &spec->port)) return false;
-    } else if (arg.rfind("--port-file=", 0) == 0) {
-      spec->port_file = value_of("--port-file=");
-    } else if (arg.rfind("--request=", 0) == 0) {
-      spec->raw_request = value_of("--request=");
-    } else if (arg.rfind("--id=", 0) == 0) {
-      spec->id = value_of("--id=");
-    } else if (arg == "--quiet") {
-      spec->quiet = true;
-    } else if (arg.rfind("--scenario=", 0) == 0) {
-      spec->scenario = value_of("--scenario=");
-    } else if (arg.rfind("--trials=", 0) == 0) {
-      if (!parse_size_flag("--trials=", &spec->trials)) return false;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!parse_size_flag("--seed=", &spec->seed)) return false;
-      spec->have_seed = true;
-    } else if (arg.rfind("--bins=", 0) == 0) {
-      if (!parse_size_flag("--bins=", &spec->bins)) return false;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!parse_size_flag("--threads=", &spec->threads)) return false;
-      spec->have_threads = true;
-    } else if (arg.rfind("--trial-threads=", 0) == 0) {
-      if (!parse_size_flag("--trial-threads=", &spec->trial_threads)) {
-        return false;
-      }
-      spec->have_trial_threads = true;
-    } else if (arg.rfind("--point-threads=", 0) == 0) {
-      if (!parse_size_flag("--point-threads=", &spec->point_threads)) {
-        return false;
-      }
-      spec->have_point_threads = true;
-    } else if (arg == "--set") {
-      const char* text = next_value("--set");
-      if (text == nullptr) return false;
-      const std::string assignment = text;
-      const size_t equals = assignment.find('=');
-      double value = 0.0;
-      if (equals == std::string::npos || equals == 0 ||
-          !ParseDouble(assignment.substr(equals + 1), &value)) {
-        std::fprintf(stderr, "error: bad --set '%s' (want name=value)\n",
-                     text);
-        return false;
-      }
-      spec->set.Set(assignment.substr(0, equals), JsonValue::Number(value));
-      spec->have_set = true;
-    } else if (arg == "--sweep") {
-      const char* text = next_value("--sweep");
-      if (text == nullptr) return false;
-      const std::string axis = text;
-      const size_t equals = axis.find('=');
-      if (equals == std::string::npos || equals == 0) {
-        std::fprintf(stderr, "error: bad --sweep '%s' (want name=v1,v2)\n",
-                     text);
-        return false;
-      }
-      JsonValue values = JsonValue::Array();
-      const std::string rest = axis.substr(equals + 1);
-      size_t start = 0;
-      bool ok = !rest.empty();
-      while (ok && start <= rest.size()) {
-        size_t comma = rest.find(',', start);
-        if (comma == std::string::npos) comma = rest.size();
-        double value = 0.0;
-        ok = ParseDouble(rest.substr(start, comma - start), &value);
-        if (ok) values.Append(JsonValue::Number(value));
-        start = comma + 1;
-      }
-      if (!ok) {
-        std::fprintf(stderr, "error: bad --sweep '%s' (want name=v1,v2)\n",
-                     text);
-        return false;
-      }
-      spec->sweep.Set(axis.substr(0, equals), std::move(values));
-      spec->have_sweep = true;
-    } else {
-      std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string BuildRequest(const ClientSpec& spec) {
-  JsonValue request = JsonValue::Object();
-  if (!spec.id.empty()) request.Set("id", JsonValue::String(spec.id));
-  request.Set("scenario", JsonValue::String(spec.scenario));
-  // Flags left at their defaults are omitted — the server's JobSpec
-  // defaults match the run_experiment CLI's, field for field.
-  if (spec.trials > 0) {
-    request.Set("trials", JsonValue::Number(static_cast<double>(spec.trials)));
-  }
-  if (spec.have_seed) {
-    request.Set("seed", JsonValue::Number(static_cast<double>(spec.seed)));
-  }
-  if (spec.bins > 0) {
-    request.Set("bins", JsonValue::Number(static_cast<double>(spec.bins)));
-  }
-  if (spec.have_threads) {
-    request.Set("threads",
-                JsonValue::Number(static_cast<double>(spec.threads)));
-  }
-  if (spec.have_trial_threads) {
-    request.Set("trial_threads",
-                JsonValue::Number(static_cast<double>(spec.trial_threads)));
-  }
-  if (spec.have_point_threads) {
-    request.Set("point_threads",
-                JsonValue::Number(static_cast<double>(spec.point_threads)));
-  }
-  if (spec.have_set) request.Set("set", spec.set);
-  if (spec.have_sweep) request.Set("sweep", spec.sweep);
-  return request.Dump();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  ClientSpec spec;
-  if (!ParseArgs(argc, argv, &spec)) return 2;
-  if (!spec.port_file.empty()) {
-    std::FILE* file = std::fopen(spec.port_file.c_str(), "r");
+  // The job flags go through the shared flag codec, so a spec the CLI
+  // rejects is rejected here too, before any connection is made.
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  eqimpact::serve::JobSpec job;
+  std::vector<std::string> own;
+  std::string error;
+  if (!eqimpact::serve::ParseJobFlags(args, &job, &own, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
+  size_t port = 0;
+  std::string port_file;
+  std::string raw_request;  // --request: sent verbatim, job flags ignored.
+  bool quiet = false;
+  for (const std::string& arg : own) {
+    if (arg.rfind("--port=", 0) == 0) {
+      const std::string text = arg.substr(std::strlen("--port="));
+      if (!eqimpact::serve::ParseCountFlag(text, &port)) {
+        std::fprintf(stderr, "error: bad %s (want a port number)\n",
+                     arg.c_str());
+        return 2;
+      }
+    } else if (arg.rfind("--port-file=", 0) == 0) {
+      port_file = arg.substr(std::strlen("--port-file="));
+    } else if (arg.rfind("--request=", 0) == 0) {
+      raw_request = arg.substr(std::strlen("--request="));
+    } else if (arg.rfind("--id=", 0) == 0) {
+      job.id = arg.substr(std::strlen("--id="));
+    } else if (arg == "--quiet") {
+      quiet = true;
+    } else {
+      std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
+      return 2;
+    }
+  }
+  if (!port_file.empty()) {
+    std::FILE* file = std::fopen(port_file.c_str(), "r");
     if (file == nullptr) {
       std::fprintf(stderr, "error: cannot read port file '%s'\n",
-                   spec.port_file.c_str());
+                   port_file.c_str());
       return 2;
     }
-    unsigned port = 0;
-    const int fields = std::fscanf(file, "%u", &port);
+    unsigned value = 0;
+    const int fields = std::fscanf(file, "%u", &value);
     std::fclose(file);
-    if (fields != 1 || port == 0 || port > 65535) {
+    if (fields != 1 || value == 0 || value > 65535) {
       std::fprintf(stderr, "error: bad port file '%s'\n",
-                   spec.port_file.c_str());
+                   port_file.c_str());
       return 2;
     }
-    spec.port = port;
+    port = value;
   }
-  if (spec.port == 0 || spec.port > 65535) {
+  if (port == 0 || port > 65535) {
     std::fprintf(stderr,
                  "usage: experiment_client (--port=P | --port-file=PATH) "
                  "(--scenario=NAME [--trials=N] [--seed=S] [--bins=B] "
@@ -242,23 +92,22 @@ int main(int argc, char** argv) {
                  "[--id=TOKEN] | --request=JSON) [--quiet]\n");
     return 2;
   }
-  if (spec.raw_request.empty() && spec.scenario.empty()) {
+  if (raw_request.empty() && job.scenario.empty()) {
     std::fprintf(stderr, "error: need --scenario=NAME or --request=JSON\n");
     return 2;
   }
 
   const std::string request =
-      spec.raw_request.empty() ? BuildRequest(spec) : spec.raw_request;
+      raw_request.empty() ? eqimpact::serve::EncodeJobSpec(job) : raw_request;
   Client client;
-  std::string error;
-  if (!client.Connect(static_cast<uint16_t>(spec.port), &error)) {
+  if (!client.Connect(static_cast<uint16_t>(port), &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
   ClientEvent last;
   const bool ok = client.SubmitAndWait(
-      request, &last, &error, [&spec](const ClientEvent& event) {
-        if (spec.quiet) return;
+      request, &last, &error, [quiet](const ClientEvent& event) {
+        if (quiet) return;
         if (event.event == "accepted") {
           std::fprintf(stderr, "accepted id=%s cached=%s queue_depth=%zu\n",
                        event.id.c_str(), event.cached ? "true" : "false",
@@ -273,7 +122,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  if (!spec.quiet) {
+  if (!quiet) {
     std::fprintf(stderr, "result id=%s cached=%s digest=%016llx\n",
                  last.id.c_str(), last.cached ? "true" : "false",
                  static_cast<unsigned long long>(last.digest));

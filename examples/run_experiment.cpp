@@ -69,12 +69,21 @@
 // --threads parallelises each experiment's trials, --trial-threads
 // each trial's inner passes. Deterministic in the spec at every thread
 // configuration; the digests printed here certify it.
+//
+// The job flags (--scenario --trials --seed --bins --threads
+// --trial-threads --point-threads --set --sweep) are the flag form of
+// the service's serve::JobSpec, read by the shared flag codec under the
+// wire's rules: counts and seeds are decimal integers up to 1e15,
+// trials and bins are positive, --set/--sweep values are finite. The
+// job runs through serve::RunJobSpec, the run-and-render path the
+// service's workers use.
 
-#include <csignal>
+#include <algorithm>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,27 +91,21 @@
 #include <unistd.h>
 
 #include "base/simd_scalar.h"
+#include "serve/protocol.h"
 #include "serve/render_json.h"
 #include "serve/server.h"
+#include "serve/service.h"
 #include "sim/certify.h"
-#include "sim/experiment.h"
 #include "sim/scenario_registry.h"
-#include "sim/sweep.h"
 
 namespace {
 
-using eqimpact::sim::ExperimentOptions;
-using eqimpact::sim::ExperimentResult;
+using eqimpact::serve::JobSpec;
 using eqimpact::sim::Scenario;
-using eqimpact::sim::SweepOptions;
-using eqimpact::sim::SweepParameter;
-using eqimpact::sim::SweepResult;
 
-struct Assignment {
-  std::string name;
-  double value = 0.0;
-};
-
+/// The CLI's own flags: modes and execution settings. The job itself
+/// (scenario, trials, seed, bins, thread echoes, --set, --sweep) is a
+/// serve::JobSpec read by the shared flag codec.
 struct CliSpec {
   bool list = false;
   bool force_scalar = false;
@@ -116,201 +119,79 @@ struct CliSpec {
   size_t serve_cache = 64;     ///< Result-cache capacity (entries).
   size_t serve_max_connections = 256;  ///< 0 = unlimited.
   size_t serve_idle_timeout_ms = 0;    ///< 0 = no idle timeout.
-  std::string scenario;
-  ExperimentOptions experiment;
-  /// Cross-point workers of a --sweep run (SweepOptions convention:
-  /// 1 = sequential, 0 = hardware concurrency).
-  size_t point_threads = 1;
   /// --shards=N: sugar for --set num_shards=N (0 = flag absent, keep
   /// the scenario default). Recorded in the provenance field either way.
   size_t shards = 0;
+  std::string checkpoint_path;
+  bool resume = false;
   /// --certify: print ergodicity certificates instead of running.
   bool certify = false;
   /// --cells=N: Ulam resolution of the certificate discretisation.
   size_t certify_cells = 4096;
-  std::vector<Assignment> assignments;
-  std::vector<SweepParameter> sweeps;
 };
 
-bool ParseDouble(const std::string& text, double* value) {
-  char* end = nullptr;
-  *value = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0' && !text.empty();
-}
-
-/// Strict full-string parse of a non-negative integer flag value;
-/// rejects "1e3", "abc", "-2", "", and out-of-range magnitudes rather
-/// than silently truncating or clamping.
-bool ParseSize(const std::string& text, size_t* value) {
-  if (text.empty() || text[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') return false;
-  *value = static_cast<size_t>(parsed);
-  return true;
-}
-
-/// Splits "name=v1,v2,..." into a sweep axis.
-bool ParseSweep(const std::string& spec, SweepParameter* parameter) {
-  const size_t equals = spec.find('=');
-  if (equals == std::string::npos || equals == 0) return false;
-  parameter->name = spec.substr(0, equals);
-  parameter->values.clear();
-  std::string rest = spec.substr(equals + 1);
-  size_t start = 0;
-  while (start <= rest.size()) {
-    size_t comma = rest.find(',', start);
-    if (comma == std::string::npos) comma = rest.size();
-    double value = 0.0;
-    if (!ParseDouble(rest.substr(start, comma - start), &value)) return false;
-    parameter->values.push_back(value);
-    start = comma + 1;
+bool ParseArgs(int argc, char** argv, JobSpec* job, CliSpec* spec) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  std::vector<std::string> own;
+  std::string error;
+  if (!eqimpact::serve::ParseJobFlags(args, job, &own, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return false;
   }
-  return !parameter->values.empty();
-}
-
-bool ParseArgs(int argc, char** argv, CliSpec* spec) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    auto next_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    auto parse_size_flag = [&arg, &value_of](const char* prefix,
-                                             size_t* value) {
-      if (!ParseSize(value_of(prefix), value)) {
-        std::fprintf(stderr,
-                     "error: bad %s value '%s' (want a non-negative "
-                     "integer)\n",
-                     prefix, value_of(prefix).c_str());
+  const struct {
+    const char* prefix;
+    size_t* value;
+    bool positive;
+  } kCountFlags[] = {
+      {"--port=", &spec->serve_port, false},
+      {"--serve-workers=", &spec->serve_workers, true},
+      {"--serve-queue=", &spec->serve_queue, false},
+      {"--serve-threads=", &spec->serve_threads, false},
+      {"--serve-cache=", &spec->serve_cache, false},
+      {"--serve-max-connections=", &spec->serve_max_connections, false},
+      {"--serve-idle-timeout=", &spec->serve_idle_timeout_ms, false},
+      {"--shards=", &spec->shards, true},
+      {"--cells=", &spec->certify_cells, true},
+  };
+  for (const std::string& arg : own) {
+    const auto* count = std::find_if(
+        std::begin(kCountFlags), std::end(kCountFlags),
+        [&arg](const auto& flag) { return arg.rfind(flag.prefix, 0) == 0; });
+    if (count != std::end(kCountFlags)) {
+      const std::string text = arg.substr(std::strlen(count->prefix));
+      if (!eqimpact::serve::ParseCountFlag(text, count->value) ||
+          (count->positive && *count->value == 0)) {
+        const char* want = count->positive ? "positive" : "non-negative";
+        std::fprintf(stderr, "error: bad %s (want a %s integer)\n",
+                     arg.c_str(), want);
         return false;
       }
-      return true;
-    };
-    if (arg == "--list") {
+    } else if (arg == "--list") {
       spec->list = true;
     } else if (arg == "--serve") {
       spec->serve = true;
-    } else if (arg.rfind("--port=", 0) == 0) {
-      if (!parse_size_flag("--port=", &spec->serve_port)) return false;
-      if (spec->serve_port > 65535) {
-        std::fprintf(stderr, "error: --port must be <= 65535\n");
-        return false;
-      }
-    } else if (arg.rfind("--port-file=", 0) == 0) {
-      spec->port_file = value_of("--port-file=");
-    } else if (arg.rfind("--serve-workers=", 0) == 0) {
-      if (!parse_size_flag("--serve-workers=", &spec->serve_workers)) {
-        return false;
-      }
-    } else if (arg.rfind("--serve-queue=", 0) == 0) {
-      if (!parse_size_flag("--serve-queue=", &spec->serve_queue)) {
-        return false;
-      }
-    } else if (arg.rfind("--serve-threads=", 0) == 0) {
-      if (!parse_size_flag("--serve-threads=", &spec->serve_threads)) {
-        return false;
-      }
-    } else if (arg.rfind("--serve-cache=", 0) == 0) {
-      if (!parse_size_flag("--serve-cache=", &spec->serve_cache)) {
-        return false;
-      }
-    } else if (arg.rfind("--serve-max-connections=", 0) == 0) {
-      if (!parse_size_flag("--serve-max-connections=",
-                           &spec->serve_max_connections)) {
-        return false;
-      }
-    } else if (arg.rfind("--serve-idle-timeout=", 0) == 0) {
-      if (!parse_size_flag("--serve-idle-timeout=",
-                           &spec->serve_idle_timeout_ms)) {
-        return false;
-      }
     } else if (arg == "--force-scalar") {
       spec->force_scalar = true;
-    } else if (arg.rfind("--scenario=", 0) == 0) {
-      spec->scenario = value_of("--scenario=");
-    } else if (arg.rfind("--trials=", 0) == 0) {
-      if (!parse_size_flag("--trials=", &spec->experiment.num_trials)) {
-        return false;
-      }
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      size_t seed = 0;
-      if (!parse_size_flag("--seed=", &seed)) return false;
-      spec->experiment.master_seed = static_cast<uint64_t>(seed);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!parse_size_flag("--threads=", &spec->experiment.num_threads)) {
-        return false;
-      }
-    } else if (arg.rfind("--trial-threads=", 0) == 0) {
-      if (!parse_size_flag("--trial-threads=",
-                           &spec->experiment.trial_threads)) {
-        return false;
-      }
-    } else if (arg.rfind("--point-threads=", 0) == 0) {
-      if (!parse_size_flag("--point-threads=", &spec->point_threads)) {
-        return false;
-      }
-    } else if (arg.rfind("--bins=", 0) == 0) {
-      if (!parse_size_flag("--bins=", &spec->experiment.impact_bins)) {
-        return false;
-      }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      if (!parse_size_flag("--shards=", &spec->shards)) return false;
-      if (spec->shards == 0) {
-        std::fprintf(stderr, "error: --shards must be positive\n");
-        return false;
-      }
+    } else if (arg == "--resume") {
+      spec->resume = true;
+    } else if (arg == "--certify") {
+      spec->certify = true;
+    } else if (arg.rfind("--port-file=", 0) == 0) {
+      spec->port_file = arg.substr(std::strlen("--port-file="));
     } else if (arg.rfind("--checkpoint=", 0) == 0) {
-      spec->experiment.checkpoint_path = value_of("--checkpoint=");
-      if (spec->experiment.checkpoint_path.empty()) {
+      spec->checkpoint_path = arg.substr(std::strlen("--checkpoint="));
+      if (spec->checkpoint_path.empty()) {
         std::fprintf(stderr, "error: --checkpoint needs a path\n");
         return false;
       }
-    } else if (arg == "--resume") {
-      spec->experiment.resume = true;
-    } else if (arg == "--certify") {
-      spec->certify = true;
-    } else if (arg.rfind("--cells=", 0) == 0) {
-      if (!parse_size_flag("--cells=", &spec->certify_cells)) return false;
-      if (spec->certify_cells == 0) {
-        std::fprintf(stderr, "error: --cells must be positive\n");
-        return false;
-      }
-    } else if (arg == "--set") {
-      const char* text = next_value("--set");
-      if (text == nullptr) return false;
-      std::string assignment = text;
-      const size_t equals = assignment.find('=');
-      Assignment parsed;
-      if (equals == std::string::npos || equals == 0 ||
-          !ParseDouble(assignment.substr(equals + 1), &parsed.value)) {
-        std::fprintf(stderr, "error: bad --set '%s' (want name=value)\n",
-                     text);
-        return false;
-      }
-      parsed.name = assignment.substr(0, equals);
-      spec->assignments.push_back(parsed);
-    } else if (arg == "--sweep") {
-      const char* text = next_value("--sweep");
-      if (text == nullptr) return false;
-      SweepParameter parameter;
-      if (!ParseSweep(text, &parameter)) {
-        std::fprintf(stderr, "error: bad --sweep '%s' (want name=v1,v2)\n",
-                     text);
-        return false;
-      }
-      spec->sweeps.push_back(std::move(parameter));
     } else {
       std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
       return false;
     }
+  }
+  if (spec->serve_port > 65535) {
+    std::fprintf(stderr, "error: --port must be <= 65535\n");
+    return false;
   }
   return true;
 }
@@ -324,80 +205,40 @@ void PrintStringArray(const std::vector<std::string>& values) {
   std::printf("]");
 }
 
-/// The run-identification header of the output document (requested
-/// knobs + one-line provenance), shared verbatim with the experiment
-/// service's payload renderer — serve/render_json.h documents why the
-/// two must stay byte-identical.
-eqimpact::serve::RenderHeader HeaderOf(const CliSpec& spec) {
-  eqimpact::serve::RenderHeader header;
-  header.num_trials = spec.experiment.num_trials;
-  header.master_seed = spec.experiment.master_seed;
-  header.num_threads = spec.experiment.num_threads;
-  header.trial_threads = spec.experiment.trial_threads;
-  header.point_threads = spec.point_threads;
-  header.provenance_json = eqimpact::serve::RenderProvenance(
-      spec.force_scalar, spec.shards, spec.experiment.checkpoint_path,
-      spec.experiment.resume, /*extra_json=*/"");
-  return header;
+int Usage() {
+  std::fprintf(stderr,
+               "usage: run_experiment --list | --scenario=NAME "
+               "[--trials=N] [--seed=S] [--threads=T] [--trial-threads=T] "
+               "[--point-threads=P] [--bins=B] [--shards=N] "
+               "[--checkpoint=PATH] [--resume] [--force-scalar] "
+               "[--set name=value]... [--sweep name=v1,v2,...]... | "
+               "--serve [--port=P] [--port-file=PATH] [--serve-workers=N] "
+               "[--serve-queue=N] [--serve-threads=N] [--serve-cache=N] | "
+               "--certify [--scenario=NAME] [--cells=N]\n");
+  return 2;
 }
 
-int RunSingle(Scenario* scenario, const CliSpec& spec) {
-  ExperimentResult result =
-      eqimpact::sim::RunExperiment(scenario, spec.experiment);
-  const std::string document =
-      eqimpact::serve::RenderExperimentJson(result, HeaderOf(spec));
-  std::fwrite(document.data(), 1, document.size(), stdout);
-  return 0;
-}
-
-int RunGrid(const CliSpec& spec) {
-  eqimpact::sim::ScenarioFactory base_factory =
-      eqimpact::sim::GetScenarioFactory(spec.scenario);
-  // Every grid point starts from a fresh scenario with the --set
-  // assignments applied, then the point's sweep values on top.
-  auto factory = [&spec, &base_factory]() -> std::unique_ptr<Scenario> {
-    std::unique_ptr<Scenario> scenario = base_factory();
-    for (const Assignment& assignment : spec.assignments) {
-      if (!scenario->SetParameter(assignment.name, assignment.value)) {
-        std::fprintf(stderr, "error: scenario '%s' rejects parameter '%s' "
-                     "(unknown name or out-of-range value)\n",
-                     spec.scenario.c_str(), assignment.name.c_str());
-        std::exit(2);
-      }
-    }
-    return scenario;
-  };
-  // Validate every sweep value on a probe instance up front, so a
-  // mistyped --sweep name or an out-of-range grid value gets the same
-  // graceful diagnostic as --set instead of a mid-sweep abort.
-  {
-    std::unique_ptr<Scenario> probe = factory();
-    for (const SweepParameter& parameter : spec.sweeps) {
-      for (double value : parameter.values) {
-        if (!probe->SetParameter(parameter.name, value)) {
-          std::fprintf(stderr,
-                       "error: scenario '%s' rejects parameter '%s' = %g "
-                       "(unknown name or out-of-range value)\n",
-                       spec.scenario.c_str(), parameter.name.c_str(), value);
-          return 2;
-        }
-      }
-    }
-  }
-  SweepOptions options;
-  options.experiment = spec.experiment;
-  options.parameters = spec.sweeps;
-  options.num_point_threads = spec.point_threads;
-  SweepResult result = eqimpact::sim::RunSweep(factory, options);
-  const std::string document =
-      eqimpact::serve::RenderSweepJson(result, HeaderOf(spec));
-  std::fwrite(document.data(), 1, document.size(), stdout);
+/// One experiment or sweep through the shared run-and-render path, on
+/// the thread budgets the flags request.
+int RunJob(const JobSpec& job, const CliSpec& spec) {
+  eqimpact::serve::JobRunOptions run;
+  run.num_threads = job.num_threads;
+  run.trial_threads = job.trial_threads;
+  run.point_threads = job.point_threads;
+  run.checkpoint_path = spec.checkpoint_path;
+  run.resume = spec.resume;
+  run.provenance_json = eqimpact::serve::RenderProvenance(
+      spec.force_scalar, spec.shards, spec.checkpoint_path, spec.resume,
+      /*extra_json=*/"");
+  const eqimpact::serve::JobResult result =
+      eqimpact::serve::RunJobSpec(job, run);
+  std::fwrite(result.payload.data(), 1, result.payload.size(), stdout);
   return 0;
 }
 
 // --- --certify mode ---------------------------------------------------
 
-int RunCertify(const CliSpec& spec) {
+int RunCertify(const JobSpec& job, const CliSpec& spec) {
   eqimpact::sim::ScenarioCertifyOptions options;
   options.spectral.num_cells = spec.certify_cells;
   // The provenance line carries the certificate solver configuration, so
@@ -414,27 +255,11 @@ int RunCertify(const CliSpec& spec) {
       /*resume=*/false, extra);
 
   std::vector<eqimpact::sim::ScenarioCertificate> certificates;
-  if (spec.scenario.empty()) {
+  if (job.scenario.empty()) {
     certificates = eqimpact::sim::CertifyRegisteredScenarios(options);
   } else {
-    std::unique_ptr<Scenario> scenario =
-        eqimpact::sim::CreateScenario(spec.scenario);
-    if (scenario == nullptr) {
-      std::fprintf(stderr, "error: unknown scenario '%s' (try --list)\n",
-                   spec.scenario.c_str());
-      return 2;
-    }
-    for (const Assignment& assignment : spec.assignments) {
-      if (!scenario->SetParameter(assignment.name, assignment.value)) {
-        std::fprintf(stderr,
-                     "error: scenario '%s' rejects parameter '%s' "
-                     "(unknown name or out-of-range value)\n",
-                     spec.scenario.c_str(), assignment.name.c_str());
-        return 2;
-      }
-    }
-    certificates.push_back(
-        eqimpact::sim::CertifyScenario(*scenario, options));
+    certificates.push_back(eqimpact::sim::CertifyScenario(
+        *eqimpact::serve::CreateJobScenario(job), options));
   }
   const std::string document = eqimpact::sim::RenderScenarioCertificatesJson(
       certificates, provenance, options);
@@ -457,10 +282,6 @@ void HandleShutdownSignal(int /*signum*/) {
 }
 
 int RunServer(const CliSpec& spec) {
-  if (spec.serve_workers == 0) {
-    std::fprintf(stderr, "error: --serve-workers must be positive\n");
-    return 2;
-  }
   if (pipe(g_shutdown_pipe) != 0) {
     std::perror("serve: pipe");
     return 1;
@@ -517,8 +338,9 @@ int RunServer(const CliSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  JobSpec job;
   CliSpec spec;
-  if (!ParseArgs(argc, argv, &spec)) return 2;
+  if (!ParseArgs(argc, argv, &job, &spec)) return 2;
   // Before any kernel can run, so every dispatch in the process sees it.
   if (spec.force_scalar) eqimpact::base::SetSimdForceScalarForTesting(true);
 
@@ -540,87 +362,61 @@ int main(int argc, char** argv) {
   }
 
   if (spec.certify) {
-    if (spec.serve || !spec.sweeps.empty()) {
+    if (spec.serve || job.is_sweep()) {
       std::fprintf(stderr,
                    "error: --certify computes closed-form certificates; it "
                    "cannot be combined with --sweep or --serve\n");
       return 2;
     }
-    if (!spec.experiment.checkpoint_path.empty() || spec.experiment.resume) {
+    if (!spec.checkpoint_path.empty() || spec.resume) {
       std::fprintf(stderr,
                    "error: --certify runs no trials; --checkpoint/--resume "
                    "do not apply\n");
       return 2;
     }
-    if (spec.scenario.empty() &&
-        (!spec.assignments.empty() || spec.shards > 0)) {
+    if (job.scenario.empty() && (!job.assignments.empty() || spec.shards > 0)) {
       std::fprintf(stderr,
                    "error: --set/--shards with --certify need "
                    "--scenario=NAME (certifying all scenarios takes their "
                    "defaults)\n");
       return 2;
     }
-    return RunCertify(spec);
-  }
-
-  if (spec.serve) {
-    if (!spec.scenario.empty() || !spec.sweeps.empty()) {
+  } else if (spec.serve) {
+    if (!job.scenario.empty() || job.is_sweep()) {
       std::fprintf(stderr,
                    "error: --serve takes job specs over the wire, not "
                    "--scenario/--sweep flags\n");
       return 2;
     }
     return RunServer(spec);
-  }
-
-  if (spec.scenario.empty()) {
-    std::fprintf(stderr,
-                 "usage: run_experiment --list | --scenario=NAME "
-                 "[--trials=N] [--seed=S] [--threads=T] [--trial-threads=T] "
-                 "[--point-threads=P] [--bins=B] [--shards=N] "
-                 "[--checkpoint=PATH] [--resume] [--force-scalar] "
-                 "[--set name=value]... [--sweep name=v1,v2,...]... | "
-                 "--serve [--port=P] [--port-file=PATH] [--serve-workers=N] "
-                 "[--serve-queue=N] [--serve-threads=N] [--serve-cache=N] | "
-                 "--certify [--scenario=NAME] [--cells=N]\n");
-    return 2;
-  }
-  if (spec.experiment.num_trials == 0 || spec.experiment.impact_bins == 0) {
-    std::fprintf(stderr, "error: --trials and --bins must be positive\n");
-    return 2;
-  }
-  if (!spec.experiment.checkpoint_path.empty() && !spec.sweeps.empty()) {
-    std::fprintf(stderr,
-                 "error: --checkpoint tracks a single experiment; it cannot "
-                 "be combined with --sweep\n");
-    return 2;
-  }
-  if (spec.experiment.resume && spec.experiment.checkpoint_path.empty()) {
-    std::fprintf(stderr, "error: --resume needs --checkpoint=PATH\n");
-    return 2;
-  }
-  // --shards is flag sugar for the scenario parameter of the same
-  // meaning; route it through SetParameter so a scenario without
-  // sharding rejects it with the standard diagnostic.
-  if (spec.shards > 0) {
-    spec.assignments.push_back(
-        {"num_shards", static_cast<double>(spec.shards)});
-  }
-  std::unique_ptr<Scenario> scenario =
-      eqimpact::sim::CreateScenario(spec.scenario);
-  if (scenario == nullptr) {
-    std::fprintf(stderr, "error: unknown scenario '%s' (try --list)\n",
-                 spec.scenario.c_str());
-    return 2;
-  }
-  for (const Assignment& assignment : spec.assignments) {
-    if (!scenario->SetParameter(assignment.name, assignment.value)) {
-      std::fprintf(stderr, "error: scenario '%s' rejects parameter '%s' "
-                     "(unknown name or out-of-range value)\n",
-                   spec.scenario.c_str(), assignment.name.c_str());
+  } else {
+    if (job.scenario.empty()) return Usage();
+    if (!spec.checkpoint_path.empty() && job.is_sweep()) {
+      std::fprintf(stderr,
+                   "error: --checkpoint tracks a single experiment; it "
+                   "cannot be combined with --sweep\n");
       return 2;
     }
+    if (spec.resume && spec.checkpoint_path.empty()) {
+      std::fprintf(stderr, "error: --resume needs --checkpoint=PATH\n");
+      return 2;
+    }
+    // --shards is flag sugar for the scenario parameter of the same
+    // meaning; route it through SetParameter so a scenario without
+    // sharding rejects it with the standard diagnostic.
+    if (spec.shards > 0) {
+      job.assignments.emplace_back("num_shards",
+                                   static_cast<double>(spec.shards));
+    }
   }
-  if (spec.sweeps.empty()) return RunSingle(scenario.get(), spec);
-  return RunGrid(spec);
+  eqimpact::serve::ErrorCode code;
+  std::string message;
+  if (!job.scenario.empty() &&
+      !eqimpact::serve::ValidateJobSpec(job, &code, &message)) {
+    const bool unknown = code == eqimpact::serve::ErrorCode::kUnknownScenario;
+    std::fprintf(stderr, "error: %s%s\n", message.c_str(),
+                 unknown ? " (try --list)" : "");
+    return 2;
+  }
+  return spec.certify ? RunCertify(job, spec) : RunJob(job, spec);
 }

@@ -112,6 +112,9 @@ class BinaryReader {
 
  private:
   void ReadRaw(void* out, size_t n) {
+    // An empty vector's data() may be null, and null is not a valid
+    // memcpy/memset argument even for zero bytes.
+    if (n == 0) return;
     if (!ok_ || n > size_ - pos_) {
       ok_ = false;
       std::memset(out, 0, n);

@@ -67,14 +67,6 @@ struct ThreadBudget {
 /// caller first.
 ThreadBudget SplitBudget(size_t total_threads, size_t num_ways);
 
-/// Backwards-compatible alias of the budget split for the sharded
-/// population engine (shards as the outer level).
-using ShardBudget = ThreadBudget;
-inline ShardBudget SplitShardBudget(size_t total_threads,
-                                    size_t num_shards) {
-  return SplitBudget(total_threads, num_shards);
-}
-
 }  // namespace runtime
 }  // namespace eqimpact
 

@@ -16,8 +16,8 @@ namespace serve {
 
 /// The experiment service's wire protocol: line-delimited JSON over a
 /// byte stream (one UTF-8 JSON object per '\n'-terminated line, both
-/// directions). A request is an experiment/sweep spec in the CLI's
-/// flag-spec form:
+/// directions). A request is one JobSpec, the job vocabulary shared by
+/// every entry point. It has two codecs with one grammar: the JSON form
 ///
 ///   {"id": "job-1",              // optional client token, echoed back
 ///    "scenario": "credit",       // required registry name
@@ -25,6 +25,12 @@ namespace serve {
 ///    "threads": 0, "trial_threads": 0, "point_threads": 1,
 ///    "set": {"num_users": 150},  // scenario parameter assignments
 ///    "sweep": {"equalizer_strength": [0, 0.5, 1]}}  // optional axes
+///
+/// and the flag form that run_experiment and experiment_client parse:
+///
+///   --scenario=credit --trials=3 --seed=42 --bins=64 --threads=0
+///   --trial-threads=0 --point-threads=1 --set num_users=150
+///   --sweep equalizer_strength=0,0.5,1
 ///
 /// Responses are events, each tagged with the request's id:
 ///
@@ -36,8 +42,10 @@ namespace serve {
 ///   {"id": ..., "event": "error", "code": "...", "message": "..."}
 ///
 /// The result payload is byte-identical to what `run_experiment` prints
-/// for the same spec (CI diffs the two, filtering only the provenance
-/// line), so a served result and a CLI run are interchangeable.
+/// for the same spec, by construction: both run it through RunJobSpec
+/// (serve/service.h). CI still diffs the two, filtering only the
+/// provenance line, so a served result and a CLI run are
+/// interchangeable.
 
 /// Typed request rejection codes. The code taxonomy is part of the
 /// protocol: clients branch on `code`, not on message text.
@@ -60,8 +68,8 @@ enum class ErrorCode {
 const char* ErrorCodeName(ErrorCode code);
 
 /// One parsed experiment/sweep job spec — the validated, canonical form
-/// a request reduces to. Field defaults match the run_experiment CLI's,
-/// so an empty request body ({"scenario": ...}) and a bare CLI
+/// a request line or a command line reduces to. Both codecs share these
+/// defaults, so an empty request body ({"scenario": ...}) and a bare CLI
 /// invocation produce byte-identical payloads.
 struct JobSpec {
   std::string id;        ///< Client token (server-assigned if absent).
@@ -86,10 +94,31 @@ struct JobSpec {
 
 /// Parses a request line's JSON object into a spec. Returns true on
 /// success; on failure fills (code, message) with a typed rejection.
-/// Registry validation (unknown scenario / rejected parameter values)
-/// is the service's job — this checks shape and ranges only.
+/// This checks shape and ranges only: counts and seeds are integers up
+/// to 1e15, trials and bins are positive. ValidateJobSpec checks the
+/// spec against the scenario registry.
 bool ParseJobSpec(const JsonValue& request, JobSpec* spec,
                   ErrorCode* code, std::string* message);
+
+/// The flag codec: parses the job flags in `args` (the command line
+/// without argv[0]) into `spec`. Each flag is read as the request field
+/// of the same meaning and checked by ParseJobSpec's rules, so every
+/// spec it accepts round-trips through EncodeJobSpec and ParseJobSpec
+/// to an equal spec. Counts are decimal digits; --set and --sweep take
+/// the next argument and finite values (strtod syntax). --scenario may
+/// be absent, leaving `spec->scenario` empty. Arguments that are not
+/// job flags go to `rest` in order, or are an error when `rest` is
+/// null. Returns false with a message on a malformed job flag.
+bool ParseJobFlags(const std::vector<std::string>& args, JobSpec* spec,
+                   std::vector<std::string>* rest, std::string* message);
+
+/// Strict decimal count: digits only, at most 1e15 (the bound of every
+/// count in the grammar). For the binaries' own count flags.
+bool ParseCountFlag(const std::string& text, size_t* value);
+
+/// The JSON codec's encoder: one compact request line carrying every
+/// field of `spec` (defaults and the id included).
+std::string EncodeJobSpec(const JobSpec& spec);
 
 /// Order-sensitive FNV-1a fingerprint over every payload-determining
 /// spec field (scenario, trials, seed, bins, thread echoes, assignments,

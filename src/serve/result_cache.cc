@@ -9,7 +9,7 @@ ResultCache::ResultCache(size_t capacity) : capacity_(capacity) {
   EQIMPACT_CHECK_GT(capacity, 0u);
 }
 
-bool ResultCache::Lookup(uint64_t fingerprint, CachedResult* result) {
+bool ResultCache::Lookup(uint64_t fingerprint, JobResult* result) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto found = entries_.find(fingerprint);
   if (found == entries_.end()) {
@@ -22,7 +22,7 @@ bool ResultCache::Lookup(uint64_t fingerprint, CachedResult* result) {
   return true;
 }
 
-void ResultCache::Insert(uint64_t fingerprint, const CachedResult& result) {
+void ResultCache::Insert(uint64_t fingerprint, const JobResult& result) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto found = entries_.find(fingerprint);
   if (found != entries_.end()) {

@@ -11,9 +11,9 @@
 namespace eqimpact {
 namespace serve {
 
-/// One completed job's cached outcome: the experiment/sweep digest and
-/// the full rendered payload (the CLI-identical JSON document).
-struct CachedResult {
+/// One completed job's outcome: the experiment/sweep digest and the
+/// full rendered payload (the CLI-identical JSON document).
+struct JobResult {
   uint64_t digest = 0;
   std::string payload;
 };
@@ -35,13 +35,13 @@ class ResultCache {
   /// Looks `fingerprint` up; on a hit copies the entry into `result`,
   /// refreshes its LRU position and counts a hit. Counts a miss
   /// otherwise.
-  bool Lookup(uint64_t fingerprint, CachedResult* result);
+  bool Lookup(uint64_t fingerprint, JobResult* result);
 
   /// Inserts (or refreshes) the entry for `fingerprint`, evicting the
   /// least-recently-used entry beyond capacity. Re-inserting an
   /// existing fingerprint overwrites — by the determinism contract the
   /// payload is identical anyway.
-  void Insert(uint64_t fingerprint, const CachedResult& result);
+  void Insert(uint64_t fingerprint, const JobResult& result);
 
   size_t size() const;
   size_t hits() const;
@@ -53,7 +53,7 @@ class ResultCache {
   /// MRU-first recency list of fingerprints + the entry map into it.
   std::list<uint64_t> recency_;
   struct Slot {
-    CachedResult result;
+    JobResult result;
     std::list<uint64_t>::iterator position;
   };
   std::unordered_map<uint64_t, Slot> entries_;

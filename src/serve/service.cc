@@ -11,6 +11,102 @@
 namespace eqimpact {
 namespace serve {
 
+bool ValidateJobSpec(const JobSpec& spec, ErrorCode* code,
+                     std::string* message) {
+  std::unique_ptr<sim::Scenario> probe = sim::CreateScenario(spec.scenario);
+  if (probe == nullptr) {
+    *code = ErrorCode::kUnknownScenario;
+    *message = "unknown scenario \"" + spec.scenario + "\"";
+    return false;
+  }
+  // Dry-run every assignment and sweep value on the probe instance so a
+  // rejected parameter is a typed error here instead of a CHECK failure
+  // inside the engine.
+  for (const auto& assignment : spec.assignments) {
+    if (!probe->SetParameter(assignment.first, assignment.second)) {
+      *code = ErrorCode::kBadParameter;
+      *message = "scenario \"" + spec.scenario +
+                 "\" rejects parameter \"" + assignment.first + "\"";
+      return false;
+    }
+  }
+  for (const auto& axis : spec.sweeps) {
+    for (double value : axis.values) {
+      if (!probe->SetParameter(axis.name, value)) {
+        *code = ErrorCode::kBadParameter;
+        *message = "scenario \"" + spec.scenario +
+                   "\" rejects sweep parameter \"" + axis.name + "\"";
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+std::unique_ptr<sim::Scenario> CreateJobScenario(const JobSpec& spec) {
+  std::unique_ptr<sim::Scenario> scenario = sim::CreateScenario(spec.scenario);
+  EQIMPACT_CHECK(scenario != nullptr);
+  for (const auto& assignment : spec.assignments) {
+    EQIMPACT_CHECK(
+        scenario->SetParameter(assignment.first, assignment.second));
+  }
+  return scenario;
+}
+
+JobResult RunJobSpec(const JobSpec& spec, const JobRunOptions& options) {
+  RenderHeader header;
+  header.num_trials = spec.num_trials;
+  header.master_seed = spec.master_seed;
+  header.num_threads = spec.num_threads;
+  header.trial_threads = spec.trial_threads;
+  header.point_threads = spec.point_threads;
+  header.provenance_json = options.provenance_json;
+
+  sim::ExperimentOptions experiment;
+  experiment.num_trials = spec.num_trials;
+  experiment.master_seed = spec.master_seed;
+  experiment.impact_bins = spec.impact_bins;
+  experiment.num_threads = options.num_threads;
+  experiment.trial_threads = options.trial_threads;
+  experiment.checkpoint_path = options.checkpoint_path;
+  experiment.resume = options.resume;
+
+  JobResult result;
+  if (spec.is_sweep()) {
+    // Every grid point starts from a fresh scenario with the
+    // assignments applied, then the point's sweep values on top.
+    sim::SweepOptions sweep;
+    sweep.experiment = experiment;
+    sweep.parameters = spec.sweeps;
+    sweep.num_point_threads = options.point_threads;
+    if (options.on_progress) {
+      sweep.on_point_complete = [&options](size_t index, const sim::SweepPoint&,
+                                           size_t completed, size_t total) {
+        options.on_progress("point", index, completed, total);
+      };
+    }
+    const sim::SweepResult swept =
+        sim::RunSweep([&spec] { return CreateJobScenario(spec); }, sweep);
+    result.digest = sim::SweepDigest(swept);
+    result.payload = RenderSweepJson(swept, header);
+  } else {
+    if (options.on_progress) {
+      experiment.on_trial_complete = [&options](size_t index,
+                                                const sim::TrialOutcome&,
+                                                size_t completed,
+                                                size_t total) {
+        options.on_progress("trial", index, completed, total);
+      };
+    }
+    std::unique_ptr<sim::Scenario> scenario = CreateJobScenario(spec);
+    const sim::ExperimentResult run =
+        sim::RunExperiment(scenario.get(), experiment);
+    result.digest = sim::ExperimentDigest(run);
+    result.payload = RenderExperimentJson(run, header);
+  }
+  return result;
+}
+
 /// One admitted job and its subscribers. The leader (first submitter)
 /// runs the engine once; followers of the same fingerprint attach and
 /// receive the identical event stream under their own ids.
@@ -29,7 +125,7 @@ struct ExperimentService::Inflight {
   /// Set under `mutex` when the terminal event has been broadcast; a
   /// late joiner observing it is answered directly instead of attaching.
   bool done = false;
-  CachedResult result;  ///< Valid iff done and ok.
+  JobResult result;  ///< Valid iff done and ok.
   bool ok = false;
   std::string error_message;  ///< Valid iff done and !ok.
 
@@ -54,38 +150,6 @@ ExperimentService::ExperimentService(const ServiceOptions& options)
 
 ExperimentService::~ExperimentService() { Shutdown(); }
 
-bool ExperimentService::ValidateSpec(const JobSpec& spec, ErrorCode* code,
-                                     std::string* message) {
-  std::unique_ptr<sim::Scenario> probe = sim::CreateScenario(spec.scenario);
-  if (probe == nullptr) {
-    *code = ErrorCode::kUnknownScenario;
-    *message = "unknown scenario \"" + spec.scenario + "\"";
-    return false;
-  }
-  // Dry-run every assignment and sweep value on the probe instance so a
-  // rejected parameter is a typed protocol error here instead of a
-  // CHECK failure inside the sweep driver.
-  for (const auto& assignment : spec.assignments) {
-    if (!probe->SetParameter(assignment.first, assignment.second)) {
-      *code = ErrorCode::kBadParameter;
-      *message = "scenario \"" + spec.scenario +
-                 "\" rejects parameter \"" + assignment.first + "\"";
-      return false;
-    }
-  }
-  for (const auto& axis : spec.sweeps) {
-    for (double value : axis.values) {
-      if (!probe->SetParameter(axis.name, value)) {
-        *code = ErrorCode::kBadParameter;
-        *message = "scenario \"" + spec.scenario +
-                   "\" rejects sweep parameter \"" + axis.name + "\"";
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 bool ExperimentService::Submit(const std::string& request_line,
                                EventSink sink) {
   EQIMPACT_CHECK(sink != nullptr);
@@ -108,7 +172,7 @@ bool ExperimentService::Submit(const std::string& request_line,
     sink(ErrorEventLine(echo_id, code, message));
     return false;
   }
-  if (!ValidateSpec(spec, &code, &message)) {
+  if (!ValidateJobSpec(spec, &code, &message)) {
     sink(ErrorEventLine(spec.id, code, message));
     return false;
   }
@@ -121,7 +185,7 @@ bool ExperimentService::Submit(const std::string& request_line,
       spec.id = "srv-" + std::to_string(next_id_++);
     }
 
-    CachedResult cached;
+    JobResult cached;
     if (cache_.Lookup(fingerprint, &cached)) {
       sink(AcceptedEventLine(spec.id, /*cached=*/true, /*queue_depth=*/0));
       sink(ResultEventLine(spec.id, /*cached=*/true, cached.digest,
@@ -197,87 +261,30 @@ void ExperimentService::RunJob(std::shared_ptr<Inflight> job,
     std::unique_lock<std::mutex> lock(job->mutex);
     job->announced_cv.wait(lock, [&job] { return job->announced; });
   }
-  const JobSpec& spec = job->spec;
-  CachedResult result;
+  JobResult result;
   bool ok = false;
   std::string error_message;
   try {
     // Execution thread budgets come from the scheduler's per-job split,
     // not from the request: thread counts never move result bits, so
     // the payload echoes the *requested* values (like the CLI echoes
-    // its flags) while execution stays inside the serving budget.
-    RenderHeader header;
-    header.num_trials = spec.num_trials;
-    header.master_seed = spec.master_seed;
-    header.num_threads = spec.num_threads;
-    header.trial_threads = spec.trial_threads;
-    header.point_threads = spec.point_threads;
-    header.provenance_json = RenderProvenance(
+    // its flags) while execution stays inside the serving budget. A
+    // sweep spends the budget on grid points, each point sequential
+    // inside; an experiment spends it on trials.
+    JobRunOptions run;
+    run.num_threads = job->spec.is_sweep() ? 1 : job_threads;
+    run.trial_threads = 1;
+    run.point_threads = job_threads;
+    run.on_progress = [&job](const char* unit, size_t index, size_t completed,
+                             size_t total) {
+      job->Broadcast([&](const std::string& id) {
+        return ProgressEventLine(id, unit, index, completed, total);
+      });
+    };
+    run.provenance_json = RenderProvenance(
         /*force_scalar=*/false, /*num_shards=*/0, /*checkpoint_path=*/"",
         /*resume=*/false, "\"served\": true");
-
-    sim::ExperimentOptions experiment;
-    experiment.num_trials = spec.num_trials;
-    experiment.master_seed = spec.master_seed;
-    experiment.impact_bins = spec.impact_bins;
-
-    if (spec.is_sweep()) {
-      sim::ScenarioFactory base_factory =
-          sim::GetScenarioFactory(spec.scenario);
-      EQIMPACT_CHECK(base_factory != nullptr);
-      // Grid points swept on the job's budget, each point sequential
-      // inside — the same nesting the CLI's --point-threads mode uses.
-      experiment.num_threads = 1;
-      experiment.trial_threads = 1;
-      sim::SweepOptions sweep;
-      sweep.experiment = experiment;
-      sweep.parameters = spec.sweeps;
-      sweep.num_point_threads = job_threads;
-      sweep.on_point_complete = [&job](size_t point_index,
-                                       const sim::SweepPoint&,
-                                       size_t completed, size_t total) {
-        job->Broadcast([&](const std::string& id) {
-          return ProgressEventLine(id, "point", point_index, completed,
-                                   total);
-        });
-      };
-      const JobSpec& job_spec = spec;
-      auto factory = [&base_factory,
-                      &job_spec]() -> std::unique_ptr<sim::Scenario> {
-        std::unique_ptr<sim::Scenario> scenario = base_factory();
-        for (const auto& assignment : job_spec.assignments) {
-          EQIMPACT_CHECK(scenario->SetParameter(assignment.first,
-                                                assignment.second));
-        }
-        return scenario;
-      };
-      sim::SweepResult sweep_result = sim::RunSweep(factory, sweep);
-      result.digest = sim::SweepDigest(sweep_result);
-      result.payload = RenderSweepJson(sweep_result, header);
-    } else {
-      std::unique_ptr<sim::Scenario> scenario =
-          sim::CreateScenario(spec.scenario);
-      EQIMPACT_CHECK(scenario != nullptr);
-      for (const auto& assignment : spec.assignments) {
-        EQIMPACT_CHECK(
-            scenario->SetParameter(assignment.first, assignment.second));
-      }
-      experiment.num_threads = job_threads;
-      experiment.trial_threads = 1;
-      experiment.on_trial_complete = [&job](size_t trial_index,
-                                            const sim::TrialOutcome&,
-                                            size_t completed,
-                                            size_t total) {
-        job->Broadcast([&](const std::string& id) {
-          return ProgressEventLine(id, "trial", trial_index, completed,
-                                   total);
-        });
-      };
-      sim::ExperimentResult experiment_result =
-          sim::RunExperiment(scenario.get(), experiment);
-      result.digest = sim::ExperimentDigest(experiment_result);
-      result.payload = RenderExperimentJson(experiment_result, header);
-    }
+    result = RunJobSpec(job->spec, run);
     ok = true;
   } catch (const std::exception& e) {
     error_message = e.what();

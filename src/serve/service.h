@@ -12,9 +12,50 @@
 #include "serve/protocol.h"
 #include "serve/result_cache.h"
 #include "serve/scheduler.h"
+#include "sim/scenario.h"
 
 namespace eqimpact {
 namespace serve {
+
+/// Checks `spec` against the scenario registry on one probe instance:
+/// the scenario exists, accepts every assignment and, on top of them,
+/// every sweep value. Fills (code, message) with kUnknownScenario or
+/// kBadParameter on failure.
+bool ValidateJobSpec(const JobSpec& spec, ErrorCode* code,
+                     std::string* message);
+
+/// A fresh instance of `spec`'s scenario with its assignments applied,
+/// in order. CHECK-fails on a spec that ValidateJobSpec rejects.
+std::unique_ptr<sim::Scenario> CreateJobScenario(const JobSpec& spec);
+
+/// How a job executes: every setting that, by the determinism
+/// contract, never moves a bit of the payload.
+struct JobRunOptions {
+  /// Trial workers per experiment, within-trial workers per trial and
+  /// grid-point workers per sweep (sim::ExperimentOptions and
+  /// sim::SweepOptions conventions). The payload echoes the spec's
+  /// requested values, not these.
+  size_t num_threads = 0;
+  size_t trial_threads = 0;
+  size_t point_threads = 1;
+  /// sim::ExperimentOptions checkpointing; single experiments only.
+  std::string checkpoint_path;
+  bool resume = false;
+  /// Called once per completed trial (unit "trial") or grid point
+  /// (unit "point"), serialized by the engine.
+  std::function<void(const char* unit, size_t index, size_t completed,
+                     size_t total)>
+      on_progress;
+  /// The payload's one-line provenance object (RenderProvenance).
+  std::string provenance_json;
+};
+
+/// The one run-and-render path of a validated spec: runs its
+/// experiment, or its sweep when it has axes, and renders the
+/// run_experiment document. The CLI, the service's workers and the
+/// serving bench all call it, so a served payload equals the CLI's
+/// stdout by construction, up to the provenance line.
+JobResult RunJobSpec(const JobSpec& spec, const JobRunOptions& options);
 
 /// Experiment service configuration.
 struct ServiceOptions {
@@ -82,10 +123,6 @@ class ExperimentService {
  private:
   struct Inflight;
 
-  /// Validates the spec against the registry on a probe instance; fills
-  /// (code, message) on failure.
-  static bool ValidateSpec(const JobSpec& spec, ErrorCode* code,
-                           std::string* message);
   void RunJob(std::shared_ptr<Inflight> job, size_t job_threads);
 
   ResultCache cache_;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
@@ -36,11 +37,11 @@
 namespace {
 
 using eqimpact::serve::Admission;
-using eqimpact::serve::CachedResult;
 using eqimpact::serve::Client;
 using eqimpact::serve::ClientEvent;
 using eqimpact::serve::ErrorCode;
 using eqimpact::serve::ExperimentService;
+using eqimpact::serve::JobResult;
 using eqimpact::serve::JobSpec;
 using eqimpact::serve::JsonValue;
 using eqimpact::serve::ParseJson;
@@ -142,14 +143,141 @@ TEST(ServeProtocol, ParsesFullSpec) {
   EXPECT_EQ(spec.sweeps[0].values.size(), 2u);
 }
 
-TEST(ServeProtocol, DefaultsMatchTheCli) {
-  const JobSpec spec = ParseSpecOrDie(R"({"scenario": "credit"})");
-  EXPECT_EQ(spec.num_trials, 5u);
-  EXPECT_EQ(spec.master_seed, 42u);
-  EXPECT_EQ(spec.impact_bins, 64u);
-  EXPECT_EQ(spec.num_threads, 0u);
-  EXPECT_EQ(spec.point_threads, 1u);
-  EXPECT_FALSE(spec.is_sweep());
+JobSpec ParseFlagsOrDie(const std::vector<std::string>& args) {
+  JobSpec spec;
+  std::string error;
+  EXPECT_TRUE(eqimpact::serve::ParseJobFlags(args, &spec, nullptr, &error))
+      << error;
+  return spec;
+}
+
+/// Field-for-field equality, doubles compared by bit pattern so a lost
+/// sign of zero fails too.
+void ExpectSameSpec(const JobSpec& a, const JobSpec& b) {
+  auto same_bits = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  };
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.scenario, b.scenario);
+  EXPECT_EQ(a.num_trials, b.num_trials);
+  EXPECT_EQ(a.master_seed, b.master_seed);
+  EXPECT_EQ(a.impact_bins, b.impact_bins);
+  EXPECT_EQ(a.num_threads, b.num_threads);
+  EXPECT_EQ(a.trial_threads, b.trial_threads);
+  EXPECT_EQ(a.point_threads, b.point_threads);
+  ASSERT_EQ(a.assignments.size(), b.assignments.size());
+  for (size_t i = 0; i < a.assignments.size(); ++i) {
+    EXPECT_EQ(a.assignments[i].first, b.assignments[i].first);
+    EXPECT_TRUE(same_bits(a.assignments[i].second, b.assignments[i].second));
+  }
+  ASSERT_EQ(a.sweeps.size(), b.sweeps.size());
+  for (size_t i = 0; i < a.sweeps.size(); ++i) {
+    EXPECT_EQ(a.sweeps[i].name, b.sweeps[i].name);
+    ASSERT_EQ(a.sweeps[i].values.size(), b.sweeps[i].values.size());
+    for (size_t v = 0; v < a.sweeps[i].values.size(); ++v) {
+      EXPECT_TRUE(same_bits(a.sweeps[i].values[v], b.sweeps[i].values[v]));
+    }
+  }
+}
+
+TEST(ServeProtocol, FlagSpecsRoundTripThroughTheWire) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--scenario=credit"},
+      {"--scenario=market", "--trials=3", "--seed=1000000000000000",
+       "--bins=7", "--threads=2", "--trial-threads=3", "--point-threads=0"},
+      // A repeated name keeps both assignments, in order; -0 keeps its
+      // sign.
+      {"--scenario=credit", "--set", "num_users=150", "--set",
+       "cutoff=-0", "--set", "num_users=200"},
+      {"--scenario=market", "--sweep", "equalizer_strength=0.5"},
+      {"--scenario=market", "--sweep", "a=1,2.5,-3e-7", "--sweep",
+       "b=0x1p3", "--seed=0"},
+      // A repeated count flag: the last one wins.
+      {"--scenario=credit", "--trials=2", "--trials=4"},
+  };
+  for (const auto& args : cases) {
+    JobSpec flags = ParseFlagsOrDie(args);
+    flags.id = "round-trip";
+    const JobSpec wire = ParseSpecOrDie(eqimpact::serve::EncodeJobSpec(flags));
+    ExpectSameSpec(flags, wire);
+    EXPECT_EQ(eqimpact::serve::JobSpecFingerprint(flags),
+              eqimpact::serve::JobSpecFingerprint(wire));
+  }
+
+  // A bare command line and a bare request share one set of defaults.
+  const JobSpec defaults = ParseFlagsOrDie(cases[0]);
+  EXPECT_EQ(defaults.num_trials, 5u);
+  EXPECT_EQ(defaults.master_seed, 42u);
+  EXPECT_EQ(defaults.impact_bins, 64u);
+  EXPECT_EQ(defaults.num_threads, 0u);
+  EXPECT_EQ(defaults.trial_threads, 0u);
+  EXPECT_EQ(defaults.point_threads, 1u);
+  EXPECT_FALSE(defaults.is_sweep());
+  ExpectSameSpec(defaults, ParseSpecOrDie(R"({"scenario": "credit"})"));
+
+  const JobSpec repeated = ParseFlagsOrDie(cases[2]);
+  ASSERT_EQ(repeated.assignments.size(), 3u);
+  EXPECT_EQ(repeated.assignments[0].second, 150.0);
+  EXPECT_TRUE(std::signbit(repeated.assignments[1].second));
+  EXPECT_EQ(repeated.assignments[2].second, 200.0);
+  const JobSpec hex = ParseFlagsOrDie(cases[4]);
+  ASSERT_EQ(hex.sweeps.size(), 2u);
+  EXPECT_EQ(hex.sweeps[1].values, std::vector<double>{8.0});
+  EXPECT_EQ(ParseFlagsOrDie(cases[5]).num_trials, 4u);
+}
+
+TEST(ServeProtocol, BothCodecsRejectTheSameSpecs) {
+  const struct {
+    std::vector<std::string> flags;
+    const char* json;
+  } cases[] = {
+      {{"--scenario=credit", "--trials=0"},
+       R"({"scenario": "credit", "trials": 0})"},
+      {{"--scenario=credit", "--bins=0"},
+       R"({"scenario": "credit", "bins": 0})"},
+      {{"--scenario=credit", "--seed=2000000000000000"},
+       R"({"scenario": "credit", "seed": 2e15})"},
+      {{"--scenario=credit", "--set", "x=inf"},
+       R"({"scenario": "credit", "set": {"x": 1e999}})"},
+      {{"--scenario=credit", "--sweep", "x="},
+       R"({"scenario": "credit", "sweep": {"x": []}})"},
+      {{"--scenario=credit", "--mystery=1"},
+       R"({"scenario": "credit", "mystery": 1})"},
+      {{"--scenario="}, R"({"scenario": ""})"},
+  };
+  for (const auto& test_case : cases) {
+    JobSpec spec;
+    std::string error;
+    EXPECT_FALSE(eqimpact::serve::ParseJobFlags(test_case.flags, &spec,
+                                                nullptr, &error))
+        << test_case.json;
+    EXPECT_FALSE(error.empty()) << test_case.json;
+    JsonValue request;
+    ErrorCode code;
+    EXPECT_FALSE(ParseJson(test_case.json, &request, &error) &&
+                 eqimpact::serve::ParseJobSpec(request, &spec, &code, &error))
+        << test_case.json;
+  }
+}
+
+TEST(ServeProtocol, FlagCodecHandsBackTheBinarysOwnFlags) {
+  const std::vector<std::string> args = {"--resume", "--scenario=credit",
+                                         "--set", "a=1", "--checkpoint=ck.bin",
+                                         "--trials=2"};
+  JobSpec spec;
+  std::vector<std::string> rest;
+  std::string error;
+  ASSERT_TRUE(eqimpact::serve::ParseJobFlags(args, &spec, &rest, &error))
+      << error;
+  const std::vector<std::string> own = {"--resume", "--checkpoint=ck.bin"};
+  EXPECT_EQ(rest, own);
+  EXPECT_EQ(spec.scenario, "credit");
+  EXPECT_EQ(spec.num_trials, 2u);
+  ASSERT_EQ(spec.assignments.size(), 1u);
+  // The scenario may be absent (--list, --serve, --certify of all).
+  JobSpec bare;
+  EXPECT_TRUE(eqimpact::serve::ParseJobFlags({}, &bare, nullptr, &error));
+  EXPECT_TRUE(bare.scenario.empty());
 }
 
 TEST(ServeProtocol, RejectsMalformedSpecs) {
@@ -284,7 +412,7 @@ TEST(ServeScheduler, SplitsTheThreadBudgetAcrossWorkers) {
 
 TEST(ServeResultCache, HitsReturnTheInsertedPayload) {
   ResultCache cache(4);
-  CachedResult result;
+  JobResult result;
   EXPECT_FALSE(cache.Lookup(1, &result));
   cache.Insert(1, {0xabcdu, "payload-1"});
   ASSERT_TRUE(cache.Lookup(1, &result));
@@ -298,7 +426,7 @@ TEST(ServeResultCache, EvictsLeastRecentlyUsed) {
   ResultCache cache(2);
   cache.Insert(1, {1, "one"});
   cache.Insert(2, {2, "two"});
-  CachedResult result;
+  JobResult result;
   ASSERT_TRUE(cache.Lookup(1, &result));  // 1 is now most recent.
   cache.Insert(3, {3, "three"});          // Evicts 2.
   EXPECT_TRUE(cache.Lookup(1, &result));
@@ -391,6 +519,43 @@ TEST(ServeService, ServedDigestMatchesDirectEngineRun) {
   eqimpact::sim::ExperimentResult direct =
       eqimpact::sim::RunExperiment(scenario.get(), options);
   EXPECT_EQ(log.last().digest, eqimpact::sim::ExperimentDigest(direct));
+}
+
+TEST(ServeService, ServedSweepStreamsPointsAndMatchesTheCliPath) {
+  ExperimentService service(SmallService());
+  const char job[] =
+      R"({"scenario": "market", "trials": 2,
+          "set": {"rounds": 60, "num_workers": 40},
+          "sweep": {"equalizer_strength": [0, 1]}})";
+  EventLog log;
+  ASSERT_TRUE(service.Submit(job, log.Sink()));
+  log.WaitDone();
+  ASSERT_EQ(log.events.size(), 4u);  // accepted, 2x progress, result.
+  std::vector<size_t> points;
+  for (size_t i = 1; i <= 2; ++i) {
+    EXPECT_EQ(log.events[i].event, "progress");
+    EXPECT_EQ(log.events[i].unit, "point");
+    EXPECT_EQ(log.events[i].completed, i);
+    EXPECT_EQ(log.events[i].total, 2u);
+    points.push_back(log.events[i].index);
+  }
+  std::sort(points.begin(), points.end());
+  EXPECT_EQ(points, (std::vector<size_t>{0, 1}));
+  ASSERT_EQ(log.last().event, "result");
+
+  // The same spec from the command line, on the CLI's thread budgets.
+  const JobSpec cli = ParseFlagsOrDie(
+      {"--scenario=market", "--trials=2", "--set", "rounds=60", "--set",
+       "num_workers=40", "--sweep", "equalizer_strength=0,1"});
+  eqimpact::serve::JobRunOptions run;
+  run.num_threads = cli.num_threads;
+  run.trial_threads = cli.trial_threads;
+  run.point_threads = cli.point_threads;
+  run.provenance_json = eqimpact::serve::RenderProvenance(
+      false, 0, "", false, "\"served\": true");
+  const JobResult direct = eqimpact::serve::RunJobSpec(cli, run);
+  EXPECT_EQ(log.last().payload, direct.payload);
+  EXPECT_EQ(log.last().digest, direct.digest);
 }
 
 TEST(ServeService, CacheHitIsBitwiseIdentical) {

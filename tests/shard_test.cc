@@ -79,15 +79,15 @@ TEST(ShardPlanTest, ZeroAndOneRequestsMeanUnsharded) {
 
 TEST(ShardBudgetTest, SplitsThreadsAcrossAndWithinShards) {
   // More threads than shards: the surplus goes to within-shard workers.
-  runtime::ShardBudget budget = runtime::SplitShardBudget(8, 2);
+  runtime::ThreadBudget budget = runtime::SplitBudget(8, 2);
   EXPECT_EQ(budget.outer, 2u);
   EXPECT_EQ(budget.inner, 4u);
   // Fewer threads than shards: shard-level workers only.
-  budget = runtime::SplitShardBudget(3, 5);
+  budget = runtime::SplitBudget(3, 5);
   EXPECT_EQ(budget.outer, 3u);
   EXPECT_EQ(budget.inner, 1u);
   // One thread: everything sequential.
-  budget = runtime::SplitShardBudget(1, 4);
+  budget = runtime::SplitBudget(1, 4);
   EXPECT_EQ(budget.outer, 1u);
   EXPECT_EQ(budget.inner, 1u);
 }
