@@ -58,7 +58,8 @@
 // simulated step (atomic write; survives SIGKILL at any instant), and
 // --resume restarts from that snapshot if it exists. A resumed run's
 // output is byte-identical to an uninterrupted one. Checkpointing is a
-// single-experiment feature: combining it with --sweep is an error.
+// single-experiment feature of the scenarios that support it (credit):
+// combining it with --sweep or another scenario is an error (exit 2).
 //
 // Without --sweep, runs one experiment and prints its aggregates; with
 // one or more --sweep axes, fans the Cartesian grid out over
@@ -396,6 +397,17 @@ int main(int argc, char** argv) {
                    "error: --checkpoint tracks a single experiment; it "
                    "cannot be combined with --sweep\n");
       return 2;
+    }
+    if (!spec.checkpoint_path.empty()) {
+      // An unknown name falls through to ValidateJobSpec's diagnostic.
+      const std::unique_ptr<Scenario> scenario =
+          eqimpact::sim::CreateScenario(job.scenario);
+      if (scenario != nullptr && !scenario->SupportsCheckpoint()) {
+        std::fprintf(stderr,
+                     "error: scenario '%s' does not support --checkpoint\n",
+                     job.scenario.c_str());
+        return 2;
+      }
     }
     if (spec.resume && spec.checkpoint_path.empty()) {
       std::fprintf(stderr, "error: --resume needs --checkpoint=PATH\n");

@@ -10,7 +10,7 @@ namespace base {
 
 /// Order-dependent FNV-1a mixer over 64-bit words — the library's
 /// determinism-digest primitive (sim::ExperimentDigest, sim::SweepDigest,
-/// bench_perf's scaling sections). Values must be mixed in a fixed slot
+/// the pins of tests/golden_test.cc). Values must be mixed in a fixed slot
 /// order for equal results to produce equal digests — slot order is part
 /// of the determinism contract. Doubles are mixed by bit pattern, so any
 /// bitwise difference changes the digest.

@@ -54,8 +54,8 @@ void SetSimdForceScalarForTesting(bool force);
 /// and every vector lane of `runtime::kernels::NormalCdfBatch` is
 /// bit-for-bit equal to it on every input.
 ///
-/// Accuracy contract (checked by tests/simd_test.cc and the bench's
-/// `phi_scaling` gate): within [-phi::kClamp, phi::kClamp] the
+/// Accuracy contract (checked by tests/simd_test.cc over the whole
+/// clamp span): within [-phi::kClamp, phi::kClamp] the
 /// result is within phi::kMaxUlpVsLibm ulp of glibc's
 /// 0.5 * std::erfc(-x / sqrt 2) (measured max: 9, deep in the lower
 /// tail; 2 in the central +-5 range). Outside, the result
@@ -70,7 +70,7 @@ namespace phi {
 constexpr double kClamp = 37.5;
 /// Ulp bound of NormalCdfScalar against libm within the clamp, with
 /// margin over the measured maximum of 9 (documented in README.md and
-/// gated by bench_perf's phi_scaling section and tests/simd_test.cc).
+/// checked by tests/simd_test.cc; tests/golden_test.cc pins outputs).
 constexpr int kMaxUlpVsLibm = 16;
 
 // --- Shared constants of the reference and its vector lanes. The lanes

@@ -53,8 +53,8 @@ double AcklamQuantile(double p) {
 
 double StandardNormalCdf(double x) {
   // The pinned reference replaced the historical libm formulation
-  // 0.5 * std::erfc(-x / kSqrt2) in PR 6 — a one-time digest bump,
-  // recorded in BENCH_perf_pr6.json (see base/simd_scalar.h for why).
+  // 0.5 * std::erfc(-x / kSqrt2) — a one-time digest bump (see
+  // base/simd_scalar.h for why).
   return base::NormalCdfScalar(x);
 }
 

@@ -53,7 +53,7 @@ struct JobRunOptions {
 /// The one run-and-render path of a validated spec: runs its
 /// experiment, or its sweep when it has axes, and renders the
 /// run_experiment document. The CLI, the service's workers and the
-/// serving bench all call it, so a served payload equals the CLI's
+/// golden and serve tests call it, so a served payload equals the CLI's
 /// stdout by construction, up to the provenance line.
 JobResult RunJobSpec(const JobSpec& spec, const JobRunOptions& options);
 

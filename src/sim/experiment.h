@@ -115,14 +115,14 @@ ExperimentResult RunExperiment(Scenario* scenario,
 
 /// Mixes every (step, group) accumulator cell — count, mean, variance,
 /// bin counts — into `digest` in slot order. The shared digest body of
-/// ExperimentDigest and bench_perf's scaling sections; slot order is
+/// ExperimentDigest and the pins of tests/golden_test.cc; slot order is
 /// part of the determinism contract.
 void MixAccumulator(base::Fnv1a* digest, const stats::AdrAccumulator& impact);
 
 /// Order-dependent FNV-1a digest over the experiment's aggregates
 /// (group envelopes, per-trial group impacts and metrics, every pooled
 /// accumulator cell). Equal digests <=> bitwise-equal results; used by
-/// the determinism tests, bench_perf and the sweep driver.
+/// the determinism and golden tests, perfbench and the sweep driver.
 uint64_t ExperimentDigest(const ExperimentResult& result);
 
 }  // namespace sim

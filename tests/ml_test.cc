@@ -475,6 +475,46 @@ TEST(LogisticRegressionTest, SurvivesPerfectSeparation) {
   EXPECT_GT(model.weights()[0], 0.0);
 }
 
+TEST(LogisticRegressionTest, SingularNewtonSystemFallsBackToGradientDescent) {
+  // An all-zero second feature and no ridge leave a zero row and column
+  // in the Hessian, so the first Newton system is singular and the fit
+  // must take the gradient-descent fallback. The fallback is on by
+  // default and part of the credit loop's checkpoint fingerprint.
+  rng::Random random(400);
+  ml::Dataset data(2);
+  for (int i = 0; i < 400; ++i) {
+    const double x = random.UniformDouble(-2.0, 2.0);
+    data.Add(Vector{x, 0.0},
+             random.Bernoulli(ml::Sigmoid(1.5 * x)) ? 1.0 : 0.0);
+  }
+  ml::LogisticRegressionOptions options;
+  options.l2_penalty = 0.0;
+  options.rows_per_chunk = 64;  // Seven chunks, so three threads split.
+  ml::LogisticRegression sequential(options);
+  const ml::FitResult fit = sequential.Fit(data);
+  ASSERT_TRUE(fit.success);
+  EXPECT_TRUE(fit.used_gradient_fallback);
+  EXPECT_TRUE(fit.converged);
+  EXPECT_EQ(fit.iterations, 240);
+  EXPECT_NEAR(sequential.weights()[0], 1.5, 0.5);
+  EXPECT_EQ(sequential.weights()[1], 0.0);
+
+  options.num_threads = 3;
+  ml::LogisticRegression parallel(options);
+  const ml::FitResult parallel_fit = parallel.Fit(data);
+  ASSERT_TRUE(parallel_fit.success);
+  EXPECT_EQ(parallel_fit.iterations, fit.iterations);
+  for (size_t j = 0; j < 2; ++j) {
+    EXPECT_EQ(parallel.weights()[j], sequential.weights()[j]) << j;
+  }
+  EXPECT_EQ(parallel_fit.final_log_loss, fit.final_log_loss);
+
+  options.gradient_fallback = false;
+  ml::LogisticRegression strict(options);
+  EXPECT_FALSE(strict.Fit(data).success);
+  EXPECT_FALSE(strict.fitted());
+}
+
 TEST(LogisticRegressionTest, PredictionsAreCalibratedProbabilities) {
   rng::Random random(103);
   Vector true_weights{2.0};

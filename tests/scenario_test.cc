@@ -36,7 +36,7 @@ namespace {
 /// The historical RunMultiTrial body (PR 2/3 implementation, verbatim
 /// semantics): credit-specific, sequential. The scenario-based wrapper
 /// must reproduce it bit for bit — this is the credit-digest-unchanged
-/// regression guard for the bench digests committed in BENCH_perf_pr3.
+/// regression guard for the credit digests pinned in golden_test.
 sim::MultiTrialResult LegacyRunMultiTrial(
     const sim::MultiTrialOptions& options) {
   sim::MultiTrialResult result;

@@ -842,7 +842,9 @@ TEST(ServeEventLoop, CachedRequestsAreNotHeldByNagle) {
   // A cached answer is two small event lines written back to back. With
   // Nagle's algorithm on either end, the second waits for the peer's
   // delayed ACK (~40 ms on Linux loopback) on every request; with
-  // TCP_NODELAY a cached round trip takes well under a millisecond.
+  // TCP_NODELAY a cached round trip takes well under a millisecond,
+  // also in Debug and under the sanitizers, so the median's 10 ms
+  // bound sits far from both.
   Server server(SmallServer());
   ASSERT_TRUE(server.Start());
   Client client;
@@ -861,7 +863,7 @@ TEST(ServeEventLoop, CachedRequestsAreNotHeldByNagle) {
     round_trips_ms.push_back(elapsed.count());
   }
   std::sort(round_trips_ms.begin(), round_trips_ms.end());
-  EXPECT_LT(round_trips_ms[round_trips_ms.size() / 2], 20.0);
+  EXPECT_LT(round_trips_ms[round_trips_ms.size() / 2], 10.0);
   server.Shutdown();
 }
 

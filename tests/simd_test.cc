@@ -409,6 +409,24 @@ TEST(SimdNormalCdfTest, BatchBitwiseEqualOnAdversarialInputsAllTailSizes) {
   }
 }
 
+TEST(SimdNormalCdfTest, BatchBitwiseEqualOnDenseRandomSweep) {
+  // 2^18 random points, three quarters in the repayment hot range and
+  // the rest across the clamp span: every branch at every lane position
+  // with operand bits the adversarial list never reaches.
+  namespace phi = base::phi;
+  rng::Random random(2026);
+  std::vector<double> x(size_t{1} << 18);
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] = i % 4 == 3 ? random.UniformDouble(-phi::kClamp, phi::kClamp)
+                      : random.UniformDouble(-8.0, 8.0);
+  }
+  std::vector<double> scalar(x.size(), -1.0);
+  std::vector<double> vectored(x.size(), -2.0);
+  kernels::NormalCdfBatchScalar(x.data(), x.size(), scalar.data());
+  kernels::NormalCdfBatch(x.data(), x.size(), vectored.data());
+  EXPECT_TRUE(BitwiseEqual(scalar, vectored));
+}
+
 TEST(SimdNormalCdfTest, BatchAllowsInPlaceAndForceScalarDispatch) {
   const std::vector<double> x = PhiAdversarialValues();
   std::vector<double> expected(x.size());

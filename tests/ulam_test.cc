@@ -230,7 +230,7 @@ TEST(SparseUlamTest, PropagateIsBitwiseThreadInvariant) {
 
 TEST(SparseUlamTest, BuildIsBitwiseThreadInvariant) {
   const UlamCase c = UlamCases()[2];  // Three maps, wide window.
-  const size_t cells = 300;
+  const size_t cells = 3000;  // Three build chunks of 1024 rows.
   SparseUlamOperator reference(c.ifs, c.lo, c.hi, cells);
   for (size_t threads : {size_t{2}, size_t{8}}) {
     SparseUlamOptions options;
