@@ -6,8 +6,7 @@
 //   run_experiment --list
 //   run_experiment --scenario=NAME [--trials=N] [--seed=S] [--threads=T]
 //                  [--trial-threads=T] [--point-threads=P] [--bins=B]
-//                  [--shards=N] [--checkpoint=PATH] [--resume]
-//                  [--force-scalar]
+//                  [--checkpoint=PATH] [--resume] [--force-scalar]
 //                  [--set name=value]... [--sweep name=v1,v2,...]...
 //   run_experiment --serve [--port=P] [--port-file=PATH]
 //                  [--serve-workers=N] [--serve-queue=N]
@@ -50,16 +49,20 @@
 // single-line "provenance" field, which records the active backend, is
 // the one line the diff filters out).
 //
-// --shards=N is sugar for --set num_shards=N: shard the within-trial
-// population sweep N ways. Sharding regroups execution, never the work
-// — the digest is identical at every shard count.
-//
 // --checkpoint=PATH snapshots experiment progress to PATH after every
-// simulated step (atomic write; survives SIGKILL at any instant), and
-// --resume restarts from that snapshot if it exists. A resumed run's
-// output is byte-identical to an uninterrupted one. Checkpointing is a
-// single-experiment feature of the scenarios that support it (credit):
-// combining it with --sweep or another scenario is an error (exit 2).
+// simulated step (atomic write through a unique temp file; survives
+// SIGKILL at any instant), and --resume restarts from that snapshot if
+// it exists. A resumed run's output is byte-identical to an
+// uninterrupted one. Checkpointing is a single-experiment feature of
+// the scenarios that support it (credit): combining it with --sweep or
+// another scenario is an error (exit 2). The snapshot is read and
+// decoded in full, and PATH's directory checked for a temp file, before
+// anything runs: a snapshot that is unreadable, truncated, altered,
+// from another format version or written by another job (scenario
+// configuration, trials, seed or bins), or a directory that takes no
+// temp file, prints "error: checkpoint PATH: REASON" and exits 2,
+// leaving PATH as it was. A missing snapshot starts fresh, with a note
+// on stderr.
 //
 // Without --sweep, runs one experiment and prints its aggregates; with
 // one or more --sweep axes, fans the Cartesian grid out over
@@ -91,12 +94,14 @@
 
 #include <unistd.h>
 
+#include "base/serial.h"
 #include "base/simd_scalar.h"
 #include "serve/protocol.h"
 #include "serve/render_json.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "sim/certify.h"
+#include "sim/experiment.h"
 #include "sim/scenario_registry.h"
 
 namespace {
@@ -120,9 +125,6 @@ struct CliSpec {
   size_t serve_cache = 64;     ///< Result-cache capacity (entries).
   size_t serve_max_connections = 256;  ///< 0 = unlimited.
   size_t serve_idle_timeout_ms = 0;    ///< 0 = no idle timeout.
-  /// --shards=N: sugar for --set num_shards=N (0 = flag absent, keep
-  /// the scenario default). Recorded in the provenance field either way.
-  size_t shards = 0;
   std::string checkpoint_path;
   bool resume = false;
   /// --certify: print ergodicity certificates instead of running.
@@ -151,7 +153,6 @@ bool ParseArgs(int argc, char** argv, JobSpec* job, CliSpec* spec) {
       {"--serve-cache=", &spec->serve_cache, false},
       {"--serve-max-connections=", &spec->serve_max_connections, false},
       {"--serve-idle-timeout=", &spec->serve_idle_timeout_ms, false},
-      {"--shards=", &spec->shards, true},
       {"--cells=", &spec->certify_cells, true},
   };
   for (const std::string& arg : own) {
@@ -210,13 +211,49 @@ int Usage() {
   std::fprintf(stderr,
                "usage: run_experiment --list | --scenario=NAME "
                "[--trials=N] [--seed=S] [--threads=T] [--trial-threads=T] "
-               "[--point-threads=P] [--bins=B] [--shards=N] "
+               "[--point-threads=P] [--bins=B] "
                "[--checkpoint=PATH] [--resume] [--force-scalar] "
                "[--set name=value]... [--sweep name=v1,v2,...]... | "
                "--serve [--port=P] [--port-file=PATH] [--serve-workers=N] "
                "[--serve-queue=N] [--serve-threads=N] [--serve-cache=N] | "
                "--certify [--scenario=NAME] [--cells=N]\n");
   return 2;
+}
+
+/// The --checkpoint/--resume preflight, before anything runs: the
+/// scenario must checkpoint, the --resume snapshot must decode in full
+/// for this job, and the path's directory must take a temp file.
+/// Prints the refusal and returns false otherwise.
+bool PrepareCheckpoint(const JobSpec& job, const CliSpec& spec,
+                       eqimpact::serve::JobRunOptions* run,
+                       eqimpact::sim::ExperimentSnapshot* snapshot) {
+  using eqimpact::base::SnapshotStatus;
+  const std::unique_ptr<Scenario> scenario =
+      eqimpact::serve::CreateJobScenario(job);
+  if (!scenario->CheckpointFingerprint()) {
+    std::fprintf(stderr,
+                 "error: scenario '%s' does not support --checkpoint\n",
+                 job.scenario.c_str());
+    return false;
+  }
+  SnapshotStatus status = SnapshotStatus::kOk;
+  if (spec.resume) {
+    status = eqimpact::sim::ReadExperimentSnapshot(
+        spec.checkpoint_path, *scenario,
+        eqimpact::serve::JobExperimentOptions(job, *run), snapshot);
+  }
+  if (status == SnapshotStatus::kOk) {
+    status = eqimpact::sim::CheckCheckpointWritable(spec.checkpoint_path);
+  }
+  if (status != SnapshotStatus::kOk) {
+    std::fprintf(stderr, "error: checkpoint %s: %s\n",
+                 spec.checkpoint_path.c_str(),
+                 eqimpact::base::SnapshotStatusName(status));
+    return false;
+  }
+  run->checkpoint_path = spec.checkpoint_path;
+  if (spec.resume) run->resume = snapshot;
+  return true;
 }
 
 /// One experiment or sweep through the shared run-and-render path, on
@@ -226,10 +263,13 @@ int RunJob(const JobSpec& job, const CliSpec& spec) {
   run.num_threads = job.num_threads;
   run.trial_threads = job.trial_threads;
   run.point_threads = job.point_threads;
-  run.checkpoint_path = spec.checkpoint_path;
-  run.resume = spec.resume;
+  eqimpact::sim::ExperimentSnapshot snapshot;
+  if (!spec.checkpoint_path.empty() &&
+      !PrepareCheckpoint(job, spec, &run, &snapshot)) {
+    return 2;
+  }
   run.provenance_json = eqimpact::serve::RenderProvenance(
-      spec.force_scalar, spec.shards, spec.checkpoint_path, spec.resume,
+      spec.force_scalar, /*num_shards=*/0, spec.checkpoint_path, spec.resume,
       /*extra_json=*/"");
   const eqimpact::serve::JobResult result =
       eqimpact::serve::RunJobSpec(job, run);
@@ -375,11 +415,10 @@ int main(int argc, char** argv) {
                    "do not apply\n");
       return 2;
     }
-    if (job.scenario.empty() && (!job.assignments.empty() || spec.shards > 0)) {
+    if (job.scenario.empty() && !job.assignments.empty()) {
       std::fprintf(stderr,
-                   "error: --set/--shards with --certify need "
-                   "--scenario=NAME (certifying all scenarios takes their "
-                   "defaults)\n");
+                   "error: --set with --certify needs --scenario=NAME "
+                   "(certifying all scenarios takes their defaults)\n");
       return 2;
     }
   } else if (spec.serve) {
@@ -398,27 +437,9 @@ int main(int argc, char** argv) {
                    "cannot be combined with --sweep\n");
       return 2;
     }
-    if (!spec.checkpoint_path.empty()) {
-      // An unknown name falls through to ValidateJobSpec's diagnostic.
-      const std::unique_ptr<Scenario> scenario =
-          eqimpact::sim::CreateScenario(job.scenario);
-      if (scenario != nullptr && !scenario->SupportsCheckpoint()) {
-        std::fprintf(stderr,
-                     "error: scenario '%s' does not support --checkpoint\n",
-                     job.scenario.c_str());
-        return 2;
-      }
-    }
     if (spec.resume && spec.checkpoint_path.empty()) {
       std::fprintf(stderr, "error: --resume needs --checkpoint=PATH\n");
       return 2;
-    }
-    // --shards is flag sugar for the scenario parameter of the same
-    // meaning; route it through SetParameter so a scenario without
-    // sharding rejects it with the standard diagnostic.
-    if (spec.shards > 0) {
-      job.assignments.emplace_back("num_shards",
-                                   static_cast<double>(spec.shards));
     }
   }
   eqimpact::serve::ErrorCode code;

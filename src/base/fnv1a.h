@@ -1,6 +1,7 @@
 #ifndef EQIMPACT_BASE_FNV1A_H_
 #define EQIMPACT_BASE_FNV1A_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -28,6 +29,11 @@ class Fnv1a {
   }
   void MixSeries(const std::vector<double>& series) {
     for (double value : series) MixDouble(value);
+  }
+  /// One byte per Mix: the classic FNV-1a of a byte string (the
+  /// snapshot frame's trailer, base::SealFrame).
+  void MixBytes(const uint8_t* data, size_t n) {
+    for (size_t i = 0; i < n; ++i) Mix(data[i]);
   }
   uint64_t hash() const { return hash_; }
 

@@ -16,8 +16,9 @@ namespace base {
 /// uninterrupted run's digests exactly.
 ///
 /// The encoding is host-endian and versioned by its consumers (every
-/// snapshot carries a magic, a format version and a trailing checksum);
-/// snapshots are process-local batch artifacts, not a wire format.
+/// snapshot is a frame with a magic, a format version and a trailing
+/// checksum; see OpenFrame); snapshots are process-local batch
+/// artifacts, not a wire format.
 class BinaryWriter {
  public:
   void WriteU8(uint8_t v) { buffer_.push_back(v); }
@@ -144,6 +145,44 @@ class BinaryReader {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// Why a snapshot was refused. OpenFrame reports kTruncated through
+/// kFingerprint, a body decoder kShape, and the checkpoint file layer
+/// (sim/experiment.h) kUnreadable and kUnwritable. No reason ever
+/// aborts: every one of them comes from bytes or paths the caller
+/// handed in.
+enum class SnapshotStatus {
+  kOk,
+  kTruncated,    ///< Too short to hold a frame.
+  kMagic,        ///< Not a snapshot of this kind.
+  kVersion,      ///< Another format version.
+  kChecksum,     ///< The bytes changed after they were written.
+  kFingerprint,  ///< Written under another configuration.
+  kShape,        ///< A body the writer could not have produced.
+  kUnreadable,   ///< Not a readable regular file.
+  kUnwritable,   ///< Its directory does not accept a temp file.
+};
+
+/// The reason as one lowercase word ("ok", "truncated", "magic",
+/// "version", "checksum", "fingerprint", "shape", "unreadable",
+/// "unwritable").
+const char* SnapshotStatusName(SnapshotStatus status);
+
+/// The snapshot frame every checkpoint layer shares: a header (u32
+/// magic, u32 format version, u64 fingerprint of the configuration that
+/// can reproduce the snapshot), the body, and a u64 FNV-1a trailer over
+/// every preceding byte. BeginFrame writes the header into an empty
+/// writer, the caller writes the body, SealFrame appends the trailer.
+void BeginFrame(uint32_t magic, uint32_t version, uint64_t fingerprint,
+                BinaryWriter* writer);
+void SealFrame(BinaryWriter* writer);
+
+/// Checks the frame of `bytes` and points `body` at its body: kTruncated,
+/// kMagic, kVersion, kChecksum and kFingerprint in that order, else kOk.
+/// `body` is left alone unless the frame is kOk.
+SnapshotStatus OpenFrame(const std::vector<uint8_t>& bytes, uint32_t magic,
+                         uint32_t version, uint64_t fingerprint,
+                         BinaryReader* body);
 
 }  // namespace base
 }  // namespace eqimpact

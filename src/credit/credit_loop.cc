@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -81,7 +84,7 @@ inline size_t DenseSlot(uint32_t offers, uint32_t defaults, uint32_t code) {
          code;
 }
 
-// Shards of an unsharded run per worker. ParallelFor hands the shards
+// Shards of whole chunks per worker. ParallelFor hands the shards
 // out dynamically, so a worker on a slower core takes fewer of them: on
 // a shared 4-core host, one shard per worker ran the credit year 10%
 // slower than handing out single chunks, four per worker matched it.
@@ -102,24 +105,15 @@ struct ChunkScratch {
   std::vector<double> probability;      // Repayment probabilities.
 };
 
-// Loop snapshot framing: magic ("EQCK"), format version, and a trailing
-// FNV-1a checksum over every preceding byte. The options fingerprint
-// binds a snapshot to the run configuration that can reproduce its bits;
-// it covers exactly the output-affecting options — never num_shards,
-// num_threads, pool or the checkpoint knobs themselves, which are
-// bitwise-neutral by the engine's determinism contract, so a trial
-// checkpointed unsharded may be resumed sharded (and vice versa).
+// Loop snapshot framing (base::BeginFrame): magic "EQCK" and format
+// version 1. The options fingerprint binds a snapshot to the run
+// configuration that can reproduce its bits; it covers exactly the
+// output-affecting options — never num_threads, pool or the checkpoint
+// knobs themselves, which are bitwise-neutral by the engine's
+// determinism contract, so a trial checkpointed at one thread count may
+// be resumed at another.
 constexpr uint32_t kLoopSnapshotMagic = 0x4b435145u;  // "EQCK"
 constexpr uint32_t kLoopSnapshotVersion = 1;
-
-uint64_t HashBytes(const uint8_t* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 uint64_t LoopOptionsFingerprint(const CreditLoopOptions& o) {
   base::Fnv1a f;
@@ -151,7 +145,603 @@ uint64_t LoopOptionsFingerprint(const CreditLoopOptions& o) {
   return f.hash();
 }
 
+size_t NumYears(const CreditLoopOptions& options) {
+  return static_cast<size_t>(options.last_year - options.first_year) + 1;
+}
+
+// The refit history's grouping: exact income codes, and the ADR feature
+// at history_adr_bin_width, whose negative default means exact under
+// the accumulating filter and 2^-16 otherwise.
+ml::BinnedDatasetOptions HistoryOptions(const CreditLoopOptions& options) {
+  double adr_bin_width = options.history_adr_bin_width;
+  if (adr_bin_width < 0.0) {
+    adr_bin_width = options.forgetting_factor == 1.0 ? 0.0 : 0x1.0p-16;
+  }
+  ml::BinnedDatasetOptions history_options;
+  history_options.bin_widths = {adr_bin_width, 0.0};
+  return history_options;
+}
+
+// Dense-fold fast path: under the paper's accumulating filter every
+// ADR is the exact ratio of two small integer counters, so each chunk
+// tallies its examples per (counters, code) slot, and the year's fold
+// is one BinnedDataset::AddCounts per chunk, in chunk order, instead of
+// a row per example. Only valid while the counters are exact integers
+// (forgetting factor 1, exact ADR grouping) and group ids are never
+// invalidated (accumulated history — Clear would orphan the cache).
+bool DenseFold(const CreditLoopOptions& options) {
+  return options.dense_history_fold && options.forgetting_factor == 1.0 &&
+         HistoryOptions(options).bin_widths[0] == 0.0 &&
+         options.accumulate_history && NumYears(options) <= kMaxDenseYears;
+}
+
+// The trainer of the yearly refit, which warm-starts from last year's
+// weights (on the slowly growing history that cuts the Newton
+// iterations to a couple per year) and reduces its chunked
+// gradient/Hessian on the loop's own dispatch.
+ml::LogisticRegressionOptions TrainerOptions(
+    const CreditLoopOptions& options,
+    const runtime::ParallelForOptions& dispatch) {
+  ml::LogisticRegressionOptions trainer_options = options.logistic;
+  trainer_options.warm_start = true;
+  trainer_options.num_threads = runtime::EffectiveNumThreads(dispatch);
+  trainer_options.pool = dispatch.pool;
+  return trainer_options;
+}
+
+// Appends a zeroed record, padding bytes included, so that records with
+// equal fields compare equal bytewise.
+ScorecardSnapshot& AppendScorecard(std::vector<ScorecardSnapshot>* cards) {
+  ScorecardSnapshot& card = cards->emplace_back();
+  std::memset(static_cast<void*>(&card), 0, sizeof(card));
+  return card;
+}
+
+// The trial after `years_completed` years: everything a checkpoint
+// carries and nothing else. Run gets one, fresh (FreshTrial) or decoded
+// (DecodeTrialState), and StepYear advances it a year at a time;
+// EncodeTrialState writes it.
+struct TrialState {
+  TrialState(const CreditLoopOptions& options, Population cohort,
+             const ml::LogisticRegressionOptions& trainer_options);
+
+  size_t years_completed = 0;
+  // Races are sampled once; incomes are redrawn every year, so the
+  // snapshot stores the race ids alone.
+  Population population;
+  AdrFilter filter;
+  // Training examples accumulated by the loop's filter block: features
+  // [ADR_i(k-1), income code at k] with label y_i(k), recorded only for
+  // offered mortgages (repayment is unobservable otherwise). The history
+  // is held as sufficient statistics — weighted unique (ADR, code)
+  // groups — so its size is O(groups) (a few hundred under the paper's
+  // accumulating filter), never O(num_users x num_years).
+  ml::BinnedDataset history;
+  ml::LogisticRegression trainer;
+  // Every in-force scorecard equals FromModel of the trainer's latest
+  // successful fit (a failed refit leaves both untouched), so the
+  // snapshot stores only whether one is in force.
+  std::optional<ml::Scorecard> scorecard;
+  // The per-year series so far.
+  CreditLoopResult result;
+};
+
+TrialState::TrialState(const CreditLoopOptions& options, Population cohort,
+                       const ml::LogisticRegressionOptions& trainer_options)
+    : population(std::move(cohort)),
+      filter(population.races(), options.forgetting_factor),
+      history(2, HistoryOptions(options)),
+      trainer(trainer_options) {
+  const size_t num_years = NumYears(options);
+  result.years.reserve(num_years);
+  result.races = population.races();
+  if (options.keep_user_adr) {
+    result.user_adr.assign(population.size(), {});
+    for (auto& series : result.user_adr) series.reserve(num_years);
+  }
+  result.race_adr.assign(kNumRaces, {});
+  result.race_approval.assign(kNumRaces, {});
+  for (size_t r = 0; r < kNumRaces; ++r) {
+    result.race_adr[r].reserve(num_years);
+    result.race_approval[r].reserve(num_years);
+  }
+  result.overall_adr.reserve(num_years);
+}
+
+TrialState FreshTrial(const CreditLoopOptions& options,
+                      const ml::LogisticRegressionOptions& trainer_options) {
+  rng::Random race_rng(runtime::SeedSequence(options.seed).Seed(kRaceStream));
+  return TrialState(options, Population(options.num_users, &race_rng),
+                    trainer_options);
+}
+
+// The snapshot of `state`, framed and sealed. DecodeTrialState reads
+// these fields back in this order.
+std::vector<uint8_t> EncodeTrialState(const CreditLoopOptions& options,
+                                      const TrialState& state) {
+  base::BinaryWriter writer;
+  base::BeginFrame(kLoopSnapshotMagic, kLoopSnapshotVersion,
+                   LoopOptionsFingerprint(options), &writer);
+  writer.WriteSize(state.years_completed);
+  writer.WriteU8Vector(state.population.race_ids());
+  writer.WriteDoubleVector(state.filter.offer_weights());
+  writer.WriteDoubleVector(state.filter.default_weights());
+  writer.WriteI64Vector(state.filter.offer_counts());
+  state.history.Serialize(&writer);
+  writer.WriteBool(state.trainer.fitted());
+  writer.WriteDoubleVector(state.trainer.weights().data());
+  writer.WriteDouble(state.trainer.intercept());
+  writer.WriteBool(state.scorecard.has_value());
+  const CreditLoopResult& result = state.result;
+  for (const auto& series : result.race_adr) writer.WriteDoubleVector(series);
+  for (const auto& series : result.race_approval) {
+    writer.WriteDoubleVector(series);
+  }
+  writer.WriteDoubleVector(result.overall_adr);
+  writer.WriteSize(result.scorecards.size());
+  for (const ScorecardSnapshot& card : result.scorecards) {
+    writer.WriteI64(card.year);
+    writer.WriteDouble(card.history_weight);
+    writer.WriteDouble(card.income_weight);
+    writer.WriteDouble(card.intercept);
+  }
+  if (options.keep_user_adr) {
+    std::vector<double> flat;
+    flat.reserve(result.user_adr.size() * state.years_completed);
+    for (const auto& series : result.user_adr) {
+      flat.insert(flat.end(), series.begin(), series.end());
+    }
+    writer.WriteDoubleVector(flat);
+  }
+  base::SealFrame(&writer);
+  return writer.TakeBuffer();
+}
+
+// Reads an EncodeTrialState snapshot for `options`, field for field. It
+// never aborts: before anything is built from a field, the field must be
+// one the engine could have written under these options, including
+// every value later code CHECKs or indexes by. Anything else is kShape.
+base::SnapshotStatus DecodeTrialState(
+    const CreditLoopOptions& options, const std::vector<uint8_t>& snapshot,
+    const ml::LogisticRegressionOptions& trainer_options,
+    std::optional<TrialState>* state) {
+  using base::SnapshotStatus;
+  base::BinaryReader reader(nullptr, 0);
+  const SnapshotStatus frame =
+      base::OpenFrame(snapshot, kLoopSnapshotMagic, kLoopSnapshotVersion,
+                      LoopOptionsFingerprint(options), &reader);
+  if (frame != SnapshotStatus::kOk) return frame;
+  const size_t num_users = options.num_users;
+  const size_t years = reader.ReadSize();
+  std::vector<uint8_t> race_ids = reader.ReadU8Vector();
+  std::vector<double> offer_weight = reader.ReadDoubleVector();
+  std::vector<double> default_weight = reader.ReadDoubleVector();
+  std::vector<int64_t> offer_count = reader.ReadI64Vector();
+  if (!reader.ok() || years > NumYears(options) || race_ids.empty() ||
+      race_ids.size() != num_users || offer_weight.size() != num_users ||
+      default_weight.size() != num_users || offer_count.size() != num_users) {
+    return SnapshotStatus::kShape;
+  }
+  for (const uint8_t id : race_ids) {
+    if (id >= kNumRaces) return SnapshotStatus::kShape;
+  }
+  if (DenseFold(options)) {
+    // DenseSlot and SlotCounts::Add index by the counters: whole
+    // numbers with 0 <= defaults <= offers <= years completed.
+    for (size_t i = 0; i < num_users; ++i) {
+      const double offers = offer_weight[i];
+      const double defaults = default_weight[i];
+      if (!(0.0 <= defaults && defaults <= offers &&
+            offers <= static_cast<double>(years) &&
+            offers == std::floor(offers) &&
+            defaults == std::floor(defaults))) {
+        return SnapshotStatus::kShape;
+      }
+    }
+  }
+  state->emplace(options, Population(std::move(race_ids)), trainer_options);
+  TrialState& trial = **state;
+  trial.years_completed = years;
+  trial.filter.RestoreState(std::move(offer_weight), std::move(default_weight),
+                            std::move(offer_count));
+  if (!trial.history.Deserialize(&reader)) return SnapshotStatus::kShape;
+  const bool fitted = reader.ReadBool();
+  std::vector<double> weights = reader.ReadDoubleVector();
+  const double intercept = reader.ReadDouble();
+  const bool has_scorecard = reader.ReadBool();
+  // Unfitted, the trainer has no weights; fitted, one per feature. Only
+  // a fit backs a scorecard.
+  if (!reader.ok() || weights.size() != (fitted ? 2u : 0u) ||
+      (has_scorecard && !fitted)) {
+    return SnapshotStatus::kShape;
+  }
+  if (fitted) {
+    trial.trainer.RestoreFit(linalg::Vector(std::move(weights)), intercept);
+  }
+  if (has_scorecard) {
+    trial.scorecard = ml::Scorecard::FromModel(
+        trial.trainer, TableOneTemplates(), options.cutoff);
+  }
+  CreditLoopResult& result = trial.result;
+  const auto read_series = [&reader, years](std::vector<double>* series) {
+    *series = reader.ReadDoubleVector();
+    return reader.ok() && series->size() == years;
+  };
+  for (auto& series : result.race_adr) {
+    if (!read_series(&series)) return SnapshotStatus::kShape;
+  }
+  for (auto& series : result.race_approval) {
+    if (!read_series(&series)) return SnapshotStatus::kShape;
+  }
+  if (!read_series(&result.overall_adr)) return SnapshotStatus::kShape;
+  const size_t num_scorecards = reader.ReadSize();
+  if (!reader.ok() || num_scorecards > years) return SnapshotStatus::kShape;
+  for (size_t i = 0; i < num_scorecards; ++i) {
+    ScorecardSnapshot& card = AppendScorecard(&result.scorecards);
+    card.year = static_cast<int>(reader.ReadI64());
+    card.history_weight = reader.ReadDouble();
+    card.income_weight = reader.ReadDouble();
+    card.intercept = reader.ReadDouble();
+  }
+  if (options.keep_user_adr) {
+    const std::vector<double> flat = reader.ReadDoubleVector();
+    if (flat.size() != num_users * years) return SnapshotStatus::kShape;
+    for (size_t i = 0; i < num_users; ++i) {
+      result.user_adr[i].assign(flat.begin() + i * years,
+                                flat.begin() + (i + 1) * years);
+    }
+  }
+  if (!reader.AtEnd()) return SnapshotStatus::kShape;
+  for (size_t k = 0; k < years; ++k) {
+    result.years.push_back(options.first_year + static_cast<int>(k));
+  }
+  return SnapshotStatus::kOk;
+}
+
+// What Run builds once and keeps across years: the dispatch and its
+// pool, the shard plan, per-chunk yields, per-shard kernel scratch, the
+// year's draws and ADR snapshot, and the dense fold's slot rows and
+// cache. None of it is checkpointed; a resumed trial rebuilds it from
+// the options, so a snapshot never depends on the thread count.
+struct Workspace {
+  using ChunkBody = std::function<void(size_t, size_t, size_t, size_t)>;
+
+  Workspace(const CreditLoopOptions& options, bool observed);
+
+  // Runs chunk_body(shard, chunk, begin, end) over every chunk: the
+  // population is cut into kShardsPerWorker shards per worker of whole,
+  // contiguous chunks, and each shard is one ParallelFor iteration
+  // walking its chunks in order. Every thread count executes exactly the
+  // same chunk bodies on exactly the same (chunk, begin, end) triples —
+  // sharding regroups execution, never the work. A shard runs on one
+  // worker at a time, so it picks the kernel scratch, never an output.
+  void ForEachChunk(const ChunkBody& chunk_body) const {
+    runtime::ParallelFor(
+        plan.num_shards(),
+        [&](size_t s) {
+          const runtime::ShardRange& shard = plan.shards[s];
+          for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
+            const size_t begin = c * chunk_size;
+            const size_t end = std::min(begin + chunk_size, num_users);
+            chunk_body(s, c, begin, end);
+          }
+        },
+        dispatch);
+  }
+
+  const CreditLoopOptions& options;
+  const size_t num_users;
+  const size_t num_years;
+  const size_t chunk_size;
+  const runtime::SeedSequence income_streams;
+  const runtime::SeedSequence repayment_streams;
+  const IncomeModel income_model;
+  const RepaymentModel repayment;
+  const std::vector<ml::ScorecardFactor> factor_templates;
+  // Within-trial dispatch: one persistent pool for the whole trial (the
+  // per-year passes are far too fine-grained to spawn threads per call).
+  runtime::ParallelForOptions dispatch;
+  std::unique_ptr<runtime::ThreadPool> pool;
+  runtime::ShardPlan plan;
+  // The dense fold (DenseFold): slot_rows holds each slot's (adr, code)
+  // row, the same IEEE division AdrInto's guarded ratio performs, and
+  // dense_groups caches slot -> history group across years. The cache
+  // starts cold on resume: a slot miss re-derives the group by key,
+  // finding the existing group, so resumed bits never depend on it.
+  const bool dense_fold;
+  std::vector<double> slot_rows;
+  std::vector<uint32_t> dense_groups;
+  // Reused per-year buffers. The snapshot (every user's post-update
+  // ADR) is written chunk by chunk in pass 2, only when someone reads it.
+  std::vector<double> uniforms;
+  std::vector<ChunkYield> yields;
+  std::vector<ChunkScratch> scratches;
+  const bool snapshot_users;
+  std::vector<double> adr_snapshot;
+};
+
+Workspace::Workspace(const CreditLoopOptions& options, bool observed)
+    : options(options),
+      num_users(options.num_users),
+      num_years(NumYears(options)),
+      chunk_size(options.users_per_chunk),
+      income_streams(runtime::SeedSequence(options.seed).Child(kIncomeStream)),
+      repayment_streams(
+          runtime::SeedSequence(options.seed).Child(kRepaymentStream)),
+      repayment(options.repayment),
+      factor_templates(TableOneTemplates()),
+      dense_fold(DenseFold(options)),
+      snapshot_users(options.keep_user_adr || observed) {
+  // A caller-owned pool (options.pool) replaces the engine's own, so
+  // sequential multi-trial drivers amortize one pool across trials; the
+  // worker count never affects the output. A one-chunk trial runs
+  // everything inline on this thread, even when handed a pool, and so
+  // does every observer that fans out over YearSnapshot::dispatch.
+  const size_t num_chunks = runtime::NumChunks(num_users, chunk_size);
+  dispatch.num_threads = 1;
+  if (num_chunks > 1 && options.pool != nullptr) {
+    dispatch.pool = options.pool;
+  } else if (num_chunks > 1) {
+    runtime::ParallelForOptions requested;
+    requested.num_threads = options.num_threads;
+    const size_t workers =
+        std::min(runtime::EffectiveNumThreads(requested), num_chunks);
+    if (workers > 1) {
+      pool = std::make_unique<runtime::ThreadPool>(workers);
+      dispatch.pool = pool.get();
+    }
+  }
+  plan = runtime::MakeShardPlan(
+      num_users, chunk_size,
+      kShardsPerWorker * runtime::EffectiveNumThreads(dispatch));
+
+  const uint32_t dense_years =
+      dense_fold ? static_cast<uint32_t>(num_years) : 0;
+  const size_t dense_slots = DenseSlot(dense_years, 0, 0);
+  slot_rows.resize(2 * dense_slots);
+  for (uint32_t offers = 0; offers < dense_years; ++offers) {
+    for (uint32_t defaults = 0; defaults <= offers; ++defaults) {
+      for (uint32_t code = 0; code < 2; ++code) {
+        double* row = &slot_rows[2 * DenseSlot(offers, defaults, code)];
+        row[0] = offers == 0 ? 0.0
+                             : static_cast<double>(defaults) /
+                                   static_cast<double>(offers);
+        row[1] = code;
+      }
+    }
+  }
+  dense_groups.assign(dense_slots, ml::BinnedDataset::kNoSlotGroup);
+
+  uniforms.resize(num_users);
+  yields.resize(num_chunks);
+  if (dense_fold) {
+    for (ChunkYield& yield : yields) yield.counts = ml::SlotCounts(dense_slots);
+  }
+  scratches.resize(plan.num_shards());
+  adr_snapshot.resize(snapshot_users ? num_users : 0);
+}
+
+// Simulates year years_completed of `state` on `workspace` and hands the
+// observer its cross-section.
+void StepYear(TrialState* state, Workspace* workspace,
+              const YearObserver& observer) {
+  const CreditLoopOptions& options = workspace->options;
+  const size_t k = state->years_completed;
+  const int year = options.first_year + static_cast<int>(k);
+  CreditLoopResult& result = state->result;
+  Population& population = state->population;
+  AdrFilter& filter = state->filter;
+  ml::BinnedDataset& history = state->history;
+  const RepaymentModel& repayment = workspace->repayment;
+  const std::vector<uint8_t>& race_ids = population.race_ids();
+  const std::vector<double>& incomes = population.incomes();
+  std::vector<double>& uniforms = workspace->uniforms;
+  std::vector<ChunkYield>& yields = workspace->yields;
+  std::vector<ChunkScratch>& scratches = workspace->scratches;
+  std::vector<double>& adr_snapshot = workspace->adr_snapshot;
+  const bool dense_fold = workspace->dense_fold;
+  const bool snapshot_users = workspace->snapshot_users;
+  result.years.push_back(year);
+
+  // Pass 1 — pre-draw: resample every income for this year and draw one
+  // repayment uniform per user, chunk by chunk. Each chunk owns RNG
+  // streams derived from (stream root, year, chunk index), so the
+  // filled arrays depend only on (seed, users_per_chunk), never on
+  // which worker ran the chunk. Drawing the uniform unconditionally
+  // (the legacy path drew only for approved users with positive
+  // repayment probability) is what decouples the draws from the
+  // decisions and makes the scoring sweep embarrassingly parallel.
+  // Every draw goes through the generator's multi-stream batch fill
+  // (bit-for-bit the sequential stream): one FillUniformDouble for the
+  // chunk's 2-per-user income draws, transformed by the year sampler,
+  // and one for its repayment uniforms.
+  const YearIncomeSampler sampler(workspace->income_model, year);
+  const runtime::SeedSequence income_year = workspace->income_streams.Child(k);
+  const runtime::SeedSequence repayment_year =
+      workspace->repayment_streams.Child(k);
+  workspace->ForEachChunk([&](size_t s, size_t c, size_t begin, size_t end) {
+    rng::Random income_rng(income_year.Seed(c));
+    rng::Random repayment_rng(repayment_year.Seed(c));
+    ChunkScratch& scratch = scratches[s];
+    const size_t count = end - begin;
+    scratch.income_uniforms.resize(2 * count);
+    income_rng.FillUniformDouble(scratch.income_uniforms.data(), 2 * count);
+    population.ResampleIncomesFromUniforms(sampler, begin, end,
+                                           scratch.income_uniforms.data());
+    repayment_rng.FillUniformDouble(&uniforms[begin], count);
+  });
+
+  // Retrain the AI system once the warm-up has produced data. If the
+  // fit is impossible (single-class history) or fails, the previous
+  // scorecard — or the warm-up policy if none exists — stays in force.
+  if (k >= options.warmup_steps && history.HasBothClasses()) {
+    ml::FitResult fit = state->trainer.Fit(history);
+    if (fit.success) {
+      state->scorecard = ml::Scorecard::FromModel(
+          state->trainer, workspace->factor_templates, options.cutoff);
+      ScorecardSnapshot& card = AppendScorecard(&result.scorecards);
+      card.year = year;
+      card.history_weight = state->trainer.weights()[0];
+      card.income_weight = state->trainer.weights()[1];
+      card.intercept = state->trainer.intercept();
+    }
+  }
+
+  // The year's policy, reduced to scalars: during warm-up (or before
+  // the first successful fit) everyone is approved; afterwards the
+  // scorecard test s(x) > cutoff runs inline. Both policies size the
+  // mortgage at income_multiple x income, and neither consults
+  // has_defaulted, so the sweep needs no default-history array.
+  const bool use_scorecard =
+      k >= options.warmup_steps && state->scorecard.has_value();
+  const double code_threshold = options.income_code_threshold;
+  runtime::kernels::ScoreParams score_params;
+  score_params.code_threshold = code_threshold;
+  score_params.base_points =
+      use_scorecard ? state->scorecard->base_points() : 0.0;
+  score_params.adr_weight =
+      use_scorecard ? state->scorecard->factor(0).score : 0.0;
+  score_params.code_weight =
+      use_scorecard ? state->scorecard->factor(1).score : 0.0;
+  score_params.cutoff = options.cutoff;
+
+  // Pass 2 — scoring sweep: decide, act, filter. Each user touches only
+  // their own filter slots, each chunk writes only its own yield and
+  // snapshot range, and the kernel scratch belongs to the shard running
+  // the chunk, so chunks run concurrently; the pre-drawn uniform makes
+  // the repayment action a pure function of (income, uniform). The
+  // per-user work is staged through the vector kernels: trailing ADRs
+  // and the code/score/cut-off test sweep branch-free over the SoA
+  // arrays (ScoreSweep replicates Scorecard::Score's evaluation order,
+  // pinned to ScorecardPolicy::Decide by
+  // CreditLoopTest.InlineApprovalRuleMatchesScorecardPolicy; NaN
+  // scores decline, like the legacy !(score > cutoff) test), approved
+  // incomes are compacted so the expensive normal CDF runs only for
+  // them, and a final scalar loop applies the repayment action and
+  // filter update in user order. The chunk then writes its users'
+  // post-update ADRs into the year's snapshot.
+  workspace->ForEachChunk([&](size_t s, size_t c, size_t begin, size_t end) {
+    ChunkYield& yield = yields[c];
+    ChunkScratch& scratch = scratches[s];
+    yield.Clear();
+    const size_t count = end - begin;
+    scratch.adr.resize(count);
+    scratch.code.resize(count);
+    scratch.indices.resize(count);
+    scratch.dense_income.resize(count);
+    filter.AdrInto(begin, end, scratch.adr.data());
+    size_t approved_count = 0;
+    if (use_scorecard) {
+      scratch.approved.resize(count);
+      runtime::kernels::ScoreSweep(incomes.data() + begin, scratch.adr.data(),
+                                   count, score_params, scratch.code.data(),
+                                   scratch.approved.data());
+      for (size_t j = 0; j < count; ++j) {
+        if (scratch.approved[j]) {  // Declined users' ADRs freeze.
+          scratch.indices[approved_count] = static_cast<uint32_t>(j);
+          scratch.dense_income[approved_count] = incomes[begin + j];
+          ++approved_count;
+        }
+      }
+    } else {
+      runtime::kernels::IncomeCode(incomes.data() + begin, count,
+                                   code_threshold, scratch.code.data());
+      for (size_t j = 0; j < count; ++j) {
+        scratch.indices[j] = static_cast<uint32_t>(j);
+        scratch.dense_income[j] = incomes[begin + j];
+      }
+      approved_count = count;
+    }
+    scratch.shares.resize(count);
+    scratch.probability.resize(count);
+    repayment.ProbabilityBatch(scratch.dense_income.data(), approved_count,
+                               scratch.shares.data(),
+                               scratch.probability.data());
+    for (size_t t = 0; t < approved_count; ++t) {
+      const size_t j = scratch.indices[t];
+      const size_t i = begin + j;
+      const double p = scratch.probability[t];
+      const bool repaid = p > 0.0 && uniforms[i] < p;
+      if (dense_fold) {
+        // Tally under the pre-update integer counters whose guarded
+        // ratio is exactly scratch.adr[j].
+        yield.counts.Add(
+            DenseSlot(static_cast<uint32_t>(filter.UserOfferWeight(i)),
+                      static_cast<uint32_t>(filter.UserDefaultWeight(i)),
+                      scratch.code[j] != 0.0 ? 1u : 0u),
+            repaid);
+      } else {
+        yield.rows.push_back(scratch.adr[j]);
+        yield.rows.push_back(scratch.code[j]);
+        yield.labels.push_back(repaid ? 1.0 : 0.0);
+      }
+      filter.Update(i, true, repaid);
+      ++yield.race_offers[race_ids[i]];
+    }
+    if (snapshot_users) {
+      filter.AdrInto(begin, end, &adr_snapshot[begin]);
+      if (options.keep_user_adr) {
+        for (size_t i = begin; i < end; ++i) {
+          result.user_adr[i].push_back(adr_snapshot[i]);
+        }
+      }
+    }
+  });
+
+  // Merge the chunk yields in chunk (= user) order, folding this
+  // year's observations into the grouped history. The fold order is the
+  // trial order (chunk 0, 1, ...), so group indices — and with them the
+  // fit's accumulation order — are identical at every thread count.
+  std::array<size_t, kNumRaces> race_offers = {0, 0, 0};
+  if (!options.accumulate_history) history.Clear();
+  for (const ChunkYield& yield : yields) {
+    for (size_t r = 0; r < kNumRaces; ++r) {
+      race_offers[r] += yield.race_offers[r];
+    }
+    if (dense_fold) {
+      history.AddCounts(yield.counts, workspace->slot_rows.data(),
+                        &workspace->dense_groups);
+    } else {
+      history.AddBatch(yield.rows.data(), yield.labels.data(),
+                       yield.labels.size());
+    }
+  }
+
+  // Record the year's aggregates — one fused pass over the filter.
+  const AdrFilter::Summary summary = filter.Summarize();
+  for (size_t r = 0; r < kNumRaces; ++r) {
+    result.race_adr[r].push_back(summary.race_adr[r]);
+    const size_t members = population.CountRace(static_cast<Race>(r));
+    result.race_approval[r].push_back(
+        members == 0 ? 0.0
+                     : static_cast<double>(race_offers[r]) /
+                           static_cast<double>(members));
+  }
+  result.overall_adr.push_back(summary.overall_adr);
+
+  if (observer) {
+    observer(YearSnapshot{k, year, adr_snapshot, result.races, race_ids,
+                          workspace->dispatch});
+  }
+  state->years_completed = k + 1;
+}
+
 }  // namespace
+
+uint64_t LoopConfigFingerprint(const CreditLoopOptions& options) {
+  CreditLoopOptions unseeded = options;
+  unseeded.seed = 0;
+  return LoopOptionsFingerprint(unseeded);
+}
+
+base::SnapshotStatus CheckLoopSnapshot(const CreditLoopOptions& options,
+                                       const std::vector<uint8_t>& snapshot) {
+  runtime::ParallelForOptions sequential;
+  sequential.num_threads = 1;
+  std::optional<TrialState> state;
+  return DecodeTrialState(options, snapshot,
+                          TrainerOptions(options, sequential), &state);
+}
 
 CreditScoringLoop::CreditScoringLoop(CreditLoopOptions options)
     : options_(options) {
@@ -164,495 +754,26 @@ CreditScoringLoop::CreditScoringLoop(CreditLoopOptions options)
 CreditLoopResult CreditScoringLoop::Run() const { return Run(YearObserver()); }
 
 CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
-  const size_t num_users = options_.num_users;
-  const size_t num_years =
-      static_cast<size_t>(options_.last_year - options_.first_year) + 1;
-  const size_t chunk_size = options_.users_per_chunk;
-  const size_t num_chunks = runtime::NumChunks(num_users, chunk_size);
-
-  const runtime::SeedSequence seeds(options_.seed);
-  const runtime::SeedSequence income_streams = seeds.Child(kIncomeStream);
-  const runtime::SeedSequence repayment_streams =
-      seeds.Child(kRepaymentStream);
-
-  // Resume: validate the snapshot's framing up front (checksum over
-  // every byte before the trailer, then magic / version / options
-  // fingerprint), then read its fields in lockstep with the engine-state
-  // construction below — the blob layout is exactly the construction
-  // order.
-  const uint64_t fingerprint = LoopOptionsFingerprint(options_);
-  std::optional<base::BinaryReader> resume;
-  size_t start_step = 0;
-  if (options_.resume_state != nullptr) {
-    const std::vector<uint8_t>& blob = *options_.resume_state;
-    EQIMPACT_CHECK_GT(blob.size(), sizeof(uint64_t));
-    const size_t body_size = blob.size() - sizeof(uint64_t);
-    base::BinaryReader trailer(blob.data() + body_size, sizeof(uint64_t));
-    EQIMPACT_CHECK_EQ(trailer.ReadU64(), HashBytes(blob.data(), body_size));
-    resume.emplace(blob.data(), body_size);
-    EQIMPACT_CHECK_EQ(resume->ReadU32(), kLoopSnapshotMagic);
-    EQIMPACT_CHECK_EQ(resume->ReadU32(), kLoopSnapshotVersion);
-    EQIMPACT_CHECK_EQ(resume->ReadU64(), fingerprint);
-    start_step = resume->ReadSize();
-    EQIMPACT_CHECK(resume->ok());
-    EQIMPACT_CHECK_LE(start_step, num_years);
-  }
-
-  const IncomeModel income_model;
-  std::optional<Population> population_storage;
-  if (resume) {
-    std::vector<uint8_t> race_ids = resume->ReadU8Vector();
-    EQIMPACT_CHECK(resume->ok());
-    EQIMPACT_CHECK_EQ(race_ids.size(), num_users);
-    population_storage.emplace(std::move(race_ids));
+  Workspace workspace(options_, observer != nullptr);
+  const ml::LogisticRegressionOptions trainer_options =
+      TrainerOptions(options_, workspace.dispatch);
+  std::optional<TrialState> state;
+  if (options_.resume_state == nullptr) {
+    state.emplace(FreshTrial(options_, trainer_options));
   } else {
-    rng::Random race_rng(seeds.Seed(kRaceStream));
-    population_storage.emplace(num_users, &race_rng);
+    // resume_state's contract: a snapshot CheckLoopSnapshot accepts.
+    EQIMPACT_CHECK(DecodeTrialState(options_, *options_.resume_state,
+                                    trainer_options, &state) ==
+                   base::SnapshotStatus::kOk);
   }
-  Population& population = *population_storage;
-  const RepaymentModel repayment(options_.repayment);
-  AdrFilter filter(population.races(), options_.forgetting_factor);
-  if (resume) {
-    std::vector<double> offer_weight = resume->ReadDoubleVector();
-    std::vector<double> default_weight = resume->ReadDoubleVector();
-    std::vector<int64_t> offer_count = resume->ReadI64Vector();
-    EQIMPACT_CHECK(resume->ok());
-    filter.RestoreState(std::move(offer_weight), std::move(default_weight),
-                        std::move(offer_count));
-  }
-  const std::vector<uint8_t>& race_ids = population.race_ids();
-
-  // Within-trial dispatch: one persistent pool for the whole trial (the
-  // per-year passes are far too fine-grained to spawn threads per call).
-  // A caller-owned pool (options().pool) replaces the engine's own, so
-  // sequential multi-trial drivers amortize one pool across trials; the
-  // worker count never affects the output. A one-chunk trial runs
-  // everything inline on this thread, even when handed a pool, and so
-  // does every observer that fans out over YearSnapshot::dispatch.
-  runtime::ParallelForOptions dispatch;
-  dispatch.num_threads = 1;
-  std::unique_ptr<runtime::ThreadPool> pool;
-  if (num_chunks > 1 && options_.pool != nullptr) {
-    dispatch.pool = options_.pool;
-  } else if (num_chunks > 1) {
-    runtime::ParallelForOptions requested;
-    requested.num_threads = options_.num_threads;
-    const size_t workers =
-        std::min(runtime::EffectiveNumThreads(requested), num_chunks);
-    if (workers > 1) {
-      pool = std::make_unique<runtime::ThreadPool>(workers);
-      dispatch.pool = pool.get();
+  while (state->years_completed < workspace.num_years) {
+    StepYear(&*state, &workspace, observer);
+    if (options_.checkpoint_sink) {
+      options_.checkpoint_sink(state->years_completed,
+                               EncodeTrialState(options_, *state));
     }
   }
-  const size_t num_workers = runtime::EffectiveNumThreads(dispatch);
-
-  // Chunk dispatch: the population is cut into shards of whole,
-  // contiguous chunks — options().num_shards of them, or
-  // kShardsPerWorker per worker when unsharded — and each shard is one
-  // ParallelFor iteration walking its chunks in order. Every
-  // configuration executes exactly the same chunk bodies on exactly the
-  // same (chunk, begin, end) triples — sharding regroups execution,
-  // never the work. A shard runs on one worker at a time, so it picks
-  // the kernel scratch, never an output.
-  const runtime::ShardPlan plan = runtime::MakeShardPlan(
-      num_users, chunk_size,
-      options_.num_shards > 1 ? options_.num_shards
-                              : kShardsPerWorker * num_workers);
-  const auto for_each_chunk =
-      [&](const std::function<void(size_t, size_t, size_t, size_t)>&
-              chunk_body) {
-        runtime::ParallelFor(
-            plan.num_shards(),
-            [&](size_t s) {
-              const runtime::ShardRange& shard = plan.shards[s];
-              for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
-                const size_t begin = c * chunk_size;
-                const size_t end = std::min(begin + chunk_size, num_users);
-                chunk_body(s, c, begin, end);
-              }
-            },
-            dispatch);
-      };
-
-  CreditLoopResult result;
-  result.years.reserve(num_years);
-  result.races = population.races();
-  if (options_.keep_user_adr) {
-    result.user_adr.assign(num_users, {});
-    for (auto& series : result.user_adr) series.reserve(num_years);
-  }
-  result.race_adr.assign(kNumRaces, {});
-  result.race_approval.assign(kNumRaces, {});
-  for (size_t r = 0; r < kNumRaces; ++r) {
-    result.race_adr[r].reserve(num_years);
-    result.race_approval[r].reserve(num_years);
-  }
-  result.overall_adr.reserve(num_years);
-
-  // Training examples accumulated by the loop's filter block: features
-  // [ADR_i(k-1), income code at k] with label y_i(k), recorded only for
-  // offered mortgages (repayment is unobservable otherwise). The history
-  // is held as sufficient statistics — weighted unique (ADR, code)
-  // groups — so its size is O(groups) (a few hundred under the paper's
-  // accumulating filter), never O(num_users x num_years).
-  ml::BinnedDatasetOptions history_options;
-  double adr_bin_width = options_.history_adr_bin_width;
-  if (adr_bin_width < 0.0) {
-    adr_bin_width =
-        options_.forgetting_factor == 1.0 ? 0.0 : 0x1.0p-16;
-  }
-  history_options.bin_widths = {adr_bin_width, 0.0};
-  ml::BinnedDataset history(2, history_options);
-  // Dense-fold fast path: under the paper's accumulating filter every
-  // ADR is the exact ratio of two small integer counters, so each chunk
-  // tallies its examples per (counters, code) slot, and the year's fold
-  // is one BinnedDataset::AddCounts per chunk, in chunk order, instead of
-  // a row per example. slot_rows holds each slot's (adr, code) row, the
-  // same IEEE division AdrInto's guarded ratio performs, and
-  // dense_groups caches slot -> group across years. Only valid while
-  // the counters are exact integers (forgetting factor 1, exact ADR
-  // grouping) and group ids are never invalidated (accumulated history
-  // — Clear would orphan the cache).
-  const bool dense_fold =
-      options_.dense_history_fold && options_.forgetting_factor == 1.0 &&
-      adr_bin_width == 0.0 && options_.accumulate_history &&
-      num_years <= kMaxDenseYears;
-  const uint32_t dense_years =
-      dense_fold ? static_cast<uint32_t>(num_years) : 0;
-  const size_t dense_slots = DenseSlot(dense_years, 0, 0);
-  std::vector<double> slot_rows(2 * dense_slots);
-  for (uint32_t offers = 0; offers < dense_years; ++offers) {
-    for (uint32_t defaults = 0; defaults <= offers; ++defaults) {
-      for (uint32_t code = 0; code < 2; ++code) {
-        double* row = &slot_rows[2 * DenseSlot(offers, defaults, code)];
-        row[0] = offers == 0 ? 0.0
-                             : static_cast<double>(defaults) /
-                                   static_cast<double>(offers);
-        row[1] = code;
-      }
-    }
-  }
-  std::vector<uint32_t> dense_groups(dense_slots,
-                                     ml::BinnedDataset::kNoSlotGroup);
-  if (resume) {
-    EQIMPACT_CHECK(history.Deserialize(&*resume));
-    // dense_groups deliberately stays cold: it is a pure cache (a slot
-    // miss re-derives the group by key, finding the existing group), so
-    // resumed bits never depend on it.
-  }
-  std::optional<ml::Scorecard> current_scorecard;
-  const std::vector<ml::ScorecardFactor> factor_templates =
-      TableOneTemplates();
-  // One trainer for the whole trial: the yearly refit warm-starts from
-  // last year's weights, which on the slowly growing history cuts the
-  // Newton iterations to a couple per year, and its chunked
-  // gradient/Hessian reduction follows the loop's thread budget on the
-  // same persistent pool as the per-year passes.
-  ml::LogisticRegressionOptions trainer_options = options_.logistic;
-  trainer_options.warm_start = true;
-  trainer_options.num_threads = num_workers;
-  trainer_options.pool = dispatch.pool;
-  ml::LogisticRegression trainer(trainer_options);
-  if (resume) {
-    const bool fitted = resume->ReadBool();
-    std::vector<double> weights = resume->ReadDoubleVector();
-    const double intercept = resume->ReadDouble();
-    const bool has_scorecard = resume->ReadBool();
-    EQIMPACT_CHECK(resume->ok());
-    if (fitted) trainer.RestoreFit(linalg::Vector(std::move(weights)),
-                                   intercept);
-    // Every in-force scorecard equals FromModel of the trainer's latest
-    // successful fit (a failed refit leaves both untouched), so the
-    // snapshot stores only the flag and rebuilds the card here.
-    if (has_scorecard) {
-      current_scorecard = ml::Scorecard::FromModel(trainer, factor_templates,
-                                                   options_.cutoff);
-    }
-  }
-
-  // Hot-path scalars hoisted out of the sweep.
-  const double code_threshold = options_.income_code_threshold;
-
-  // Reused per-year buffers. The snapshot (every user's post-update
-  // ADR) is written chunk by chunk in pass 2, only when someone reads it.
-  std::vector<double> uniforms(num_users);
-  std::vector<ChunkYield> yields(num_chunks);
-  if (dense_fold) {
-    for (ChunkYield& yield : yields) yield.counts = ml::SlotCounts(dense_slots);
-  }
-  std::vector<ChunkScratch> scratches(plan.num_shards());
-  const bool snapshot_users = options_.keep_user_adr || observer != nullptr;
-  std::vector<double> adr_snapshot(snapshot_users ? num_users : 0);
-  const std::vector<double>& incomes = population.incomes();
-
-  if (resume) {
-    for (size_t r = 0; r < kNumRaces; ++r) {
-      result.race_adr[r] = resume->ReadDoubleVector();
-      EQIMPACT_CHECK_EQ(result.race_adr[r].size(), start_step);
-    }
-    for (size_t r = 0; r < kNumRaces; ++r) {
-      result.race_approval[r] = resume->ReadDoubleVector();
-      EQIMPACT_CHECK_EQ(result.race_approval[r].size(), start_step);
-    }
-    result.overall_adr = resume->ReadDoubleVector();
-    EQIMPACT_CHECK_EQ(result.overall_adr.size(), start_step);
-    const size_t num_scorecards = resume->ReadSize();
-    EQIMPACT_CHECK(resume->ok());
-    result.scorecards.reserve(num_scorecards);
-    for (size_t i = 0; i < num_scorecards; ++i) {
-      ScorecardSnapshot snapshot;
-      snapshot.year = static_cast<int>(resume->ReadI64());
-      snapshot.history_weight = resume->ReadDouble();
-      snapshot.income_weight = resume->ReadDouble();
-      snapshot.intercept = resume->ReadDouble();
-      result.scorecards.push_back(snapshot);
-    }
-    if (options_.keep_user_adr) {
-      std::vector<double> flat = resume->ReadDoubleVector();
-      EQIMPACT_CHECK_EQ(flat.size(), num_users * start_step);
-      for (size_t i = 0; i < num_users; ++i) {
-        result.user_adr[i].assign(flat.begin() + i * start_step,
-                                  flat.begin() + (i + 1) * start_step);
-        result.user_adr[i].reserve(num_years);
-      }
-    }
-    EQIMPACT_CHECK(resume->AtEnd());
-    for (size_t k = 0; k < start_step; ++k) {
-      result.years.push_back(options_.first_year + static_cast<int>(k));
-    }
-  }
-
-  // Serializes the complete loop state after `years_completed` years, in
-  // the exact field order the resume path consumes above, framed by
-  // magic/version/fingerprint and sealed with a byte checksum.
-  const auto write_checkpoint = [&](size_t years_completed) {
-    base::BinaryWriter writer;
-    writer.WriteU32(kLoopSnapshotMagic);
-    writer.WriteU32(kLoopSnapshotVersion);
-    writer.WriteU64(fingerprint);
-    writer.WriteSize(years_completed);
-    writer.WriteU8Vector(race_ids);
-    writer.WriteDoubleVector(filter.offer_weights());
-    writer.WriteDoubleVector(filter.default_weights());
-    writer.WriteI64Vector(filter.offer_counts());
-    history.Serialize(&writer);
-    writer.WriteBool(trainer.fitted());
-    writer.WriteDoubleVector(trainer.weights().data());
-    writer.WriteDouble(trainer.intercept());
-    writer.WriteBool(current_scorecard.has_value());
-    for (size_t r = 0; r < kNumRaces; ++r) {
-      writer.WriteDoubleVector(result.race_adr[r]);
-    }
-    for (size_t r = 0; r < kNumRaces; ++r) {
-      writer.WriteDoubleVector(result.race_approval[r]);
-    }
-    writer.WriteDoubleVector(result.overall_adr);
-    writer.WriteSize(result.scorecards.size());
-    for (const ScorecardSnapshot& snapshot : result.scorecards) {
-      writer.WriteI64(snapshot.year);
-      writer.WriteDouble(snapshot.history_weight);
-      writer.WriteDouble(snapshot.income_weight);
-      writer.WriteDouble(snapshot.intercept);
-    }
-    if (options_.keep_user_adr) {
-      std::vector<double> flat;
-      flat.reserve(num_users * years_completed);
-      for (size_t i = 0; i < num_users; ++i) {
-        flat.insert(flat.end(), result.user_adr[i].begin(),
-                    result.user_adr[i].end());
-      }
-      writer.WriteDoubleVector(flat);
-    }
-    writer.WriteU64(HashBytes(writer.buffer().data(), writer.size()));
-    options_.checkpoint_sink(years_completed, writer.buffer());
-  };
-
-  for (size_t k = start_step; k < num_years; ++k) {
-    const int year = options_.first_year + static_cast<int>(k);
-    result.years.push_back(year);
-
-    // Pass 1 — pre-draw: resample every income for this year and draw one
-    // repayment uniform per user, chunk by chunk. Each chunk owns RNG
-    // streams derived from (stream root, year, chunk index), so the
-    // filled arrays depend only on (seed, users_per_chunk), never on
-    // which worker ran the chunk. Drawing the uniform unconditionally
-    // (the legacy path drew only for approved users with positive
-    // repayment probability) is what decouples the draws from the
-    // decisions and makes the scoring sweep embarrassingly parallel.
-    // Every draw goes through the generator's multi-stream batch fill
-    // (bit-for-bit the sequential stream): one FillUniformDouble for the
-    // chunk's 2-per-user income draws, transformed by the year sampler,
-    // and one for its repayment uniforms.
-    const YearIncomeSampler sampler(income_model, year);
-    const runtime::SeedSequence income_year = income_streams.Child(k);
-    const runtime::SeedSequence repayment_year = repayment_streams.Child(k);
-    for_each_chunk([&](size_t s, size_t c, size_t begin, size_t end) {
-      rng::Random income_rng(income_year.Seed(c));
-      rng::Random repayment_rng(repayment_year.Seed(c));
-      ChunkScratch& scratch = scratches[s];
-      const size_t count = end - begin;
-      scratch.income_uniforms.resize(2 * count);
-      income_rng.FillUniformDouble(scratch.income_uniforms.data(),
-                                   2 * count);
-      population.ResampleIncomesFromUniforms(
-          sampler, begin, end, scratch.income_uniforms.data());
-      repayment_rng.FillUniformDouble(&uniforms[begin], count);
-    });
-
-    // Retrain the AI system once the warm-up has produced data. If the
-    // fit is impossible (single-class history) or fails, the previous
-    // scorecard — or the warm-up policy if none exists — stays in force.
-    if (k >= options_.warmup_steps && history.HasBothClasses()) {
-      ml::FitResult fit = trainer.Fit(history);
-      if (fit.success) {
-        current_scorecard = ml::Scorecard::FromModel(trainer, factor_templates,
-                                                     options_.cutoff);
-        result.scorecards.push_back(ScorecardSnapshot{
-            year, trainer.weights()[0], trainer.weights()[1],
-            trainer.intercept()});
-      }
-    }
-
-    // The year's policy, reduced to scalars: during warm-up (or before
-    // the first successful fit) everyone is approved; afterwards the
-    // scorecard test s(x) > cutoff runs inline. Both policies size the
-    // mortgage at income_multiple x income, and neither consults
-    // has_defaulted, so the sweep needs no default-history array.
-    const bool use_scorecard =
-        k >= options_.warmup_steps && current_scorecard.has_value();
-    runtime::kernels::ScoreParams score_params;
-    score_params.code_threshold = code_threshold;
-    score_params.base_points =
-        use_scorecard ? current_scorecard->base_points() : 0.0;
-    score_params.adr_weight =
-        use_scorecard ? current_scorecard->factor(0).score : 0.0;
-    score_params.code_weight =
-        use_scorecard ? current_scorecard->factor(1).score : 0.0;
-    score_params.cutoff = options_.cutoff;
-
-    // Pass 2 — scoring sweep: decide, act, filter. Each user touches only
-    // their own filter slots, each chunk writes only its own yield and
-    // snapshot range, and the kernel scratch belongs to the shard running
-    // the chunk, so chunks run concurrently; the pre-drawn uniform makes
-    // the repayment action a pure function of (income, uniform). The
-    // per-user work is staged through the vector kernels: trailing ADRs
-    // and the code/score/cut-off test sweep branch-free over the SoA
-    // arrays (ScoreSweep replicates Scorecard::Score's evaluation order,
-    // pinned to ScorecardPolicy::Decide by
-    // CreditLoopTest.InlineApprovalRuleMatchesScorecardPolicy; NaN
-    // scores decline, like the legacy !(score > cutoff) test), approved
-    // incomes are compacted so the expensive normal CDF runs only for
-    // them, and a final scalar loop applies the repayment action and
-    // filter update in user order. The chunk then writes its users'
-    // post-update ADRs into the year's snapshot.
-    for_each_chunk([&](size_t s, size_t c, size_t begin, size_t end) {
-      ChunkYield& yield = yields[c];
-      ChunkScratch& scratch = scratches[s];
-      yield.Clear();
-      const size_t count = end - begin;
-      scratch.adr.resize(count);
-      scratch.code.resize(count);
-      scratch.indices.resize(count);
-      scratch.dense_income.resize(count);
-      filter.AdrInto(begin, end, scratch.adr.data());
-      size_t approved_count = 0;
-      if (use_scorecard) {
-        scratch.approved.resize(count);
-        runtime::kernels::ScoreSweep(
-            incomes.data() + begin, scratch.adr.data(), count,
-            score_params, scratch.code.data(), scratch.approved.data());
-        for (size_t j = 0; j < count; ++j) {
-          if (scratch.approved[j]) {  // Declined users' ADRs freeze.
-            scratch.indices[approved_count] = static_cast<uint32_t>(j);
-            scratch.dense_income[approved_count] = incomes[begin + j];
-            ++approved_count;
-          }
-        }
-      } else {
-        runtime::kernels::IncomeCode(incomes.data() + begin, count,
-                                     code_threshold,
-                                     scratch.code.data());
-        for (size_t j = 0; j < count; ++j) {
-          scratch.indices[j] = static_cast<uint32_t>(j);
-          scratch.dense_income[j] = incomes[begin + j];
-        }
-        approved_count = count;
-      }
-      scratch.shares.resize(count);
-      scratch.probability.resize(count);
-      repayment.ProbabilityBatch(scratch.dense_income.data(),
-                                 approved_count, scratch.shares.data(),
-                                 scratch.probability.data());
-      for (size_t t = 0; t < approved_count; ++t) {
-        const size_t j = scratch.indices[t];
-        const size_t i = begin + j;
-        const double p = scratch.probability[t];
-        const bool repaid = p > 0.0 && uniforms[i] < p;
-        if (dense_fold) {
-          // Tally under the pre-update integer counters whose guarded
-          // ratio is exactly scratch.adr[j].
-          yield.counts.Add(
-              DenseSlot(static_cast<uint32_t>(filter.UserOfferWeight(i)),
-                        static_cast<uint32_t>(filter.UserDefaultWeight(i)),
-                        scratch.code[j] != 0.0 ? 1u : 0u),
-              repaid);
-        } else {
-          yield.rows.push_back(scratch.adr[j]);
-          yield.rows.push_back(scratch.code[j]);
-          yield.labels.push_back(repaid ? 1.0 : 0.0);
-        }
-        filter.Update(i, true, repaid);
-        ++yield.race_offers[race_ids[i]];
-      }
-      if (snapshot_users) {
-        filter.AdrInto(begin, end, &adr_snapshot[begin]);
-        if (options_.keep_user_adr) {
-          for (size_t i = begin; i < end; ++i) {
-            result.user_adr[i].push_back(adr_snapshot[i]);
-          }
-        }
-      }
-    });
-
-    // Merge the chunk yields in chunk (= user) order, folding this
-    // year's observations into the grouped history. The fold order is the
-    // trial order (chunk 0, 1, ...), so group indices — and with them the
-    // fit's accumulation order — are identical at every thread and shard
-    // count.
-    std::array<size_t, kNumRaces> race_offers = {0, 0, 0};
-    if (!options_.accumulate_history) history.Clear();
-    for (const ChunkYield& yield : yields) {
-      for (size_t r = 0; r < kNumRaces; ++r) {
-        race_offers[r] += yield.race_offers[r];
-      }
-      if (dense_fold) {
-        history.AddCounts(yield.counts, slot_rows.data(), &dense_groups);
-      } else {
-        history.AddBatch(yield.rows.data(), yield.labels.data(),
-                         yield.labels.size());
-      }
-    }
-
-    // Record the year's aggregates — one fused pass over the filter.
-    const AdrFilter::Summary summary = filter.Summarize();
-    for (size_t r = 0; r < kNumRaces; ++r) {
-      result.race_adr[r].push_back(summary.race_adr[r]);
-      const size_t members = population.CountRace(static_cast<Race>(r));
-      result.race_approval[r].push_back(
-          members == 0 ? 0.0
-                       : static_cast<double>(race_offers[r]) /
-                             static_cast<double>(members));
-    }
-    result.overall_adr.push_back(summary.overall_adr);
-
-    if (observer) {
-      observer(YearSnapshot{k, year, adr_snapshot, result.races, race_ids,
-                            dispatch});
-    }
-
-    if (options_.checkpoint_sink) write_checkpoint(k + 1);
-  }
-  return result;
+  return std::move(state->result);
 }
 
 }  // namespace credit

@@ -5,6 +5,7 @@
 #include <functional>
 #include <vector>
 
+#include "base/serial.h"
 #include "credit/adr_filter.h"
 #include "credit/income_model.h"
 #include "credit/race.h"
@@ -17,12 +18,13 @@ namespace credit {
 
 /// Consumer of within-trial checkpoints: invoked from the simulating
 /// thread after each completed year with the number of completed years
-/// and a versioned binary snapshot of the full loop state (cohort,
-/// filter, grouped history, trainer, partial per-year series). Feeding
-/// the snapshot back through CreditLoopOptions::resume_state continues
-/// the trial from that year with output byte-identical to the
-/// uninterrupted run. The sink may copy or persist the blob; the
-/// reference is valid only for the duration of the call.
+/// and a framed binary snapshot ("EQCK", see base::OpenFrame) of the
+/// trial's state (cohort, filter, grouped history, trainer fit, partial
+/// per-year series). Feeding the snapshot back through
+/// CreditLoopOptions::resume_state continues the trial from that year
+/// with output byte-identical to the uninterrupted run. The sink may
+/// copy or persist the blob; the reference is valid only for the
+/// duration of the call.
 using LoopCheckpointSink = std::function<void(
     size_t years_completed, const std::vector<uint8_t>& state)>;
 
@@ -112,19 +114,6 @@ struct CreditLoopOptions {
   /// O(num_users x num_years).
   bool keep_user_adr = true;
 
-  /// Population shards for the within-trial passes. Each shard owns a
-  /// contiguous range of whole chunks (see runtime::MakeShardPlan) and
-  /// walks it in order on one worker; the chunk yields then fold in
-  /// chunk order exactly as unsharded, so every coefficient, series and
-  /// digest is bitwise-identical to the unsharded run at any
-  /// (num_shards, users_per_chunk, num_threads) configuration. 0 and 1
-  /// both mean unsharded, which walks four shards per worker; values
-  /// above the chunk count are clamped.
-  /// Like num_threads (and unlike users_per_chunk), this knob never
-  /// moves a bit of output — it only regroups execution and scales the
-  /// engine out across shard-parallel workers.
-  size_t num_shards = 1;
-
   /// When set, the engine serializes its full state after every
   /// simulated year and hands the snapshot to this sink (from the
   /// calling thread, after the year's observer callback). Null (the
@@ -134,11 +123,12 @@ struct CreditLoopOptions {
   /// When non-null, Run restores this previously sunk snapshot instead
   /// of starting fresh and continues from the first unfinished year;
   /// the completed result is byte-identical to an uninterrupted run
-  /// with the same options. The snapshot must come from a run with the
-  /// same output-affecting options (cohort, years, models, seed,
-  /// users_per_chunk, keep_user_adr — CHECK-enforced via an options
-  /// fingerprint; num_shards/num_threads/pool may differ freely). Not
-  /// owned; must outlive Run.
+  /// with the same options. The snapshot must be one CheckLoopSnapshot
+  /// accepts for these options (Run CHECK-fails otherwise): sunk by a
+  /// run with the same output-affecting options (cohort, years, models,
+  /// seed, users_per_chunk, keep_user_adr — bound by an options
+  /// fingerprint; num_threads and pool may differ freely). Not owned;
+  /// must outlive Run.
   const std::vector<uint8_t>* resume_state = nullptr;
 };
 
@@ -219,9 +209,14 @@ using YearObserver = std::function<void(const YearSnapshot&)>;
 /// ADRs in the year's snapshot, so what stays serial per year is the
 /// chunk-ordered fold of the tallies, the refit, the per-race summary
 /// and the observer. Each chunk owns its outputs (yield, snapshot
-/// range). The passes walk the chunks shard by shard (num_shards shards,
-/// or four per worker when unsharded), and the kernel scratch belongs to
-/// a shard, so its memory scales with the worker count, not the cohort.
+/// range). The passes walk the chunks shard by shard, four shards of
+/// whole chunks per worker, and the kernel scratch belongs to a shard,
+/// so its memory scales with the worker count, not the cohort.
+///
+/// A trial is a value: Run builds its per-trial workspace (pool, shard
+/// plan, scratch, buffers) once, takes the trial state fresh or decoded
+/// from resume_state, and steps it one year at a time; a checkpoint is
+/// that state after a year, encoded.
 ///
 /// The training history is held as sufficient statistics, not rows: each
 /// year's observations are weight-merged into an ml::BinnedDataset of
@@ -246,6 +241,22 @@ class CreditScoringLoop {
  private:
   CreditLoopOptions options_;
 };
+
+/// Decodes `snapshot` as a resume_state for a loop with `options`
+/// without running anything: kOk iff Run can resume from it, else the
+/// frame's reason (base::OpenFrame) or kShape for a body this engine
+/// could not have written under these options. Never aborts, and never
+/// allocates more than the snapshot's size beyond the trial's own
+/// cohort-sized state.
+base::SnapshotStatus CheckLoopSnapshot(const CreditLoopOptions& options,
+                                       const std::vector<uint8_t>& snapshot);
+
+/// Fingerprint of every output-affecting option except the seed: the
+/// trial configuration an experiment snapshot binds to
+/// (sim::CreditScenario::CheckpointFingerprint). Leaves out what
+/// snapshots leave out — thread counts, the pool, dense_history_fold
+/// and the checkpoint settings.
+uint64_t LoopConfigFingerprint(const CreditLoopOptions& options);
 
 }  // namespace credit
 }  // namespace eqimpact

@@ -210,9 +210,12 @@ void BinnedDataset::Serialize(base::BinaryWriter* writer) const {
 }
 
 bool BinnedDataset::Deserialize(base::BinaryReader* reader) {
-  EQIMPACT_CHECK_EQ(reader->ReadSize(), num_features_);
-  std::vector<double> bin_widths = reader->ReadDoubleVector();
-  EQIMPACT_CHECK(bin_widths == options_.bin_widths);
+  const size_t num_features = reader->ReadSize();
+  const std::vector<double> bin_widths = reader->ReadDoubleVector();
+  if (!reader->ok() || num_features != num_features_ ||
+      bin_widths != options_.bin_widths) {
+    return false;
+  }
   rows_ = reader->ReadDoubleVector();
   keys_ = reader->ReadI64Vector();
   weight_ = reader->ReadDoubleVector();

@@ -159,11 +159,10 @@ class BinnedDataset {
   /// whose group order, group contents and future insertion behaviour
   /// are byte-identical to the saved one's.
   void Serialize(base::BinaryWriter* writer) const;
-  /// Restores state written by Serialize into this dataset, which must
-  /// have been constructed with the same num_features and bin widths
-  /// (CHECK-fails otherwise); the hash index is rebuilt, not stored.
-  /// Returns false (leaving this dataset unspecified) on a truncated or
-  /// inconsistent record.
+  /// Restores state written by Serialize into this dataset; the hash
+  /// index is rebuilt, not stored. Returns false (leaving this dataset
+  /// unspecified) on a truncated or inconsistent record, or one written
+  /// by a dataset with another num_features or other bin widths.
   bool Deserialize(base::BinaryReader* reader);
 
  private:

@@ -53,6 +53,19 @@ std::unique_ptr<sim::Scenario> CreateJobScenario(const JobSpec& spec) {
   return scenario;
 }
 
+sim::ExperimentOptions JobExperimentOptions(const JobSpec& spec,
+                                            const JobRunOptions& options) {
+  sim::ExperimentOptions experiment;
+  experiment.num_trials = spec.num_trials;
+  experiment.master_seed = spec.master_seed;
+  experiment.impact_bins = spec.impact_bins;
+  experiment.num_threads = options.num_threads;
+  experiment.trial_threads = options.trial_threads;
+  experiment.checkpoint_path = options.checkpoint_path;
+  experiment.resume = options.resume;
+  return experiment;
+}
+
 JobResult RunJobSpec(const JobSpec& spec, const JobRunOptions& options) {
   RenderHeader header;
   header.num_trials = spec.num_trials;
@@ -62,15 +75,7 @@ JobResult RunJobSpec(const JobSpec& spec, const JobRunOptions& options) {
   header.point_threads = spec.point_threads;
   header.provenance_json = options.provenance_json;
 
-  sim::ExperimentOptions experiment;
-  experiment.num_trials = spec.num_trials;
-  experiment.master_seed = spec.master_seed;
-  experiment.impact_bins = spec.impact_bins;
-  experiment.num_threads = options.num_threads;
-  experiment.trial_threads = options.trial_threads;
-  experiment.checkpoint_path = options.checkpoint_path;
-  experiment.resume = options.resume;
-
+  sim::ExperimentOptions experiment = JobExperimentOptions(spec, options);
   JobResult result;
   if (spec.is_sweep()) {
     // Every grid point starts from a fresh scenario with the

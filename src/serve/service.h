@@ -12,6 +12,7 @@
 #include "serve/protocol.h"
 #include "serve/result_cache.h"
 #include "serve/scheduler.h"
+#include "sim/experiment.h"
 #include "sim/scenario.h"
 
 namespace eqimpact {
@@ -39,8 +40,10 @@ struct JobRunOptions {
   size_t trial_threads = 0;
   size_t point_threads = 1;
   /// sim::ExperimentOptions checkpointing; single experiments only.
+  /// `resume` is a snapshot read (sim::ReadExperimentSnapshot) for this
+  /// spec under JobExperimentOptions; not owned.
   std::string checkpoint_path;
-  bool resume = false;
+  const sim::ExperimentSnapshot* resume = nullptr;
   /// Called once per completed trial (unit "trial") or grid point
   /// (unit "point"), serialized by the engine.
   std::function<void(const char* unit, size_t index, size_t completed,
@@ -49,6 +52,12 @@ struct JobRunOptions {
   /// The payload's one-line provenance object (RenderProvenance).
   std::string provenance_json;
 };
+
+/// The sim::ExperimentOptions a spec's experiment (or each of its sweep
+/// points) runs with: RunJobSpec's own mapping, which a checkpoint
+/// reader must share to decode the job's snapshot.
+sim::ExperimentOptions JobExperimentOptions(const JobSpec& spec,
+                                            const JobRunOptions& options);
 
 /// The one run-and-render path of a validated spec: runs its
 /// experiment, or its sweep when it has axes, and renders the

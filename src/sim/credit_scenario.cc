@@ -11,6 +11,24 @@
 
 namespace eqimpact {
 namespace sim {
+namespace {
+
+// The loop options of one trial: the scenario's loop under the trial's
+// seed, thread budget, pool and checkpoint plumbing (the loop's yearly
+// snapshots ARE the trial's opaque state blobs, same sink signature).
+credit::CreditLoopOptions TrialLoopOptions(const CreditScenarioOptions& options,
+                                           const TrialContext& context) {
+  credit::CreditLoopOptions loop_options = options.loop;
+  loop_options.seed = context.trial_seed;
+  loop_options.keep_user_adr = options.keep_raw_series;
+  if (context.num_threads > 0) loop_options.num_threads = context.num_threads;
+  loop_options.pool = context.pool;  // Null under parallel trial dispatch.
+  loop_options.checkpoint_sink = context.checkpoint_sink;
+  loop_options.resume_state = context.resume_state;
+  return loop_options;
+}
+
+}  // namespace
 
 CreditScenario::CreditScenario(CreditScenarioOptions options)
     : options_(std::move(options)) {}
@@ -68,20 +86,24 @@ bool CreditScenario::SetParameter(const std::string& name, double value) {
     options_.loop.accumulate_history = value != 0.0;
     return true;
   }
-  if (name == "num_shards") {
-    if (!CountParameterInRange(value)) return false;
-    options_.loop.num_shards = static_cast<size_t>(value);
-    return true;
-  }
   return false;
 }
 
 std::vector<std::string> CreditScenario::ParameterNames() const {
   return {"num_users", "cutoff", "forgetting_factor", "income_code_threshold",
-          "accumulate_history", "num_shards"};
+          "accumulate_history"};
 }
 
-bool CreditScenario::SupportsCheckpoint() const { return true; }
+std::optional<uint64_t> CreditScenario::CheckpointFingerprint() const {
+  return credit::LoopConfigFingerprint(
+      TrialLoopOptions(options_, TrialContext()));
+}
+
+base::SnapshotStatus CreditScenario::CheckEngineState(
+    const TrialContext& context, const std::vector<uint8_t>& state) const {
+  return credit::CheckLoopSnapshot(TrialLoopOptions(options_, context),
+                                   state);
+}
 
 void CreditScenario::BeginExperiment(size_t num_trials) {
   trial_records_.clear();
@@ -90,17 +112,7 @@ void CreditScenario::BeginExperiment(size_t num_trials) {
 
 TrialOutcome CreditScenario::RunTrial(const TrialContext& context,
                                       stats::AdrAccumulator* impacts) {
-  credit::CreditLoopOptions loop_options = options_.loop;
-  loop_options.seed = context.trial_seed;
-  loop_options.keep_user_adr = options_.keep_raw_series;
-  if (context.num_threads > 0) loop_options.num_threads = context.num_threads;
-  loop_options.pool = context.pool;  // Null under parallel trial dispatch.
-  // Checkpoint plumbing: the loop's yearly snapshots ARE the trial's
-  // opaque state blobs (same sink signature), and a driver-supplied
-  // resume blob drops straight back into the loop.
-  loop_options.checkpoint_sink = context.checkpoint_sink;
-  loop_options.resume_state = context.resume_state;
-  credit::CreditScoringLoop loop(loop_options);
+  credit::CreditScoringLoop loop(TrialLoopOptions(options_, context));
   // The yearly cross-section fills one accumulator cell per group; with
   // the engine's workers idle during the callback, the groups fill in
   // parallel, each from its own compacted values (kept across years).

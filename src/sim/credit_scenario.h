@@ -35,17 +35,21 @@ class CreditScenario : public Scenario {
   std::vector<std::string> GroupLabels() const override;
   std::vector<std::string> StepLabels() const override;
   std::vector<std::string> MetricNames() const override;
-  /// "num_users", "cutoff", "forgetting_factor", "income_code_threshold",
-  /// "accumulate_history" (0/1) and "num_shards" are accepted.
-  /// num_shards is bitwise-neutral (it regroups execution, never the
-  /// work) — sweeping it is a determinism check, not an ablation.
+  /// "num_users", "cutoff", "forgetting_factor", "income_code_threshold"
+  /// and "accumulate_history" (0/1) are accepted.
   bool SetParameter(const std::string& name, double value) override;
   std::vector<std::string> ParameterNames() const override;
   void BeginExperiment(size_t num_trials) override;
   /// Checkpoint-capable: the credit engine's yearly snapshots flow to
   /// TrialContext::checkpoint_sink and resume byte-identically from
-  /// TrialContext::resume_state.
-  bool SupportsCheckpoint() const override;
+  /// TrialContext::resume_state. The fingerprint is the engine's
+  /// credit::LoopConfigFingerprint of the trials' loop options, and an
+  /// engine blob is checked by credit::CheckLoopSnapshot under the
+  /// trial's own seed.
+  std::optional<uint64_t> CheckpointFingerprint() const override;
+  base::SnapshotStatus CheckEngineState(
+      const TrialContext& context,
+      const std::vector<uint8_t>& state) const override;
   /// EWMA surrogate of a marginal applicant's ADR: the default indicator
   /// stream of a user held at the approval boundary, averaged with the
   /// loop's forgetting factor (see the .cc for the exact maps).

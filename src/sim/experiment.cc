@@ -1,11 +1,15 @@
 #include "sim/experiment.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "base/check.h"
 #include "base/fnv1a.h"
@@ -18,38 +22,44 @@ namespace eqimpact {
 namespace sim {
 namespace {
 
-// Experiment snapshot framing ("EQXP"): magic, format version, a
-// fingerprint binding the snapshot to the experiment shape it belongs
-// to, and a trailing FNV-1a byte checksum. The engine-level trial blob
-// travels opaquely inside (it carries its own magic, fingerprint and
-// checksum, so scenario-option mismatches are caught on resume by the
-// engine itself).
+using base::SnapshotStatus;
+
+// Experiment snapshot framing (base::BeginFrame): magic "EQXP", format
+// version 2 (version 1 bound no scenario configuration). The engine-level
+// trial blob travels inside, with its own frame.
 constexpr uint32_t kExperimentSnapshotMagic = 0x50585145u;  // "EQXP"
-constexpr uint32_t kExperimentSnapshotVersion = 1;
+constexpr uint32_t kExperimentSnapshotVersion = 2;
 
-uint64_t HashBytes(const uint8_t* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-uint64_t ExperimentFingerprint(const std::string& scenario_name,
-                               const ExperimentOptions& options,
-                               size_t num_groups, size_t num_steps,
-                               double lo, double hi) {
+// Binds a snapshot to its job: the scenario and its configuration, the
+// trial count, seed and bins, and the impact shape. Thread counts stay
+// out, because they never move a bit. None for a scenario that cannot
+// checkpoint.
+std::optional<uint64_t> ExperimentFingerprint(
+    const Scenario& scenario, const ExperimentOptions& options) {
+  const std::optional<uint64_t> configuration =
+      scenario.CheckpointFingerprint();
+  if (!configuration) return std::nullopt;
   base::Fnv1a f;
-  for (char ch : scenario_name) f.Mix(static_cast<uint8_t>(ch));
+  for (char ch : scenario.name()) f.Mix(static_cast<uint8_t>(ch));
   f.Mix(options.num_trials);
   f.Mix(options.master_seed);
   f.Mix(options.impact_bins);
-  f.Mix(num_groups);
-  f.Mix(num_steps);
-  f.MixDouble(lo);
-  f.MixDouble(hi);
+  f.Mix(scenario.GroupLabels().size());
+  f.Mix(scenario.StepLabels().size());
+  f.MixDouble(scenario.impact_lo());
+  f.MixDouble(scenario.impact_hi());
+  f.Mix(*configuration);
   return f.hash();
+}
+
+TrialContext MakeTrialContext(const ExperimentOptions& options, size_t trial,
+                              runtime::ThreadPool* pool) {
+  TrialContext context;
+  context.trial_index = trial;
+  context.trial_seed = runtime::SeedSequence(options.master_seed).Seed(trial);
+  context.num_threads = options.trial_threads;
+  context.pool = pool;
+  return context;
 }
 
 void WriteTrialOutcome(base::BinaryWriter* writer,
@@ -61,50 +71,145 @@ void WriteTrialOutcome(base::BinaryWriter* writer,
   writer->WriteDoubleVector(outcome.metrics);
 }
 
-bool ReadTrialOutcome(base::BinaryReader* reader, TrialOutcome* outcome) {
-  const size_t num_groups = reader->ReadSize();
-  if (!reader->ok()) return false;
-  outcome->group_impact.assign(num_groups, {});
-  for (std::vector<double>& series : outcome->group_impact) {
-    series = reader->ReadDoubleVector();
+// Reads a whole regular file into `bytes`; false for anything else (a
+// directory, a device, a failed read). Takes ownership of `fd`.
+bool ReadRegularFile(int fd, std::vector<uint8_t>* bytes) {
+  if (fd < 0) return false;
+  struct stat info;
+  bool ok = fstat(fd, &info) == 0 && S_ISREG(info.st_mode);
+  if (ok) bytes->resize(static_cast<size_t>(info.st_size));
+  for (size_t done = 0; ok && done < bytes->size();) {
+    const ssize_t n = read(fd, bytes->data() + done, bytes->size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;
+    done += ok ? static_cast<size_t>(n) : 0;
   }
-  outcome->metrics = reader->ReadDoubleVector();
-  return reader->ok();
+  close(fd);
+  return ok;
 }
 
-bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  std::fseek(file, 0, SEEK_END);
-  const long size = std::ftell(file);
-  std::fseek(file, 0, SEEK_SET);
-  out->assign(size > 0 ? static_cast<size_t>(size) : 0, 0);
-  const size_t read =
-      out->empty() ? 0 : std::fread(out->data(), 1, out->size(), file);
-  std::fclose(file);
-  return !out->empty() && read == out->size();
-}
-
-// Crash-safe snapshot replacement: the bytes land in a sibling temp
-// file, reach disk (fsync) and only then take the snapshot's name via
-// an atomic rename — a kill at any instant leaves either the old or
-// the new snapshot, never a torn one.
+// Crash-safe snapshot replacement: the bytes land in a temp file of
+// their own in the snapshot's directory, reach disk (fsync) and only
+// then take the snapshot's name via an atomic rename — a kill at any
+// instant leaves either the old or the new snapshot, never a torn one,
+// and two runs given one path never write into one temp file. The path
+// was checked (CheckCheckpointWritable) before any work, so a failure
+// here is the disk's, not the input's.
 void AtomicWriteFile(const std::string& path,
                      const std::vector<uint8_t>& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  EQIMPACT_CHECK(file != nullptr);
-  if (!bytes.empty()) {
-    EQIMPACT_CHECK_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file),
-                      bytes.size());
+  std::string tmp = path + ".XXXXXX";
+  const int fd = mkstemp(&tmp[0]);
+  EQIMPACT_CHECK_GE(fd, 0);
+  for (size_t done = 0; done < bytes.size();) {
+    const ssize_t n = write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    EQIMPACT_CHECK_GT(n, 0);
+    done += static_cast<size_t>(n);
   }
-  EQIMPACT_CHECK_EQ(std::fflush(file), 0);
-  EQIMPACT_CHECK_EQ(fsync(fileno(file)), 0);
-  EQIMPACT_CHECK_EQ(std::fclose(file), 0);
+  EQIMPACT_CHECK_EQ(fsync(fd), 0);
+  EQIMPACT_CHECK_EQ(close(fd), 0);
   EQIMPACT_CHECK_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
 }
 
 }  // namespace
+
+SnapshotStatus DecodeExperimentSnapshot(const std::vector<uint8_t>& bytes,
+                                        const Scenario& scenario,
+                                        const ExperimentOptions& options,
+                                        ExperimentSnapshot* snapshot) {
+  *snapshot = ExperimentSnapshot();
+  const std::optional<uint64_t> fingerprint =
+      ExperimentFingerprint(scenario, options);
+  if (!fingerprint) return SnapshotStatus::kFingerprint;
+  base::BinaryReader reader(nullptr, 0);
+  const SnapshotStatus frame =
+      base::OpenFrame(bytes, kExperimentSnapshotMagic,
+                      kExperimentSnapshotVersion, *fingerprint, &reader);
+  if (frame != SnapshotStatus::kOk) return frame;
+
+  // Every trial record and accumulator must have the experiment's own
+  // shape, which the aggregation after the trials relies on.
+  const size_t num_groups = scenario.GroupLabels().size();
+  const size_t num_steps = scenario.StepLabels().size();
+  const size_t num_metrics = scenario.MetricNames().size();
+  const auto read_outcome = [&](TrialOutcome* outcome) {
+    if (reader.ReadSize() != num_groups) return false;
+    outcome->group_impact.resize(num_groups);
+    for (std::vector<double>& series : outcome->group_impact) {
+      series = reader.ReadDoubleVector();
+      if (series.size() != num_steps) return false;
+    }
+    outcome->metrics = reader.ReadDoubleVector();
+    return reader.ok() && outcome->metrics.size() == num_metrics;
+  };
+  const auto read_impact = [&](stats::AdrAccumulator* impact) {
+    return impact->Deserialize(&reader) &&
+           impact->num_groups() == num_groups &&
+           impact->num_steps() == num_steps &&
+           impact->num_bins() == options.impact_bins &&
+           impact->lo() == scenario.impact_lo() &&
+           impact->hi() == scenario.impact_hi();
+  };
+
+  const size_t completed = reader.ReadSize();
+  if (!reader.ok() || completed > options.num_trials) {
+    return SnapshotStatus::kShape;
+  }
+  // Grown one decoded trial at a time, so the count alone never sizes an
+  // allocation.
+  for (size_t t = 0; t < completed; ++t) {
+    snapshot->trials.emplace_back();
+    snapshot->impacts.emplace_back();
+    if (!read_outcome(&snapshot->trials.back()) ||
+        !read_impact(&snapshot->impacts.back())) {
+      return SnapshotStatus::kShape;
+    }
+  }
+  if (reader.ReadBool()) {
+    const size_t trial = reader.ReadSize();
+    const size_t steps_completed = reader.ReadSize();
+    if (!reader.ok() || trial != completed || completed == options.num_trials ||
+        steps_completed == 0 || steps_completed > num_steps ||
+        !read_impact(&snapshot->partial_impact)) {
+      return SnapshotStatus::kShape;
+    }
+    snapshot->partial_state = reader.ReadU8Vector();
+    if (!reader.AtEnd()) return SnapshotStatus::kShape;
+    return scenario.CheckEngineState(
+        MakeTrialContext(options, completed, nullptr),
+        snapshot->partial_state);
+  }
+  return reader.AtEnd() ? SnapshotStatus::kOk : SnapshotStatus::kShape;
+}
+
+SnapshotStatus ReadExperimentSnapshot(const std::string& path,
+                                      const Scenario& scenario,
+                                      const ExperimentOptions& options,
+                                      ExperimentSnapshot* snapshot) {
+  *snapshot = ExperimentSnapshot();
+  const int fd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0 && errno == ENOENT) {
+    std::fprintf(stderr, "[experiment] no checkpoint at %s; starting fresh\n",
+                 path.c_str());
+    return SnapshotStatus::kOk;
+  }
+  std::vector<uint8_t> bytes;
+  if (!ReadRegularFile(fd, &bytes)) return SnapshotStatus::kUnreadable;
+  return DecodeExperimentSnapshot(bytes, scenario, options, snapshot);
+}
+
+SnapshotStatus CheckCheckpointWritable(const std::string& path) {
+  struct stat info;
+  if (stat(path.c_str(), &info) == 0 && !S_ISREG(info.st_mode)) {
+    return SnapshotStatus::kUnwritable;
+  }
+  std::string tmp = path + ".XXXXXX";
+  const int fd = mkstemp(&tmp[0]);
+  if (fd < 0) return SnapshotStatus::kUnwritable;
+  close(fd);
+  unlink(tmp.c_str());
+  return SnapshotStatus::kOk;
+}
 
 ExperimentResult RunExperiment(Scenario* scenario,
                                const ExperimentOptions& options) {
@@ -133,16 +238,17 @@ ExperimentResult RunExperiment(Scenario* scenario,
       options.num_trials,
       stats::AdrAccumulator(num_groups, num_steps, options.impact_bins,
                             scenario->impact_lo(), scenario->impact_hi()));
-  const runtime::SeedSequence seeds(options.master_seed);
   const bool checkpointing = !options.checkpoint_path.empty();
   runtime::ParallelForOptions dispatch;
   dispatch.num_threads = options.num_threads;
+  std::optional<uint64_t> fingerprint;
   if (checkpointing) {
     // Checkpoints linearize trial progress (the snapshot is "trials
     // [0, t) complete, trial t at step s"), so trial dispatch goes
-    // sequential; within-trial parallelism (trial_threads, shards) is
+    // sequential; within-trial parallelism (trial_threads) is
     // unaffected — and neither dispatch mode moves a bit of output.
-    EQIMPACT_CHECK(scenario->SupportsCheckpoint());
+    fingerprint = ExperimentFingerprint(*scenario, options);
+    EQIMPACT_CHECK(fingerprint.has_value());
     dispatch.num_threads = 1;
   }
   // Concurrent trials may not share a pool, but under sequential trial
@@ -154,46 +260,23 @@ ExperimentResult RunExperiment(Scenario* scenario,
     trial_pool.reset(new runtime::ThreadPool(options.trial_threads));
   }
 
-  const uint64_t fingerprint = ExperimentFingerprint(
-      result.scenario, options, num_groups, num_steps, scenario->impact_lo(),
-      scenario->impact_hi());
+  // A resumed experiment takes its completed trials from the snapshot
+  // and resumes the in-flight one from its engine blob.
   size_t completed_trials = 0;
-  std::vector<uint8_t> partial_blob;
-  if (checkpointing && options.resume) {
-    std::vector<uint8_t> blob;
-    if (ReadFileBytes(options.checkpoint_path, &blob)) {
-      EQIMPACT_CHECK_GT(blob.size(), sizeof(uint64_t));
-      const size_t body_size = blob.size() - sizeof(uint64_t);
-      base::BinaryReader trailer(blob.data() + body_size, sizeof(uint64_t));
-      EQIMPACT_CHECK_EQ(trailer.ReadU64(),
-                        HashBytes(blob.data(), body_size));
-      base::BinaryReader reader(blob.data(), body_size);
-      EQIMPACT_CHECK_EQ(reader.ReadU32(), kExperimentSnapshotMagic);
-      EQIMPACT_CHECK_EQ(reader.ReadU32(), kExperimentSnapshotVersion);
-      EQIMPACT_CHECK_EQ(reader.ReadU64(), fingerprint);
-      completed_trials = reader.ReadSize();
-      EQIMPACT_CHECK(reader.ok());
-      EQIMPACT_CHECK_LE(completed_trials, options.num_trials);
-      for (size_t t = 0; t < completed_trials; ++t) {
-        EQIMPACT_CHECK(ReadTrialOutcome(&reader, &result.trials[t]));
-        EQIMPACT_CHECK(trial_impact[t].Deserialize(&reader));
-      }
-      const bool has_partial = reader.ReadBool();
-      EQIMPACT_CHECK(reader.ok());
-      if (has_partial) {
-        EQIMPACT_CHECK_LT(completed_trials, options.num_trials);
-        EQIMPACT_CHECK_EQ(reader.ReadSize(), completed_trials);
-        const size_t steps_completed = reader.ReadSize();
-        EQIMPACT_CHECK_GT(steps_completed, 0u);
-        EQIMPACT_CHECK(trial_impact[completed_trials].Deserialize(&reader));
-        partial_blob = reader.ReadU8Vector();
-        EQIMPACT_CHECK(!partial_blob.empty());
-      }
-      EQIMPACT_CHECK(reader.AtEnd());
-    } else {
-      std::fprintf(stderr,
-                   "[experiment] no checkpoint at %s; starting fresh\n",
-                   options.checkpoint_path.c_str());
+  const std::vector<uint8_t>* partial_state = nullptr;
+  if (options.resume != nullptr) {
+    const ExperimentSnapshot& resume = *options.resume;
+    completed_trials = resume.trials.size();
+    EQIMPACT_CHECK_EQ(resume.impacts.size(), completed_trials);
+    EQIMPACT_CHECK_LE(completed_trials, options.num_trials);
+    std::copy(resume.trials.begin(), resume.trials.end(),
+              result.trials.begin());
+    std::copy(resume.impacts.begin(), resume.impacts.end(),
+              trial_impact.begin());
+    if (!resume.partial_state.empty()) {
+      EQIMPACT_CHECK_LT(completed_trials, options.num_trials);
+      trial_impact[completed_trials] = resume.partial_impact;
+      partial_state = &resume.partial_state;
     }
   }
 
@@ -204,9 +287,8 @@ ExperimentResult RunExperiment(Scenario* scenario,
                                   size_t steps_completed,
                                   const std::vector<uint8_t>& engine_blob) {
     base::BinaryWriter writer;
-    writer.WriteU32(kExperimentSnapshotMagic);
-    writer.WriteU32(kExperimentSnapshotVersion);
-    writer.WriteU64(fingerprint);
+    base::BeginFrame(kExperimentSnapshotMagic, kExperimentSnapshotVersion,
+                     *fingerprint, &writer);
     writer.WriteSize(trials_done);
     for (size_t t = 0; t < trials_done; ++t) {
       WriteTrialOutcome(&writer, result.trials[t]);
@@ -219,58 +301,38 @@ ExperimentResult RunExperiment(Scenario* scenario,
       trial_impact[trials_done].Serialize(&writer);
       writer.WriteU8Vector(engine_blob);
     }
-    writer.WriteU64(HashBytes(writer.buffer().data(), writer.size()));
+    base::SealFrame(&writer);
     AtomicWriteFile(options.checkpoint_path, writer.buffer());
   };
 
-  if (checkpointing) {
-    for (size_t t = completed_trials; t < options.num_trials; ++t) {
-      TrialContext context;
-      context.trial_index = t;
-      context.trial_seed = seeds.Seed(t);
-      context.num_threads = options.trial_threads;
-      context.pool = trial_pool.get();
-      context.checkpoint_sink = [&write_snapshot, t](
-                                    size_t steps_completed,
-                                    const std::vector<uint8_t>& state) {
-        write_snapshot(t, true, steps_completed, state);
-      };
-      if (t == completed_trials && !partial_blob.empty()) {
-        context.resume_state = &partial_blob;
-      }
-      result.trials[t] = scenario->RunTrial(context, &trial_impact[t]);
-      write_snapshot(t + 1, false, 0, {});
-      if (options.on_trial_complete) {
-        options.on_trial_complete(t, result.trials[t], t + 1,
-                                  options.num_trials);
-      }
-    }
-  } else {
-    // Progress observation is serialized and counted under one mutex so
-    // the observer sees a monotone completed count without locking of
-    // its own; it never touches the trial slots, so output bits are
-    // unaffected.
-    std::mutex progress_mutex;
-    size_t trials_completed = 0;
-    runtime::ParallelFor(
-        options.num_trials,
-        [&options, &seeds, &result, &trial_impact, &trial_pool,
-         &progress_mutex, &trials_completed, scenario](size_t t) {
-          TrialContext context;
-          context.trial_index = t;
-          context.trial_seed = seeds.Seed(t);
-          context.num_threads = options.trial_threads;
-          context.pool = trial_pool.get();
-          result.trials[t] = scenario->RunTrial(context, &trial_impact[t]);
-          if (options.on_trial_complete) {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            options.on_trial_complete(t, result.trials[t],
-                                      ++trials_completed,
-                                      options.num_trials);
-          }
-        },
-        dispatch);
-  }
+  // Progress observation is serialized and counted under one mutex so
+  // the observer sees a monotone completed count without locking of its
+  // own; it never touches the trial slots, so output bits are
+  // unaffected.
+  std::mutex progress_mutex;
+  size_t trials_completed = completed_trials;
+  runtime::ParallelFor(
+      options.num_trials - completed_trials,
+      [&](size_t i) {
+        const size_t t = completed_trials + i;
+        TrialContext context = MakeTrialContext(options, t, trial_pool.get());
+        if (checkpointing) {
+          context.checkpoint_sink = [&write_snapshot, t](
+                                        size_t steps_completed,
+                                        const std::vector<uint8_t>& state) {
+            write_snapshot(t, true, steps_completed, state);
+          };
+        }
+        if (i == 0) context.resume_state = partial_state;
+        result.trials[t] = scenario->RunTrial(context, &trial_impact[t]);
+        if (checkpointing) write_snapshot(t + 1, false, 0, {});
+        if (options.on_trial_complete) {
+          std::lock_guard<std::mutex> lock(progress_mutex);
+          options.on_trial_complete(t, result.trials[t], ++trials_completed,
+                                    options.num_trials);
+        }
+      },
+      dispatch);
 
   // Aggregation happens strictly after the join, in trial-slot order.
   for (stats::AdrAccumulator& impact : trial_impact) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "base/fnv1a.h"
+#include "base/serial.h"
 #include "sim/scenario.h"
 #include "stats/adr_accumulator.h"
 #include "stats/aggregate.h"
@@ -15,6 +16,8 @@
 
 namespace eqimpact {
 namespace sim {
+
+struct ExperimentSnapshot;
 
 /// Configuration of a generic multi-trial experiment over any Scenario.
 struct ExperimentOptions {
@@ -34,21 +37,25 @@ struct ExperimentOptions {
   size_t impact_bins = 64;
   /// When non-empty, the experiment checkpoints to this file: after
   /// every completed simulation step of the in-flight trial (and after
-  /// every completed trial) the driver atomically rewrites a versioned
-  /// binary snapshot — completed trial outcomes + accumulators, plus
-  /// the partial trial's accumulator and engine blob — via
-  /// write-to-temp + fsync + rename, so a SIGKILL at any instant leaves
-  /// a valid snapshot on disk. Requires a scenario with
-  /// SupportsCheckpoint() (CHECK-enforced) and forces sequential trial
+  /// every completed trial) the driver atomically rewrites a framed
+  /// snapshot ("EQXP", see base::OpenFrame) — completed trial outcomes
+  /// + accumulators, plus the partial trial's accumulator and engine
+  /// blob — via a unique temp file + fsync + rename, so a SIGKILL at any
+  /// instant leaves a valid snapshot on disk. Requires a scenario with a
+  /// CheckpointFingerprint (CHECK-enforced) and forces sequential trial
   /// dispatch (checkpoints linearize trial progress; trial_threads
   /// within-trial parallelism is unaffected). Checkpointing never moves
-  /// a bit of output.
+  /// a bit of output. Check the path with CheckCheckpointWritable first:
+  /// a write that fails mid-run aborts.
   std::string checkpoint_path;
-  /// With a checkpoint_path: resume from the snapshot file if it
-  /// exists (start fresh, with a note on stderr, if it does not). A
-  /// resumed experiment — from any year of any trial, killed or not —
-  /// produces a result byte-identical to an uninterrupted run.
-  bool resume = false;
+  /// When non-null, continue from this snapshot, which
+  /// ReadExperimentSnapshot (or DecodeExperimentSnapshot) produced for
+  /// the same scenario configuration and options: its completed trials
+  /// are taken as they are and its in-flight trial resumes from its
+  /// engine blob. A resumed experiment — from any year of any trial,
+  /// killed or not — produces a result byte-identical to an
+  /// uninterrupted run. Not owned; must outlive the call.
+  const ExperimentSnapshot* resume = nullptr;
   /// Optional progress observer, invoked once per completed trial with
   /// the trial's slot index, its outcome, and the count of trials
   /// completed so far (monotone 1..num_trials). Under parallel trial
@@ -103,6 +110,48 @@ struct ExperimentResult {
   /// Final-step equal-impact diagnostics.
   EqualImpactSummary summary;
 };
+
+/// A decoded experiment snapshot: the value a resumed experiment
+/// consumes (ExperimentOptions::resume). Empty = start fresh.
+struct ExperimentSnapshot {
+  /// Outcomes and impact accumulators of the completed trials
+  /// [0, trials.size()).
+  std::vector<TrialOutcome> trials;
+  std::vector<stats::AdrAccumulator> impacts;
+  /// The in-flight trial, index trials.size(): its accumulator and its
+  /// engine blob, which Scenario::CheckEngineState has accepted. Empty
+  /// when no trial was in flight.
+  stats::AdrAccumulator partial_impact;
+  std::vector<uint8_t> partial_state;
+};
+
+/// Decodes a snapshot file's bytes for `scenario` under `options`, all
+/// of it, the in-flight trial's engine blob included (through
+/// Scenario::CheckEngineState). kOk fills `snapshot`; anything else is
+/// the typed reason: the frame's (base::OpenFrame, bound by a
+/// fingerprint of the scenario, its configuration, the trial count,
+/// seed and bins, and the impact shape — kFingerprint for a scenario
+/// without checkpoint support) or kShape for a body RunExperiment could
+/// not have written. Never aborts, and never allocates more than
+/// `bytes.size()` beyond the trials' own cohort-sized state.
+base::SnapshotStatus DecodeExperimentSnapshot(
+    const std::vector<uint8_t>& bytes, const Scenario& scenario,
+    const ExperimentOptions& options, ExperimentSnapshot* snapshot);
+
+/// Reads the snapshot file at `path` and decodes it, before anything
+/// runs. A missing file is kOk with an empty snapshot (start fresh; a
+/// note goes to stderr), anything but a readable regular file is
+/// kUnreadable, and the rest is DecodeExperimentSnapshot's. A zero-byte
+/// file is kTruncated.
+base::SnapshotStatus ReadExperimentSnapshot(const std::string& path,
+                                            const Scenario& scenario,
+                                            const ExperimentOptions& options,
+                                            ExperimentSnapshot* snapshot);
+
+/// kOk iff a checkpoint can be written at `path`: `path` is not a
+/// directory or other non-regular file, and its directory accepts a
+/// temp file (created and removed again). kUnwritable otherwise.
+base::SnapshotStatus CheckCheckpointWritable(const std::string& path);
 
 /// Runs `options.num_trials` independent trials of `scenario` and
 /// aggregates: trial-parallel through the runtime layer, streaming by

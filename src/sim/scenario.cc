@@ -33,7 +33,15 @@ std::optional<ScenarioDynamics> Scenario::DynamicsModel() const {
   return std::nullopt;
 }
 
-bool Scenario::SupportsCheckpoint() const { return false; }
+std::optional<uint64_t> Scenario::CheckpointFingerprint() const {
+  return std::nullopt;
+}
+
+base::SnapshotStatus Scenario::CheckEngineState(
+    const TrialContext& /*context*/,
+    const std::vector<uint8_t>& /*state*/) const {
+  return base::SnapshotStatus::kShape;
+}
 
 }  // namespace sim
 }  // namespace eqimpact

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "base/serial.h"
 #include "markov/affine_ifs.h"
 #include "stats/adr_accumulator.h"
 
@@ -44,13 +45,14 @@ struct TrialContext {
   /// trial_threads > 1, so a scenario's inner ParallelFor calls can
   /// reuse it instead of spawning per-call pools.
   runtime::ThreadPool* pool = nullptr;
-  /// When set (only for scenarios with SupportsCheckpoint()), the trial
-  /// must hand its engine's per-step snapshots to this sink so the
+  /// When set (only for scenarios with a CheckpointFingerprint), the
+  /// trial must hand its engine's per-step snapshots to this sink so the
   /// driver can persist a resumable experiment state.
   TrialCheckpointSink checkpoint_sink;
   /// When non-null, the trial must resume its engine from this
-  /// previously sunk snapshot instead of starting fresh; the finished
-  /// trial must be byte-identical to an uninterrupted run. Not owned.
+  /// previously sunk snapshot, which CheckEngineState has accepted for
+  /// this context, instead of starting fresh; the finished trial must be
+  /// byte-identical to an uninterrupted run. Not owned.
   const std::vector<uint8_t>* resume_state = nullptr;
 };
 
@@ -155,11 +157,23 @@ class Scenario {
   /// no meaningful 1-d surrogate.
   virtual std::optional<ScenarioDynamics> DynamicsModel() const;
 
-  /// True if RunTrial honours TrialContext::checkpoint_sink /
-  /// resume_state (per-step engine snapshots with byte-identical
-  /// resume). Default false; the experiment driver refuses to
-  /// checkpoint scenarios without it.
-  virtual bool SupportsCheckpoint() const;
+  /// Checkpoint support. A scenario whose RunTrial honours
+  /// TrialContext::checkpoint_sink / resume_state (per-step engine
+  /// snapshots with byte-identical resume) returns a fingerprint of its
+  /// current configuration: every parameter that shapes a trial's
+  /// output, and nothing that does not (thread counts). An experiment
+  /// snapshot binds to it, so a job resumed under another configuration
+  /// is refused. std::nullopt (the default) means no checkpoint support;
+  /// the experiment driver refuses to checkpoint such a scenario.
+  virtual std::optional<uint64_t> CheckpointFingerprint() const;
+
+  /// Decodes `state`, an engine snapshot RunTrial sank, as the resume
+  /// state of the trial `context` describes, without running anything:
+  /// kOk iff RunTrial can resume from it, else the typed reason. Must
+  /// never abort. The default (no checkpoint support) refuses every
+  /// blob with kShape.
+  virtual base::SnapshotStatus CheckEngineState(
+      const TrialContext& context, const std::vector<uint8_t>& state) const;
 
   /// Runs one trial. `impacts` is a driver-owned accumulator shaped
   /// (num_groups, num_steps, bins) over [impact_lo, impact_hi]; the

@@ -220,14 +220,31 @@ bool AdrAccumulator::Deserialize(base::BinaryReader* reader) {
   lo_ = reader->ReadDouble();
   hi_ = reader->ReadDouble();
   bin_width_ = reader->ReadDouble();
-  size_t num_cells = reader->ReadSize();
-  if (!reader->ok() || num_cells != num_steps_ * num_groups_) return false;
+  const size_t num_cells = reader->ReadSize();
+  // Only shapes the constructor (or the empty default) produces, and no
+  // more cells than the bytes left can hold: a corrupt shape fails here,
+  // before it sizes an allocation or a bin index.
+  const bool shaped =
+      num_groups_ > 0 && num_steps_ > 0 && num_bins_ > 0 && lo_ < hi_ &&
+      bin_width_ == (hi_ - lo_) / static_cast<double>(num_bins_);
+  const bool blank = num_groups_ == 0 && num_steps_ == 0 && num_bins_ == 0 &&
+                     lo_ == 0.0 && hi_ == 1.0 && bin_width_ == 0.0;
+  size_t expected_cells = 0;
+  size_t expected_bins = 0;
+  constexpr size_t kCellBytes = sizeof(int64_t) + 4 * sizeof(double);
+  if (!reader->ok() || !(shaped || blank) ||
+      __builtin_mul_overflow(num_steps_, num_groups_, &expected_cells) ||
+      __builtin_mul_overflow(expected_cells, num_bins_, &expected_bins) ||
+      num_cells != expected_cells ||
+      num_cells > reader->remaining() / kCellBytes) {
+    return false;
+  }
   stats_.assign(num_cells, RunningStats());
   for (RunningStats& cell : stats_) {
     if (!cell.Deserialize(reader)) return false;
   }
   bin_counts_ = reader->ReadI64Vector();
-  return reader->ok() && bin_counts_.size() == num_cells * num_bins_;
+  return reader->ok() && bin_counts_.size() == expected_bins;
 }
 
 SeriesEnvelope AdrAccumulator::GroupEnvelope(size_t g) const {

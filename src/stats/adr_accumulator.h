@@ -115,7 +115,10 @@ class AdrAccumulator {
   /// byte-identical accumulator (empty accumulators round-trip too).
   void Serialize(base::BinaryWriter* writer) const;
   /// Restores state written by Serialize. Returns false (leaving this
-  /// accumulator unspecified) on a truncated or inconsistent record.
+  /// accumulator unspecified) on a truncated or inconsistent record,
+  /// including a shape no constructor makes or more cells than the
+  /// record's remaining bytes can hold; it never allocates more than the
+  /// reader has bytes left.
   bool Deserialize(base::BinaryReader* reader);
 
  private:

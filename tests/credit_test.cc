@@ -630,14 +630,13 @@ TEST(CreditLoopTest, DenseTallyFoldMatchesHashedFoldCheckpointBytes) {
   // Every year's checkpoint serializes the grouped history (group order,
   // weights, num_rows_absorbed) next to the rest of the loop state. The
   // per-chunk tally fold, reduced in chunk order from 16 chunks on 4
-  // threads (and from 3 shards), must leave it byte-identical to the
-  // row-by-row hashed fold.
-  const auto checkpoints = [](bool dense, size_t shards) {
+  // threads (16 shards) and on 3 threads (12 shards), must leave it
+  // byte-identical to the row-by-row hashed fold.
+  const auto checkpoints = [](bool dense, size_t threads) {
     credit::CreditLoopOptions options = SmallLoopOptions(15);
     options.num_users = 1000;
     options.users_per_chunk = 64;
-    options.num_threads = 4;
-    options.num_shards = shards;
+    options.num_threads = threads;
     options.dense_history_fold = dense;
     std::vector<std::vector<uint8_t>> blobs;
     options.checkpoint_sink = [&blobs](size_t,
@@ -647,9 +646,9 @@ TEST(CreditLoopTest, DenseTallyFoldMatchesHashedFoldCheckpointBytes) {
     credit::CreditScoringLoop(options).Run();
     return blobs;
   };
-  const std::vector<std::vector<uint8_t>> hashed = checkpoints(false, 1);
+  const std::vector<std::vector<uint8_t>> hashed = checkpoints(false, 4);
   ASSERT_EQ(hashed.size(), 19u);
-  EXPECT_TRUE(checkpoints(true, 1) == hashed);
+  EXPECT_TRUE(checkpoints(true, 4) == hashed);
   EXPECT_TRUE(checkpoints(true, 3) == hashed);
 }
 

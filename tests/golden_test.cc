@@ -74,18 +74,17 @@ TEST(GoldenTest, MultiTrialCreditWithRawSeries) {
   EXPECT_EQ(Hex(digest.hash()), "d40179be9736744f");
 }
 
-TEST(GoldenTest, StreamingCreditCohortAtOneAndThreeShards) {
-  // 20000 users are five chunks of 4096, so three shards really split
-  // the year.
+TEST(GoldenTest, StreamingCreditCohortAtOneAndThreeThreads) {
+  // 20000 users are five chunks of 4096: one thread walks them in four
+  // shards, three threads in five shards of one chunk each.
   credit::CreditLoopOptions options;
   options.num_users = 20000;
   options.seed = 42;
   options.keep_user_adr = false;
-  options.num_threads = 1;
   const size_t num_years =
       static_cast<size_t>(options.last_year - options.first_year) + 1;
-  for (size_t shards : {size_t{1}, size_t{3}}) {
-    options.num_shards = shards;
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    options.num_threads = threads;
     stats::AdrAccumulator adr(credit::kNumRaces, num_years, 64);
     credit::CreditScoringLoop loop(options);
     const credit::CreditLoopResult result =
@@ -97,8 +96,28 @@ TEST(GoldenTest, StreamingCreditCohortAtOneAndThreeShards) {
     digest.MixSeries(result.overall_adr);
     for (const auto& series : result.race_adr) digest.MixSeries(series);
     sim::MixAccumulator(&digest, adr);
-    EXPECT_EQ(Hex(digest.hash()), "c6ad89fd0f510c47") << "shards=" << shards;
+    EXPECT_EQ(Hex(digest.hash()), "c6ad89fd0f510c47")
+        << "threads=" << threads;
   }
+}
+
+TEST(GoldenTest, CreditCheckpointBlobAtYearTen) {
+  // The engine snapshot (EQCK) after ten of nineteen years, per-user
+  // series included: its frame, field order and every field's bits.
+  credit::CreditLoopOptions options;
+  options.num_users = 3000;
+  options.seed = 7;
+  options.keep_user_adr = true;
+  std::vector<uint8_t> year_ten;
+  options.checkpoint_sink = [&year_ten](size_t years_completed,
+                                        const std::vector<uint8_t>& state) {
+    if (years_completed == 10) year_ten = state;
+  };
+  credit::CreditScoringLoop(options).Run();
+  Fnv1a digest;
+  digest.MixBytes(year_ten.data(), year_ten.size());
+  EXPECT_EQ(year_ten.size(), 316978u);
+  EXPECT_EQ(Hex(digest.hash()), "b52e8e6c6fe78332");
 }
 
 TEST(GoldenTest, CreditTrialWithDenseFold) {

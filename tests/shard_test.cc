@@ -1,8 +1,9 @@
 // Tests for the sharded population engine and its checkpoint/resume
-// layer (runtime::MakeShardPlan, the credit loop's num_shards /
-// checkpoint_sink / resume_state options, and the experiment driver's
-// snapshot file): sharding and checkpointing regroup execution and
-// persistence, and must never move a bit of simulated output.
+// layer (runtime::MakeShardPlan, the credit loop's thread-scaled shard
+// walk and checkpoint_sink / resume_state options, and the experiment
+// driver's snapshot file): sharding and checkpointing regroup execution
+// and persistence, and must never move a bit of simulated output. The
+// refusals of bad snapshots are checkpoint_test's.
 
 #include <cstdint>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "base/fnv1a.h"
+#include "base/serial.h"
 #include "credit/credit_loop.h"
 #include "runtime/shard.h"
 #include "sim/credit_scenario.h"
@@ -120,26 +122,23 @@ credit::CreditLoopOptions SmallLoopOptions() {
   return options;
 }
 
-TEST(ShardedLoopTest, DigestInvariantAcrossShardAndThreadCounts) {
+TEST(ShardedLoopTest, DigestInvariantAcrossThreadCounts) {
+  // 49 chunks of 16: the engine walks four shards per worker, so 1, 2, 3
+  // and 8 threads cut the year into 4, 8, 12 and 32 shards.
   credit::CreditLoopOptions options = SmallLoopOptions();
+  options.users_per_chunk = 16;
   const uint64_t reference =
       LoopDigest(credit::CreditScoringLoop(options).Run());
-  // 13 shards = one chunk each; 64 exceeds the chunk count and clamps.
-  for (size_t shards : {size_t{2}, size_t{3}, size_t{5}, size_t{13},
-                        size_t{64}}) {
-    for (size_t threads : {size_t{1}, size_t{3}}) {
-      options.num_shards = shards;
-      options.num_threads = threads;
-      EXPECT_EQ(LoopDigest(credit::CreditScoringLoop(options).Run()),
-                reference)
-          << "shards=" << shards << " threads=" << threads;
-    }
+  for (size_t threads : {size_t{2}, size_t{3}, size_t{8}}) {
+    options.num_threads = threads;
+    EXPECT_EQ(LoopDigest(credit::CreditScoringLoop(options).Run()), reference)
+        << "threads=" << threads;
   }
 }
 
 TEST(ShardedLoopTest, CheckpointResumeIsBitwiseAtEveryYear) {
   credit::CreditLoopOptions options = SmallLoopOptions();
-  options.num_shards = 4;
+  options.num_threads = 2;
   // Capture every yearly snapshot.
   std::vector<std::vector<uint8_t>> snapshots;
   options.checkpoint_sink = [&snapshots](size_t years_completed,
@@ -155,10 +154,13 @@ TEST(ShardedLoopTest, CheckpointResumeIsBitwiseAtEveryYear) {
 
   options.checkpoint_sink = nullptr;
   for (size_t resume_year : {size_t{1}, num_years / 2, num_years - 1}) {
-    // Resume under a different shard count than the checkpointing run:
-    // snapshots carry no shard (or RNG-cursor) state by design.
-    options.num_shards = resume_year % 2 == 0 ? 1 : 5;
+    // Resume under a different thread count, and so shard count, than
+    // the checkpointing run: snapshots carry no shard (or RNG-cursor)
+    // state by design.
+    options.num_threads = resume_year % 2 == 0 ? 1 : 3;
     options.resume_state = &snapshots[resume_year - 1];
+    ASSERT_EQ(credit::CheckLoopSnapshot(options, *options.resume_state),
+              base::SnapshotStatus::kOk);
     size_t first_observed_step = num_years;
     credit::CreditLoopResult resumed =
         credit::CreditScoringLoop(options).Run(
@@ -192,6 +194,18 @@ sim::ExperimentOptions SmallExperimentOptions() {
   return options;
 }
 
+/// Reads the snapshot at options.checkpoint_path for `scenario` and runs
+/// the experiment on from it; returns the result's digest.
+uint64_t ResumedDigest(sim::Scenario* scenario,
+                       sim::ExperimentOptions options) {
+  sim::ExperimentSnapshot snapshot;
+  EXPECT_EQ(sim::ReadExperimentSnapshot(options.checkpoint_path, *scenario,
+                                        options, &snapshot),
+            base::SnapshotStatus::kOk);
+  options.resume = &snapshot;
+  return sim::ExperimentDigest(sim::RunExperiment(scenario, options));
+}
+
 TEST(ExperimentCheckpointTest, UninterruptedCheckpointedRunMatchesPlain) {
   sim::CreditScenario plain_scenario(SmallScenarioOptions());
   const uint64_t reference = sim::ExperimentDigest(
@@ -221,9 +235,8 @@ TEST(ExperimentCheckpointTest, ResumeWithoutSnapshotStartsFresh) {
   sim::CreditScenario scenario(SmallScenarioOptions());
   sim::ExperimentOptions options = SmallExperimentOptions();
   options.checkpoint_path = path;
-  options.resume = true;  // Nothing to resume from: plain fresh run.
-  EXPECT_EQ(sim::ExperimentDigest(sim::RunExperiment(&scenario, options)),
-            reference);
+  // Nothing to resume from: an empty snapshot, a plain fresh run.
+  EXPECT_EQ(ResumedDigest(&scenario, options), reference);
   std::remove(path.c_str());
 }
 
@@ -280,34 +293,29 @@ TEST(ExperimentCheckpointTest, ResumeAfterMidTrialCrashIsBitwise) {
   // with the uninterrupted run's exact aggregates. The resumed trial 1
   // replays years 5..9 only; trial 0's outcome comes from the snapshot.
   sim::CreditScenario resumed_scenario(SmallScenarioOptions());
-  options.resume = true;
-  EXPECT_EQ(
-      sim::ExperimentDigest(sim::RunExperiment(&resumed_scenario, options)),
-      reference);
+  EXPECT_EQ(ResumedDigest(&resumed_scenario, options), reference);
   std::remove(path.c_str());
 }
 
-TEST(ExperimentCheckpointTest, ResumeUnderDifferentShardCountIsBitwise) {
+TEST(ExperimentCheckpointTest, ResumeUnderDifferentTrialThreadsIsBitwise) {
   sim::CreditScenario plain_scenario(SmallScenarioOptions());
   const uint64_t reference = sim::ExperimentDigest(
       sim::RunExperiment(&plain_scenario, SmallExperimentOptions()));
 
-  const std::string path = testing::TempDir() + "/eqimpact_ck_shards.bin";
+  const std::string path = testing::TempDir() + "/eqimpact_ck_threads.bin";
   std::remove(path.c_str());
-  // Crash a 4-sharded run mid-trial, resume unsharded: the snapshot
-  // carries no shard state, so the digest must not move.
-  sim::CreditScenarioOptions sharded = SmallScenarioOptions();
-  sharded.loop.num_shards = 4;
-  CrashingCreditScenario crashing(sharded, 6);
+  // Crash a run mid-trial at 4 trial threads, resume at 2: the snapshot
+  // carries no thread or shard state, and the job fingerprint leaves
+  // thread counts out, so the digest must not move.
+  CrashingCreditScenario crashing(SmallScenarioOptions(), 6);
   sim::ExperimentOptions options = SmallExperimentOptions();
   options.checkpoint_path = path;
+  options.trial_threads = 4;
   EXPECT_THROW(sim::RunExperiment(&crashing, options), InjectedCrash);
 
   sim::CreditScenario resumed_scenario(SmallScenarioOptions());
-  options.resume = true;
-  EXPECT_EQ(
-      sim::ExperimentDigest(sim::RunExperiment(&resumed_scenario, options)),
-      reference);
+  options.trial_threads = 2;
+  EXPECT_EQ(ResumedDigest(&resumed_scenario, options), reference);
   std::remove(path.c_str());
 }
 
