@@ -22,11 +22,12 @@
 // sparse eigensolvers — simulation-free, O(cells) memory. Without
 // --scenario it certifies every registered scenario; with it, one
 // scenario with the --set assignments applied. --cells sets the Ulam
-// resolution (default 4096). Certificates are closed-form properties of
-// the spec, so --certify cannot be combined with --sweep, --serve or
-// checkpointing, and the output is byte-identical under --force-scalar
-// (the provenance line, which also records the certificate solver
-// configuration, is the only line that differs).
+// resolution (default 4096, at most 10^6: a larger value is refused with
+// exit 2 before anything is allocated). Certificates are closed-form
+// properties of the spec, so --certify cannot be combined with --sweep,
+// --serve or checkpointing, and the output is byte-identical under
+// --force-scalar (the provenance line, which also records the
+// certificate solver configuration, is the only line that differs).
 //
 // --serve runs the long-lived experiment service instead of one
 // experiment: line-delimited JSON requests over loopback TCP (see
@@ -108,6 +109,11 @@ namespace {
 
 using eqimpact::serve::JobSpec;
 using eqimpact::sim::Scenario;
+
+/// Ceiling of --cells: the top of the 10^5-10^6-cell range the sparse Ulam
+/// operator and its eigensolvers are written for (the credit certificate
+/// alone peaks near 460 MB there).
+constexpr size_t kMaxCertifyCells = 1000000;
 
 /// The CLI's own flags: modes and execution settings. The job itself
 /// (scenario, trials, seed, bins, thread echoes, --set, --sweep) is a
@@ -193,6 +199,10 @@ bool ParseArgs(int argc, char** argv, JobSpec* job, CliSpec* spec) {
   }
   if (spec->serve_port > 65535) {
     std::fprintf(stderr, "error: --port must be <= 65535\n");
+    return false;
+  }
+  if (spec->certify_cells > kMaxCertifyCells) {
+    std::fprintf(stderr, "error: --cells must be <= %zu\n", kMaxCertifyCells);
     return false;
   }
   return true;

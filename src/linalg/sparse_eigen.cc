@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "base/check.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
+#include "runtime/parallel_for.h"
 
 namespace eqimpact {
 namespace linalg {
@@ -174,26 +176,56 @@ SparseStationaryResult SparseStationaryDistribution(
 
   // The adjoint is materialised once: its row gather accumulates each
   // component over ascending source states, the same order a dense
-  // MultiplyLeft scatter produces, and the row-owned parallel Multiply is
-  // bitwise thread-count-invariant.
+  // MultiplyLeft scatter produces. Two buffers swap roles each iteration,
+  // so the solver allocates nothing inside the loop. The row pass runs
+  // through ParallelFor over the chunk indices, with the body built once
+  // here: ParallelForChunks would wrap it in a fresh std::function (a heap
+  // allocation) per call.
   const SparseMatrix adjoint = transition.Transposed();
-  Vector x(n);
-  for (size_t i = 0; i < n; ++i) x[i] = 1.0 / static_cast<double>(n);
+  const size_t* offsets = adjoint.row_offsets().data();
+  const size_t* cols = adjoint.col_indices().data();
+  const double* vals = adjoint.values().data();
+  std::vector<double> x(n, 1.0 / static_cast<double>(n));
+  std::vector<double> next(n);
+  EQIMPACT_CHECK_EQ(adjoint.row_offsets().size(), n + 1);
+  EQIMPACT_CHECK_EQ(x.size(), n);
+  EQIMPACT_CHECK_EQ(next.size(), n);
+  const size_t chunk_size = options.product.chunk_size;
+  const std::function<void(size_t)> lazy_rows = [&](size_t chunk) {
+    const double* xv = x.data();
+    double* yv = next.data();
+    const size_t end = std::min(n, (chunk + 1) * chunk_size);
+    for (size_t r = chunk * chunk_size; r < end; ++r) {
+      double gathered = 0.0;
+      for (size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
+        gathered += vals[k] * xv[cols[k]];
+      }
+      // Lazy shift: x' = (x + P^T x) / 2 keeps periodic chains convergent.
+      yv[r] = 0.5 * (xv[r] + gathered);
+    }
+  };
+  runtime::ParallelForOptions parallel;
+  parallel.num_threads = options.product.num_threads;
+  parallel.pool = options.product.pool;
+  const size_t num_chunks = runtime::NumChunks(n, chunk_size);
   for (int it = 0; it < options.max_iterations; ++it) {
-    Vector next = adjoint.Multiply(x, options.product);
-    // Lazy shift: x' = (x + P^T x) / 2 keeps periodic chains convergent.
-    for (size_t i = 0; i < n; ++i) next[i] = 0.5 * (x[i] + next[i]);
+    // Row-owned outputs: bitwise-identical at every thread count.
+    runtime::ParallelFor(num_chunks, lazy_rows, parallel);
+    const double* xv = x.data();
+    double* yv = next.data();
     double sum = 0.0;
-    for (size_t i = 0; i < n; ++i) sum += next[i];
+    for (size_t i = 0; i < n; ++i) sum += yv[i];
     EQIMPACT_CHECK_GT(sum, 0.0);
-    for (size_t i = 0; i < n; ++i) next[i] /= sum;
     double delta = 0.0;
-    for (size_t i = 0; i < n; ++i) delta += std::fabs(next[i] - x[i]);
-    x = next;
+    for (size_t i = 0; i < n; ++i) {
+      yv[i] /= sum;
+      delta += std::fabs(yv[i] - xv[i]);
+    }
+    x.swap(next);
     result.iterations = it + 1;
     if (delta <= options.tolerance) {
       result.converged = true;
-      result.distribution = std::move(x);
+      result.distribution = Vector(std::move(x));
       return result;
     }
   }
@@ -217,12 +249,17 @@ SubdominantResult SparseSubdominantModulus(const SparseMatrix& transition,
   }
 
   const SparseMatrix adjoint = transition.Transposed();
-  // Deflated adjoint: B x = P^T x - pi (1^T x).
+  const double* pi = stationary.data().data();
+  // Deflated adjoint: B x = P^T x - pi (1^T x). Multiply checks that v has
+  // n entries.
   const auto apply_deflated = [&](const Vector& v) {
     Vector out = adjoint.Multiply(v, options.product);
+    EQIMPACT_CHECK_EQ(out.size(), n);
+    const double* vv = v.data().data();
+    double* ov = out.mutable_data().data();
     double mass = 0.0;
-    for (size_t i = 0; i < n; ++i) mass += v[i];
-    for (size_t i = 0; i < n; ++i) out[i] -= stationary[i] * mass;
+    for (size_t i = 0; i < n; ++i) mass += vv[i];
+    for (size_t i = 0; i < n; ++i) ov[i] -= pi[i] * mass;
     return out;
   };
 
@@ -250,11 +287,15 @@ SubdominantResult SparseSubdominantModulus(const SparseMatrix& transition,
   size_t steps = 0;
   for (size_t j = 0; j < m; ++j) {
     Vector w = apply_deflated(q[j]);
-    // Modified Gram-Schmidt.
+    double* wv = w.mutable_data().data();
+    // Modified Gram-Schmidt. Every basis vector is the start vector or an
+    // apply_deflated output, so each has n entries.
     for (size_t i = 0; i <= j; ++i) {
-      const double hij = Dot(q[i], w);
+      const double* qi = q[i].data().data();
+      double hij = 0.0;
+      for (size_t t = 0; t < n; ++t) hij += qi[t] * wv[t];
       h(i, j) = hij;
-      for (size_t t = 0; t < n; ++t) w[t] -= hij * q[i][t];
+      for (size_t t = 0; t < n; ++t) wv[t] -= hij * qi[t];
     }
     steps = j + 1;
     const double norm = w.Norm2();

@@ -72,7 +72,15 @@ struct SparseStationaryResult {
 /// (1 + L) / 2, so the fixed point is attractive even for periodic chains
 /// (where plain power iteration oscillates), and pi (I + P) / 2 = pi iff
 /// pi P = pi. Uniqueness is certified structurally first: unless the
-/// support pattern has exactly one terminal class, returns nullopt. The
+/// support pattern has exactly one terminal class, returns nullopt.
+///
+/// Each iteration makes three passes over two buffers that swap roles, so
+/// the solver allocates nothing inside the loop: a row pass over the
+/// materialised adjoint, next[r] = (x[r] + sum_k (P^T)[r][k] x[k]) / 2,
+/// split into options.product's chunks and run on its threads or pool
+/// (every row owns its output, so the pass is bitwise-identical at every
+/// thread count); the sum of next, in index order; and next divided by
+/// that sum, with the step's L1 delta accumulated in index order. The
 /// loop is sum/divide-only (no libm), so converged iterates are
 /// bit-reproducible across machines.
 SparseStationaryResult SparseStationaryDistribution(

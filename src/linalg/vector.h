@@ -41,8 +41,8 @@ class Vector {
   /// Dimension.
   size_t size() const { return data_.size(); }
 
-  /// Element access with bounds checks. Inline: the sparse solvers call
-  /// it per element in their hot loops.
+  /// Element access with bounds checks (inline: one compare). The sparse
+  /// products and eigensolvers index data() in their hot loops instead.
   double& operator[](size_t i) {
     EQIMPACT_CHECK_LT(i, data_.size());
     return data_[i];

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,9 +38,11 @@
 #include "runtime/kernels.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
+#include "sim/certify.h"
 #include "sim/experiment.h"
 #include "sim/market_scenario.h"
 #include "sim/multi_trial.h"
+#include "sim/scenario_registry.h"
 #include "stats/adr_accumulator.h"
 
 namespace eqimpact {
@@ -249,6 +252,31 @@ TEST(GoldenTest, SparseUlamInvariantMeasures) {
     digest.Mix(measure.hash());
   }
   EXPECT_EQ(Hex(digest.hash()), "5792c942bd4b7c3e");
+}
+
+TEST(GoldenTest, CertificateDocuments) {
+  // The whole --certify document at 512 cells, not just its measures:
+  // solver iterations, invariant means, subdominant moduli, gaps and
+  // mixing bounds are all rendered %.17g. The second document is the
+  // uncertified negative case, the ensemble under integral hysteresis.
+  sim::ScenarioCertifyOptions options;
+  options.spectral.num_cells = 512;
+  const auto document_digest =
+      [&options](const std::vector<sim::ScenarioCertificate>& certificates) {
+        const std::string document = sim::RenderScenarioCertificatesJson(
+            certificates, "\"provenance\": {}", options);
+        Fnv1a digest;
+        digest.MixBytes(reinterpret_cast<const uint8_t*>(document.data()),
+                        document.size());
+        return Hex(digest.hash());
+      };
+  EXPECT_EQ(document_digest(sim::CertifyRegisteredScenarios(options)),
+            "d268d1215dfe3824");
+  const std::unique_ptr<sim::Scenario> hysteresis =
+      sim::CreateScenario("ensemble");
+  ASSERT_TRUE(hysteresis->SetParameter("controller", 1.0));
+  EXPECT_EQ(document_digest({sim::CertifyScenario(*hysteresis, options)}),
+            "7a39ddc442d9f4e0");
 }
 
 TEST(GoldenTest, KernelScalarReferences) {

@@ -1,18 +1,26 @@
 // Unit tests for the linalg module: vectors, matrices, factorisations,
 // the eigen/stationary-distribution solvers, and the CSR sparse engine.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/check.h"
+#include "base/fnv1a.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/solve.h"
 #include "linalg/sparse_eigen.h"
 #include "linalg/sparse_matrix.h"
 #include "linalg/vector.h"
+#include "markov/affine_ifs.h"
+#include "markov/affine_map.h"
+#include "markov/sparse_ulam.h"
 #include "rng/random.h"
 
 namespace eqimpact {
@@ -585,6 +593,172 @@ TEST(SparseEigenTest, SubdominantModulusOfTwoStateChainIsExact) {
   EXPECT_NEAR(spectrum.spectral_gap, a + b, 1e-9);
 }
 
+// --- Reference solvers. -----------------------------------------------------
+//
+// SparseStationaryDistribution and SparseSubdominantModulus as they ran
+// over linalg::Vector, before their loops moved onto raw buffers: kept
+// verbatim (the structural gate goes through the public IsIrreducible and
+// TerminalClassCount) as bitwise oracles. The raw-buffer loops keep the
+// same arithmetic in the same order, so every result bit must agree.
+
+linalg::SparseStationaryResult ReferenceStationaryDistribution(
+    const SparseMatrix& transition,
+    const linalg::SparseSolverOptions& options) {
+  EQIMPACT_CHECK_EQ(transition.rows(), transition.cols());
+  EQIMPACT_CHECK_GT(transition.rows(), 0u);
+  const size_t n = transition.rows();
+
+  linalg::SparseStationaryResult result;
+  result.irreducible = linalg::IsIrreducible(transition);
+  result.terminal_classes = linalg::TerminalClassCount(transition);
+  if (result.terminal_classes != 1) return result;
+
+  const SparseMatrix adjoint = transition.Transposed();
+  Vector x(n);
+  for (size_t i = 0; i < n; ++i) x[i] = 1.0 / static_cast<double>(n);
+  for (int it = 0; it < options.max_iterations; ++it) {
+    Vector next = adjoint.Multiply(x, options.product);
+    // Lazy shift: x' = (x + P^T x) / 2 keeps periodic chains convergent.
+    for (size_t i = 0; i < n; ++i) next[i] = 0.5 * (x[i] + next[i]);
+    double sum = 0.0;
+    for (size_t i = 0; i < n; ++i) sum += next[i];
+    EQIMPACT_CHECK_GT(sum, 0.0);
+    for (size_t i = 0; i < n; ++i) next[i] /= sum;
+    double delta = 0.0;
+    for (size_t i = 0; i < n; ++i) delta += std::fabs(next[i] - x[i]);
+    x = next;
+    result.iterations = it + 1;
+    if (delta <= options.tolerance) {
+      result.converged = true;
+      result.distribution = std::move(x);
+      return result;
+    }
+  }
+  return result;
+}
+
+linalg::SubdominantResult ReferenceSubdominantModulus(
+    const SparseMatrix& transition, const Vector& stationary,
+    const linalg::SubdominantOptions& options) {
+  EQIMPACT_CHECK_EQ(transition.rows(), transition.cols());
+  EQIMPACT_CHECK_EQ(stationary.size(), transition.rows());
+  const size_t n = transition.rows();
+
+  linalg::SubdominantResult result;
+  if (n <= 1) {
+    // A one-state chain has no subdominant mode: gap 1 by convention.
+    result.modulus = 0.0;
+    result.spectral_gap = 1.0;
+    result.valid = true;
+    return result;
+  }
+
+  const SparseMatrix adjoint = transition.Transposed();
+  // Deflated adjoint: B x = P^T x - pi (1^T x).
+  const auto apply_deflated = [&](const Vector& v) {
+    Vector out = adjoint.Multiply(v, options.product);
+    double mass = 0.0;
+    for (size_t i = 0; i < n; ++i) mass += v[i];
+    for (size_t i = 0; i < n; ++i) out[i] -= stationary[i] * mass;
+    return out;
+  };
+
+  const size_t m = std::min(options.subspace, n);
+  std::vector<Vector> q;
+  q.reserve(m + 1);
+  Matrix h(m + 1, m);
+
+  {
+    Vector u(n);
+    uint64_t state = 0x9e3779b97f4a7c15ull;
+    for (size_t i = 0; i < n; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      u[i] = 0.5 + static_cast<double>(state >> 11) * 0x1.0p-53;
+    }
+    const double norm = u.Norm2();
+    EQIMPACT_CHECK_GT(norm, 0.0);
+    u /= norm;
+    q.push_back(std::move(u));
+  }
+
+  size_t steps = 0;
+  for (size_t j = 0; j < m; ++j) {
+    Vector w = apply_deflated(q[j]);
+    // Modified Gram-Schmidt.
+    for (size_t i = 0; i <= j; ++i) {
+      const double hij = Dot(q[i], w);
+      h(i, j) = hij;
+      for (size_t t = 0; t < n; ++t) w[t] -= hij * q[i][t];
+    }
+    steps = j + 1;
+    const double norm = w.Norm2();
+    h(j + 1, j) = norm;
+    if (norm <= 1e-12) break;  // invariant subspace found: exact projection
+    w /= norm;
+    q.push_back(std::move(w));
+  }
+
+  result.subspace_used = steps;
+  if (steps == 0) {
+    result.modulus = 0.0;
+  } else {
+    Matrix hm(steps, steps);
+    for (size_t i = 0; i < steps; ++i) {
+      for (size_t j = 0; j < steps; ++j) hm(i, j) = h(i, j);
+    }
+    result.modulus = std::max(0.0, linalg::SpectralRadius(hm));
+  }
+  result.spectral_gap = std::max(0.0, 1.0 - result.modulus);
+  result.valid = true;
+  return result;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/// Runs both solvers and both references on `transition` under `product`
+/// and checks every result field bit for bit. The Arnoldi pass takes the
+/// stationary distribution, or the uniform vector when there is none, so
+/// a reducible chain still drives the deflated loop. Returns the reference
+/// stationary result, for the caller to check the case is the one meant.
+linalg::SparseStationaryResult ExpectMatchesReference(
+    const SparseMatrix& transition, const SparseProductOptions& product) {
+  linalg::SparseSolverOptions solver;
+  solver.product = product;
+  const linalg::SparseStationaryResult expected =
+      ReferenceStationaryDistribution(transition, solver);
+  const linalg::SparseStationaryResult actual =
+      linalg::SparseStationaryDistribution(transition, solver);
+  EXPECT_EQ(actual.iterations, expected.iterations);
+  EXPECT_EQ(actual.converged, expected.converged);
+  EXPECT_EQ(actual.irreducible, expected.irreducible);
+  EXPECT_EQ(actual.terminal_classes, expected.terminal_classes);
+  EXPECT_EQ(actual.distribution.has_value(),
+            expected.distribution.has_value());
+  const size_t n = transition.rows();
+  Vector stationary(n, 1.0 / static_cast<double>(n));
+  if (expected.distribution) {
+    EXPECT_TRUE(actual.distribution &&
+                BitwiseEqual(*actual.distribution, *expected.distribution));
+    stationary = *expected.distribution;
+  }
+
+  linalg::SubdominantOptions arnoldi;
+  arnoldi.product = product;
+  const linalg::SubdominantResult expected_spectrum =
+      ReferenceSubdominantModulus(transition, stationary, arnoldi);
+  const linalg::SubdominantResult actual_spectrum =
+      linalg::SparseSubdominantModulus(transition, stationary, arnoldi);
+  EXPECT_TRUE(SameBits(actual_spectrum.modulus, expected_spectrum.modulus))
+      << actual_spectrum.modulus << " vs " << expected_spectrum.modulus;
+  EXPECT_TRUE(
+      SameBits(actual_spectrum.spectral_gap, expected_spectrum.spectral_gap));
+  EXPECT_EQ(actual_spectrum.subspace_used, expected_spectrum.subspace_used);
+  EXPECT_EQ(actual_spectrum.valid, expected_spectrum.valid);
+  return expected;
+}
+
 TEST(SparseEigenTest, StationarySolveIsBitwiseThreadInvariant) {
   rng::Random random(31);
   const size_t n = 40;
@@ -603,16 +777,76 @@ TEST(SparseEigenTest, StationarySolveIsBitwiseThreadInvariant) {
   linalg::SparseStationaryResult reference =
       linalg::SparseStationaryDistribution(sparse, options);
   ASSERT_TRUE(reference.distribution.has_value());
-  for (size_t threads : {size_t{2}, size_t{8}}) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
     options.product.num_threads = threads;
     linalg::SparseStationaryResult rerun =
         linalg::SparseStationaryDistribution(sparse, options);
     ASSERT_TRUE(rerun.distribution.has_value());
     EXPECT_EQ(rerun.iterations, reference.iterations);
-    EXPECT_TRUE(
-        BitwiseEqual(*rerun.distribution, *reference.distribution))
-        << threads << " threads";
+    EXPECT_TRUE(BitwiseEqual(*rerun.distribution, *reference.distribution));
+    ExpectMatchesReference(sparse, options.product);
   }
+}
+
+TEST(SparseEigenTest, RawLoopsMatchReferenceWhenChunksDoNotDivideRows) {
+  // 1,000 states in chunks of 64 (15 full chunks and one of 40) on 3
+  // threads. Each state steps to its ring successor, which keeps the
+  // chain irreducible, and to three random states.
+  const size_t n = 1000;
+  rng::Random random(37);
+  SparseMatrix::Builder builder(n, n);
+  for (size_t r = 0; r < n; ++r) {
+    size_t targets[4] = {(r + 1) % n, 0, 0, 0};
+    double weights[4];
+    double total = 0.0;
+    for (size_t k = 0; k < 4; ++k) {
+      if (k > 0) targets[k] = random.UniformInt(n);
+      weights[k] = random.UniformDouble(0.05, 1.0);
+      total += weights[k];
+    }
+    for (size_t k = 0; k < 4; ++k) {
+      builder.Add(r, targets[k], weights[k] / total);
+    }
+  }
+  SparseProductOptions product;
+  product.chunk_size = 64;
+  product.num_threads = 3;
+  EXPECT_TRUE(ExpectMatchesReference(builder.Build(), product).converged);
+}
+
+TEST(SparseEigenTest, RawLoopsMatchReferenceOnPeriodicAndTwoSinkChains) {
+  {
+    SCOPED_TRACE("periodic");
+    const Matrix cycle{{0.0, 1.0}, {1.0, 0.0}};
+    EXPECT_TRUE(ExpectMatchesReference(FromDense(cycle), {}).converged);
+  }
+  SCOPED_TRACE("two sinks");
+  const Matrix sinks{{0.0, 1.0, 0.0, 0.0},
+                     {1.0, 0.0, 0.0, 0.0},
+                     {0.0, 0.0, 0.0, 1.0},
+                     {0.0, 0.0, 1.0, 0.0}};
+  EXPECT_EQ(ExpectMatchesReference(FromDense(sinks), {}).terminal_classes,
+            2u);
+}
+
+TEST(SparseEigenTest, RawLoopsMatchReferenceOnCreditSurrogate) {
+  // The credit scenario's default surrogate at 2,000 Ulam cells, as the
+  // certificate benchmark solves it: the EWMA x' = (1 - a) x + a Bern(0.4)
+  // with a = 1/19, one weight per year of the 2002-2020 horizon.
+  const double a = 1.0 / 19.0;
+  const markov::AffineIfs ifs({markov::AffineMap::Scalar(1.0 - a, a),
+                               markov::AffineMap::Scalar(1.0 - a, 0.0)},
+                              {0.4, 0.6});
+  const markov::SparseUlamOperator op(ifs, 0.0, 1.0, 2000);
+  const linalg::SparseStationaryResult reference =
+      ExpectMatchesReference(op.transition(), {});
+  ASSERT_TRUE(reference.converged);
+  EXPECT_EQ(reference.iterations, 987);
+  // The measure the certificate benchmark pins for the credit scenario.
+  base::Fnv1a measure;
+  measure.MixSeries(reference.distribution->data());
+  EXPECT_EQ(measure.hash(), 0x409d3d530380ad94ULL);
 }
 
 }  // namespace
