@@ -1,6 +1,6 @@
 // Generic scenario/experiment/sweep CLI over the string-keyed scenario
-// registry: one driver for every closed-loop instantiation (credit,
-// market, ensemble, and anything registered later), emitting JSON.
+// registry: one driver for every built-in closed-loop instantiation
+// (credit, market, ensemble), emitting JSON.
 //
 // Usage:
 //   run_experiment --list
@@ -156,7 +156,7 @@ bool ParseArgs(int argc, char** argv, JobSpec* job, CliSpec* spec) {
       {"--serve-workers=", &spec->serve_workers, true},
       {"--serve-queue=", &spec->serve_queue, false},
       {"--serve-threads=", &spec->serve_threads, false},
-      {"--serve-cache=", &spec->serve_cache, false},
+      {"--serve-cache=", &spec->serve_cache, true},
       {"--serve-max-connections=", &spec->serve_max_connections, false},
       {"--serve-idle-timeout=", &spec->serve_idle_timeout_ms, false},
       {"--cells=", &spec->certify_cells, true},

@@ -92,9 +92,9 @@ struct EqualTreatmentReport {
 };
 
 /// Audits one pass (or several) for equal treatment: all users' actions
-/// equal a common constant r at every step. The broadcast structure of
-/// ClosedLoop guarantees Definition 1(i) — the same pi(k) for every user —
-/// so the audit concerns the actions. Deterministic uniform policies pass;
+/// equal a common constant r at every step. The paper's loops broadcast
+/// the same pi(k) to every user, which is Definition 1(i), so the audit
+/// concerns the actions. Deterministic uniform policies pass;
 /// stochastic responses generally fail, which is exactly the paper's point
 /// that equal treatment and equal impact are different properties.
 EqualTreatmentReport AuditEqualTreatment(

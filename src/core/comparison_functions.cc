@@ -1,5 +1,6 @@
 #include "core/comparison_functions.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/check.h"
@@ -7,76 +8,6 @@
 
 namespace eqimpact {
 namespace core {
-
-bool LooksLikeClassK(const std::function<double(double)>& f, double radius,
-                     int samples, double tolerance) {
-  EQIMPACT_CHECK(f != nullptr);
-  EQIMPACT_CHECK_GT(radius, 0.0);
-  EQIMPACT_CHECK_GE(samples, 2);
-  if (std::fabs(f(0.0)) > tolerance) return false;
-  // Geometrically spaced probes resolve behaviour near zero better than a
-  // uniform grid.
-  double previous_s = 0.0;
-  double previous_f = 0.0;
-  for (int i = samples; i >= 0; --i) {
-    double s = radius * std::pow(0.5, i);
-    double value = f(s);
-    if (!(value > previous_f - tolerance) || value < 0.0) return false;
-    if (s > previous_s && value <= previous_f) return false;
-    previous_s = s;
-    previous_f = value;
-  }
-  return true;
-}
-
-bool LooksLikeClassKInfinity(const std::function<double(double)>& f,
-                             double radius, int doublings, int samples) {
-  if (!LooksLikeClassK(f, radius, samples)) return false;
-  // Properness probe: besides staying strictly increasing, the function
-  // must keep growing in magnitude — a bounded saturation like s/(1+s)
-  // increases forever but gains almost nothing past its plateau. The
-  // factor-4 growth requirement over `doublings` doublings accepts even
-  // slowly proper functions (log(1+s) gains ~5.6x over 16 doublings from
-  // radius 10) while rejecting bounded ones.
-  double base = f(radius);
-  double previous = base;
-  double s = radius;
-  for (int d = 0; d < doublings; ++d) {
-    s *= 2.0;
-    double value = f(s);
-    if (value <= previous) return false;
-    previous = value;
-  }
-  return previous >= 4.0 * base;
-}
-
-bool LooksLikeClassKL(const std::function<double(double, double)>& beta,
-                      double radius, double horizon, int samples,
-                      double vanish_tolerance) {
-  EQIMPACT_CHECK(beta != nullptr);
-  EQIMPACT_CHECK_GT(horizon, 0.0);
-  // Class K in s at a few fixed times.
-  for (int j = 0; j <= samples; ++j) {
-    double t = horizon * static_cast<double>(j) / samples;
-    if (!LooksLikeClassK([&beta, t](double s) { return beta(s, t); }, radius,
-                         samples)) {
-      return false;
-    }
-  }
-  // Non-increasing and vanishing in t at a few fixed amplitudes.
-  for (int i = 1; i <= samples; ++i) {
-    double s = radius * static_cast<double>(i) / samples;
-    double previous = beta(s, 0.0);
-    for (int j = 1; j <= samples; ++j) {
-      double t = horizon * static_cast<double>(j) / samples;
-      double value = beta(s, t);
-      if (value > previous + 1e-12) return false;
-      previous = value;
-    }
-    if (beta(s, horizon) > vanish_tolerance) return false;
-  }
-  return true;
-}
 
 LinearIssCertificate CertifyLinearIncrementalIss(const linalg::Matrix& a) {
   EQIMPACT_CHECK_EQ(a.rows(), a.cols());

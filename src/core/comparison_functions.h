@@ -1,40 +1,15 @@
 #ifndef EQIMPACT_CORE_COMPARISON_FUNCTIONS_H_
 #define EQIMPACT_CORE_COMPARISON_FUNCTIONS_H_
 
-#include <functional>
-
 #include "linalg/matrix.h"
 
 namespace eqimpact {
 namespace core {
 
-/// Numerical checks for the comparison-function classes of the paper's
-/// Definitions 5-7 (Angeli 2002), plus the incremental-ISS certificate
-/// for linear systems used to justify ergodic behaviour of
-/// controller/filter dynamics.
-
-/// Numerically checks whether `f` behaves as a class-K function on
-/// (0, `radius`]: f(0) = 0, and f strictly increasing across `samples`
-/// geometrically spaced probe points. A necessary-condition test, not a
-/// proof; intended for validating user-supplied gains.
-bool LooksLikeClassK(const std::function<double(double)>& f, double radius,
-                     int samples = 64, double tolerance = 1e-12);
-
-/// Additionally checks properness: f grows beyond any bound across probe
-/// points up to `radius` * 2^`doublings` (class K-infinity candidate).
-bool LooksLikeClassKInfinity(const std::function<double(double)>& f,
-                             double radius, int doublings = 16,
-                             int samples = 64);
-
-/// Numerically checks whether `beta(s, t)` behaves as a class-KL function
-/// on (0, radius] x [0, horizon]: class K in s for fixed t, non-increasing
-/// and vanishing in t for fixed s.
-bool LooksLikeClassKL(const std::function<double(double, double)>& beta,
-                      double radius, double horizon, int samples = 16,
-                      double vanish_tolerance = 1e-6);
-
 /// Incremental input-to-state stability certificate for the linear system
-/// x(k+1) = A x(k) + B u(k) (Definition 7 specialised to linear maps).
+/// x(k+1) = A x(k) + B u(k) (Definition 7 specialised to linear maps, with
+/// the comparison functions of Definitions 5-6 after Angeli 2002). It
+/// justifies ergodic behaviour of controller/filter dynamics.
 struct LinearIssCertificate {
   /// Spectral radius of A.
   double spectral_radius = 0.0;

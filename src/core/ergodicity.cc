@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "base/fnv1a.h"
-#include "graph/analysis.h"
 #include "markov/sparse_ulam.h"
 
 namespace eqimpact {
@@ -50,38 +49,6 @@ ErgodicityCertificate CertifyAffineIfs(const markov::AffineIfs& ifs) {
   certificate.invariant_measure_exists = certificate.average_contractive;
   certificate.uniquely_ergodic = certificate.average_contractive;
   return certificate;
-}
-
-ErgodicityCertificate CertifyMarkovSystem(const markov::MarkovSystem& system,
-                                          double contraction_estimate) {
-  ErgodicityCertificate certificate;
-  certificate.irreducible = system.IsIrreducible();
-  if (certificate.irreducible) {
-    graph::Digraph g = system.VertexGraph();
-    certificate.period = graph::Period(g);
-    certificate.aperiodic = certificate.period == 1;
-  }
-  certificate.contraction_factor = contraction_estimate;
-  certificate.average_contractive = contraction_estimate < 1.0;
-  certificate.invariant_measure_exists = certificate.irreducible;
-  certificate.uniquely_ergodic = certificate.irreducible &&
-                                 certificate.aperiodic &&
-                                 certificate.average_contractive;
-  return certificate;
-}
-
-std::string SpectralCertificate::Summary() const {
-  char line[320];
-  std::snprintf(
-      line, sizeof(line),
-      "cells=%zu contraction=%.4f terminal_classes=%zu "
-      "invariant_measure=%s mean=%.6f gap=%.6f mixing(eps=%.2g)<=%.0f "
-      "certified=%s",
-      num_cells, contraction_factor, terminal_classes,
-      invariant_measure_exists ? "exists" : "none", invariant_mean,
-      spectral_gap, mixing_time_epsilon, mixing_time_bound,
-      certified ? "yes" : "no");
-  return line;
 }
 
 SpectralCertificate CertifyIfsSpectral(

@@ -8,7 +8,6 @@
 
 #include "markov/affine_ifs.h"
 #include "markov/markov_chain.h"
-#include "markov/markov_system.h"
 
 namespace eqimpact {
 namespace core {
@@ -51,12 +50,6 @@ ErgodicityCertificate CertifyMarkovChain(const markov::MarkovChain& chain);
 /// trivially (one vertex with self-loops), so the certificate rests on
 /// the exact average contraction factor sum_e p_e Lip(w_e) < 1.
 ErgodicityCertificate CertifyAffineIfs(const markov::AffineIfs& ifs);
-
-/// Certifies the graph-side conditions of a general Markov system, with a
-/// Monte-Carlo contraction estimate supplied by the caller (pass 1.0 or
-/// more when unknown — the certificate then reports existence only).
-ErgodicityCertificate CertifyMarkovSystem(const markov::MarkovSystem& system,
-                                          double contraction_estimate);
 
 /// Controls for CertifyIfsSpectral.
 struct SpectralCertificateOptions {
@@ -113,9 +106,6 @@ struct SpectralCertificate {
   /// Average contractivity + unique attractive invariant measure of the
   /// discretised chain, at this resolution.
   bool certified = false;
-
-  /// One-line summary for reports.
-  std::string Summary() const;
 };
 
 /// Computes a SpectralCertificate for `ifs` discretised on [lo, hi].

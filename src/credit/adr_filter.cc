@@ -36,15 +36,9 @@ double AdrFilter::RaceAdr(Race race) const {
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
-double AdrFilter::OverallAdr() const {
-  double sum = 0.0;
-  for (size_t i = 0; i < races_.size(); ++i) sum += UserAdr(i);
-  return sum / static_cast<double>(races_.size());
-}
-
 AdrFilter::Summary AdrFilter::Summarize() const {
   // One pass instead of one per race plus one overall; the per-race sums
-  // accumulate in user-index order, exactly like RaceAdr/OverallAdr.
+  // accumulate in user-index order, exactly like RaceAdr.
   double race_sum[kNumRaces] = {0.0, 0.0, 0.0};
   double overall_sum = 0.0;
   for (size_t i = 0; i < races_.size(); ++i) {
@@ -61,17 +55,6 @@ AdrFilter::Summary AdrFilter::Summarize() const {
   }
   summary.overall_adr = overall_sum / static_cast<double>(races_.size());
   return summary;
-}
-
-double AdrFilter::PooledRaceAdr(Race race) const {
-  double offers = 0.0;
-  double defaults = 0.0;
-  for (size_t i = 0; i < races_.size(); ++i) {
-    if (races_[i] != race) continue;
-    offers += offer_weight_[i];
-    defaults += default_weight_[i];
-  }
-  return offers <= 0.0 ? 0.0 : defaults / offers;
 }
 
 std::vector<double> AdrFilter::UserAdrSnapshot() const {

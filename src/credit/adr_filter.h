@@ -78,9 +78,6 @@ class AdrFilter {
   /// Mean of UserAdr over the users of `race`; 0 if the race is absent.
   double RaceAdr(Race race) const;
 
-  /// Mean of UserAdr over all users.
-  double OverallAdr() const;
-
   /// Every per-year aggregate of the loop in one pass over the users.
   struct Summary {
     /// Mean of UserAdr per race, indexed by Race enum value (0 for an
@@ -90,11 +87,6 @@ class AdrFilter {
     double overall_adr = 0.0;
   };
   Summary Summarize() const;
-
-  /// Pooled variant of the race aggregate: total defaults / total offers
-  /// within the race (0 before any offer). Exposed for the filter
-  /// ablation; the paper's figures use RaceAdr.
-  double PooledRaceAdr(Race race) const;
 
   /// Writes UserAdr(i) for every i in [begin, end) into
   /// out[0..end - begin) through the vectorized guarded-ratio kernel —

@@ -8,15 +8,6 @@
 namespace eqimpact {
 namespace credit {
 
-ApproveAllPolicy::ApproveAllPolicy(double income_multiple)
-    : income_multiple_(income_multiple) {
-  EQIMPACT_CHECK_GT(income_multiple_, 0.0);
-}
-
-LendingDecision ApproveAllPolicy::Decide(const Applicant& applicant) const {
-  return LendingDecision{true, income_multiple_ * applicant.income};
-}
-
 ScorecardPolicy::ScorecardPolicy(ml::Scorecard scorecard,
                                  double income_multiple)
     : scorecard_(std::move(scorecard)), income_multiple_(income_multiple) {

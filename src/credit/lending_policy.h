@@ -43,19 +43,6 @@ class LendingPolicy {
   virtual std::string name() const = 0;
 };
 
-/// Approves everyone with an income-multiple mortgage. Used for the
-/// paper's warm-up years 2002-2003 ("no scorecard is used and we assume
-/// all users are given the approval").
-class ApproveAllPolicy : public LendingPolicy {
- public:
-  explicit ApproveAllPolicy(double income_multiple = 3.5);
-  LendingDecision Decide(const Applicant& applicant) const override;
-  std::string name() const override { return "approve-all"; }
-
- private:
-  double income_multiple_;
-};
-
 /// The paper's scorecard policy: approve iff the scorecard score on
 /// (ADR, income code) exceeds the cut-off; mortgage is income_multiple x
 /// income. Feature order is [adr, income_code], matching Table I's rows

@@ -34,11 +34,6 @@ Population::Population(std::vector<uint8_t> race_ids)
   incomes_.assign(race_ids_.size(), 0.0);
 }
 
-Race Population::race(size_t i) const {
-  EQIMPACT_CHECK_LT(i, races_.size());
-  return races_[i];
-}
-
 void Population::ResampleIncomes(int year, const IncomeModel& model,
                                  rng::Random* random) {
   const YearIncomeSampler sampler(model, year);

@@ -36,7 +36,6 @@ class Population {
 
   size_t size() const { return races_.size(); }
   const std::vector<Race>& races() const { return races_; }
-  Race race(size_t i) const;
 
   /// Races as dense ids, index-aligned with races(). The batch engine's
   /// per-chunk counters index by this.

@@ -58,12 +58,6 @@ void RepaymentModel::ProbabilityBatch(const double* incomes, size_t n,
   }
 }
 
-bool RepaymentModel::SimulateRepayment(double income, bool offered,
-                                       rng::Random* random) const {
-  return SimulateRepaymentForAmount(
-      income, options_.income_multiple * income, offered, random);
-}
-
 bool RepaymentModel::SimulateRepaymentForAmount(double income,
                                                 double mortgage_amount,
                                                 bool offered,

@@ -64,12 +64,9 @@ class RepaymentModel {
   void ProbabilityBatch(const double* incomes, size_t n, double* shares,
                         double* out) const;
 
-  /// Samples the repayment action y in {0, 1} of equation (11). When
-  /// `offered` is false the action is 0 ("no repayment is made").
-  bool SimulateRepayment(double income, bool offered,
-                         rng::Random* random) const;
-
-  /// Samples the repayment for an explicit mortgage amount.
+  /// Samples the repayment action y in {0, 1} of equation (11) for a
+  /// mortgage of `mortgage_amount` (in $K). When `offered` is false the
+  /// action is 0 ("no repayment is made").
   bool SimulateRepaymentForAmount(double income, double mortgage_amount,
                                   bool offered, rng::Random* random) const;
 

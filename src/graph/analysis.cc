@@ -113,44 +113,5 @@ size_t Period(const Digraph& g) {
   return g_period;
 }
 
-bool IsPrimitive(const Digraph& g) {
-  if (!IsStronglyConnected(g)) return false;
-  if (g.num_edges() == 0) return false;
-  return Period(g) == 1;
-}
-
-size_t PrimitivityExponent(const Digraph& g, size_t limit) {
-  const size_t n = g.num_vertices();
-  EQIMPACT_CHECK_GT(n, 0u);
-  if (limit == 0) limit = (n - 1) * (n - 1) + 1;  // Wielandt's bound.
-
-  std::vector<std::vector<bool>> power = g.AdjacencyMatrix();
-  const std::vector<std::vector<bool>> adjacency = power;
-  for (size_t k = 1; k <= limit; ++k) {
-    bool all_positive = true;
-    for (size_t r = 0; r < n && all_positive; ++r) {
-      for (size_t c = 0; c < n; ++c) {
-        if (!power[r][c]) {
-          all_positive = false;
-          break;
-        }
-      }
-    }
-    if (all_positive) return k;
-    // power <- power * adjacency (boolean product).
-    std::vector<std::vector<bool>> next(n, std::vector<bool>(n, false));
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t m = 0; m < n; ++m) {
-        if (!power[r][m]) continue;
-        for (size_t c = 0; c < n; ++c) {
-          if (adjacency[m][c]) next[r][c] = true;
-        }
-      }
-    }
-    power = std::move(next);
-  }
-  return 0;
-}
-
 }  // namespace graph
 }  // namespace eqimpact

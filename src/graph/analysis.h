@@ -33,22 +33,11 @@ bool IsStronglyConnected(const Digraph& g);
 
 /// Period of a strongly connected graph: the gcd of all cycle lengths.
 /// CHECK-fails if `g` is not strongly connected or has no edges.
-/// A strongly connected graph is *aperiodic* iff its period is 1.
-size_t Period(const Digraph& g);
-
-/// True if `g` is strongly connected with period 1. For the boolean
-/// adjacency matrix this is exactly primitivity: some power of the matrix
-/// is entry-wise positive. The paper's Section VI uses primitivity of the
-/// adjacency matrix as the certificate for a *unique, attractive*
+/// A strongly connected graph is *aperiodic* iff its period is 1; for the
+/// boolean adjacency matrix that is primitivity (some power entry-wise
+/// positive), the paper's Section VI certificate for a unique, attractive
 /// invariant measure.
-bool IsPrimitive(const Digraph& g);
-
-/// Direct primitivity witness: the smallest exponent k <= limit such that
-/// every entry of A^k is positive, or 0 if none exists up to `limit`.
-/// The Wielandt bound (n-1)^2 + 1 is the default limit. Quadratic-cubic
-/// cost; intended for the small graphs of Markov systems and for
-/// cross-checking IsPrimitive in tests.
-size_t PrimitivityExponent(const Digraph& g, size_t limit = 0);
+size_t Period(const Digraph& g);
 
 }  // namespace graph
 }  // namespace eqimpact

@@ -29,22 +29,5 @@ bool Digraph::HasEdge(size_t from, size_t to) const {
          successors.end();
 }
 
-std::vector<std::vector<bool>> Digraph::AdjacencyMatrix() const {
-  const size_t n = adjacency_.size();
-  std::vector<std::vector<bool>> matrix(n, std::vector<bool>(n, false));
-  for (size_t v = 0; v < n; ++v) {
-    for (size_t w : adjacency_[v]) matrix[v][w] = true;
-  }
-  return matrix;
-}
-
-Digraph Digraph::Reversed() const {
-  Digraph reversed(adjacency_.size());
-  for (size_t v = 0; v < adjacency_.size(); ++v) {
-    for (size_t w : adjacency_[v]) reversed.AddEdge(w, v);
-  }
-  return reversed;
-}
-
 }  // namespace graph
 }  // namespace eqimpact

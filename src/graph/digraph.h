@@ -12,8 +12,8 @@ namespace graph {
 /// This is the graph G = (V, E) underlying a Markov system (paper
 /// appendix / Figure 6): vertices are the cells of the state-space
 /// partition, edges carry the maps w_e. Parallel edges and self-loops are
-/// allowed; the structural analyses (connectivity, period, primitivity)
-/// only depend on the adjacency relation.
+/// allowed; the structural analyses (connectivity, period) only depend on
+/// the adjacency relation.
 class Digraph {
  public:
   /// Graph with `num_vertices` vertices and no edges.
@@ -31,12 +31,6 @@ class Digraph {
 
   /// True if at least one edge `from` -> `to` exists.
   bool HasEdge(size_t from, size_t to) const;
-
-  /// Boolean adjacency as a vector of rows (true = edge present).
-  std::vector<std::vector<bool>> AdjacencyMatrix() const;
-
-  /// The reverse graph (all edges flipped).
-  Digraph Reversed() const;
 
  private:
   std::vector<std::vector<size_t>> adjacency_;

@@ -8,59 +8,6 @@
 namespace eqimpact {
 namespace linalg {
 
-PowerIterationResult PowerIteration(const Matrix& a, int max_iterations,
-                                    double tolerance) {
-  EQIMPACT_CHECK_EQ(a.rows(), a.cols());
-  EQIMPACT_CHECK_GT(a.rows(), 0u);
-  const size_t n = a.rows();
-
-  PowerIterationResult result;
-  // Deterministic, non-degenerate start vector: slightly tilted uniform so
-  // it is unlikely to be orthogonal to the dominant eigenvector.
-  Vector x(n);
-  for (size_t i = 0; i < n; ++i) {
-    x[i] = 1.0 + 0.001 * static_cast<double>(i + 1);
-  }
-  x /= x.Norm2();
-
-  double lambda = 0.0;
-  for (int it = 0; it < max_iterations; ++it) {
-    Vector next = a * x;
-    double norm = next.Norm2();
-    if (norm == 0.0) {
-      // x is in the kernel: eigenvalue 0 with eigenvector x.
-      result.eigenvalue = 0.0;
-      result.eigenvector = x;
-      result.iterations = it + 1;
-      result.converged = true;
-      return result;
-    }
-    next /= norm;
-    double new_lambda = Dot(next, a * next);
-    double drift = MaxAbsDiff(next, x);
-    // The eigenvector of a negative or complex-dominant mode flips sign each
-    // step; also track the flipped distance so real negative eigenvalues
-    // converge.
-    Vector flipped = next;
-    flipped *= -1.0;
-    drift = std::min(drift, MaxAbsDiff(flipped, x));
-    x = next;
-    if (std::fabs(new_lambda - lambda) <= tolerance && drift <= tolerance) {
-      result.eigenvalue = new_lambda;
-      result.eigenvector = x;
-      result.iterations = it + 1;
-      result.converged = true;
-      return result;
-    }
-    lambda = new_lambda;
-  }
-  result.eigenvalue = lambda;
-  result.eigenvector = x;
-  result.iterations = max_iterations;
-  result.converged = false;
-  return result;
-}
-
 double SpectralRadius(const Matrix& a, int max_squarings, double tolerance) {
   EQIMPACT_CHECK_EQ(a.rows(), a.cols());
   EQIMPACT_CHECK_GT(a.rows(), 0u);
@@ -130,20 +77,6 @@ std::optional<Vector> StationaryDistribution(const Matrix& transition) {
   if (total <= 0.0) return std::nullopt;
   *pi /= total;
   return pi;
-}
-
-std::optional<Vector> StationaryDistributionByIteration(
-    const Matrix& transition, const Vector& initial, int max_iterations,
-    double tolerance) {
-  EQIMPACT_CHECK_EQ(transition.rows(), transition.cols());
-  EQIMPACT_CHECK_EQ(initial.size(), transition.rows());
-  Vector pi = initial;
-  for (int it = 0; it < max_iterations; ++it) {
-    Vector next = MultiplyLeft(pi, transition);
-    if (MaxAbsDiff(next, pi) <= tolerance) return next;
-    pi = next;
-  }
-  return std::nullopt;
 }
 
 }  // namespace linalg

@@ -9,28 +9,6 @@
 namespace eqimpact {
 namespace linalg {
 
-/// Result of a power-iteration eigencomputation.
-struct PowerIterationResult {
-  /// Dominant eigenvalue estimate (Rayleigh quotient at the last iterate).
-  double eigenvalue = 0.0;
-  /// Unit-norm eigenvector estimate.
-  Vector eigenvector;
-  /// Number of iterations performed.
-  int iterations = 0;
-  /// True if the iteration reached the requested tolerance.
-  bool converged = false;
-};
-
-/// Power iteration for the dominant eigenpair of a square matrix.
-///
-/// Converges when the dominant eigenvalue is simple and strictly larger in
-/// modulus than the rest — exactly the situation for primitive
-/// non-negative matrices (Perron-Frobenius), which is how the library
-/// computes spectral radii of transition matrices and contraction factors
-/// of linear closed loops.
-PowerIterationResult PowerIteration(const Matrix& a, int max_iterations = 1000,
-                                    double tolerance = 1e-12);
-
 /// Spectral radius of a square matrix via Gelfand's formula
 /// rho(A) = lim_k ||A^k||^(1/k), evaluated by repeated squaring with
 /// renormalisation (so complex-conjugate dominant pairs — where plain
@@ -48,15 +26,6 @@ double SpectralRadius(const Matrix& a, int max_squarings = 48,
 /// system is numerically singular beyond the rank-1 deficiency (e.g. a
 /// reducible chain with multiple stationary distributions).
 std::optional<Vector> StationaryDistribution(const Matrix& transition);
-
-/// Stationary distribution by repeated application of the transition matrix
-/// starting from `initial` (must be a probability vector). Converges only
-/// for aperiodic chains; provided to demonstrate attractivity of the
-/// invariant measure (Section VI of the paper) and used by tests to compare
-/// against the direct solve.
-std::optional<Vector> StationaryDistributionByIteration(
-    const Matrix& transition, const Vector& initial,
-    int max_iterations = 100000, double tolerance = 1e-12);
 
 }  // namespace linalg
 }  // namespace eqimpact

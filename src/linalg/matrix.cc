@@ -1,7 +1,6 @@
 #include "linalg/matrix.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "base/check.h"
 
@@ -42,24 +41,11 @@ double Matrix::operator()(size_t r, size_t c) const {
   return data_[r * cols_ + c];
 }
 
-Vector Matrix::Row(size_t r) const {
-  EQIMPACT_CHECK_LT(r, rows_);
-  Vector out(cols_);
-  for (size_t c = 0; c < cols_; ++c) out[c] = data_[r * cols_ + c];
-  return out;
-}
-
 Vector Matrix::Col(size_t c) const {
   EQIMPACT_CHECK_LT(c, cols_);
   Vector out(rows_);
   for (size_t r = 0; r < rows_; ++r) out[r] = data_[r * cols_ + c];
   return out;
-}
-
-void Matrix::SetRow(size_t r, const Vector& values) {
-  EQIMPACT_CHECK_LT(r, rows_);
-  EQIMPACT_CHECK_EQ(values.size(), cols_);
-  for (size_t c = 0; c < cols_; ++c) data_[r * cols_ + c] = values[c];
 }
 
 Matrix& Matrix::operator+=(const Matrix& other) {
@@ -106,26 +92,6 @@ bool Matrix::IsRowStochastic(double tolerance) const {
     if (std::fabs(sum - 1.0) > tolerance) return false;
   }
   return true;
-}
-
-std::string Matrix::ToString() const {
-  std::string out;
-  char buffer[32];
-  for (size_t r = 0; r < rows_; ++r) {
-    out += "[";
-    for (size_t c = 0; c < cols_; ++c) {
-      std::snprintf(buffer, sizeof(buffer), "%.6g", data_[r * cols_ + c]);
-      out += buffer;
-      if (c + 1 < cols_) out += ", ";
-    }
-    out += "]\n";
-  }
-  return out;
-}
-
-Matrix operator+(Matrix lhs, const Matrix& rhs) {
-  lhs += rhs;
-  return lhs;
 }
 
 Matrix operator-(Matrix lhs, const Matrix& rhs) {
@@ -178,19 +144,6 @@ Vector MultiplyLeft(const Vector& v, const Matrix& m) {
     for (size_t c = 0; c < m.cols(); ++c) out[c] += vr * m(r, c);
   }
   return out;
-}
-
-Matrix Pow(const Matrix& m, unsigned exponent) {
-  EQIMPACT_CHECK_EQ(m.rows(), m.cols());
-  Matrix result = Matrix::Identity(m.rows());
-  Matrix base = m;
-  unsigned e = exponent;
-  while (e > 0) {
-    if (e & 1u) result = result * base;
-    base = base * base;
-    e >>= 1u;
-  }
-  return result;
 }
 
 bool AllClose(const Matrix& a, const Matrix& b, double tolerance) {

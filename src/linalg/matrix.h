@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "linalg/vector.h"
@@ -47,12 +46,8 @@ class Matrix {
   double& operator()(size_t r, size_t c);
   double operator()(size_t r, size_t c) const;
 
-  /// Copy of row `r` as a Vector.
-  Vector Row(size_t r) const;
   /// Copy of column `c` as a Vector.
   Vector Col(size_t c) const;
-  /// Overwrites row `r`; dimension must equal cols().
-  void SetRow(size_t r, const Vector& values);
 
   // Arithmetic.
   Matrix& operator+=(const Matrix& other);
@@ -69,16 +64,12 @@ class Matrix {
   /// within `tolerance`). Transition matrices use this as a sanity check.
   bool IsRowStochastic(double tolerance = 1e-9) const;
 
-  /// Multi-line human-readable rendering for diagnostics.
-  std::string ToString() const;
-
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<double> data_;
 };
 
-Matrix operator+(Matrix lhs, const Matrix& rhs);
 Matrix operator-(Matrix lhs, const Matrix& rhs);
 Matrix operator*(Matrix m, double scalar);
 Matrix operator*(double scalar, Matrix m);
@@ -93,9 +84,6 @@ Vector operator*(const Matrix& m, const Vector& v);
 /// CHECK-fails unless v.size() == m.rows(). This is how distributions are
 /// pushed forward through a transition matrix.
 Vector MultiplyLeft(const Vector& v, const Matrix& m);
-
-/// Integer matrix power; `exponent` >= 0 (power 0 gives the identity).
-Matrix Pow(const Matrix& m, unsigned exponent);
 
 /// Entry-wise closeness test with the given tolerance.
 bool AllClose(const Matrix& a, const Matrix& b, double tolerance);

@@ -40,7 +40,6 @@ LuDecomposition::LuDecomposition(const Matrix& a) : lu_(a) {
       for (size_t c = 0; c < n_; ++c) {
         std::swap(lu_(col, c), lu_(pivot_row, c));
       }
-      pivot_sign_ = -pivot_sign_;
     }
     double inv_pivot = 1.0 / lu_(col, col);
     for (size_t r = col + 1; r < n_; ++r) {
@@ -76,31 +75,9 @@ std::optional<Vector> LuDecomposition::Solve(const Vector& b) const {
   return x;
 }
 
-double LuDecomposition::Determinant() const {
-  if (!ok_) return 0.0;
-  double det = static_cast<double>(pivot_sign_);
-  for (size_t i = 0; i < n_; ++i) det *= lu_(i, i);
-  return det;
-}
-
 std::optional<Vector> Solve(const Matrix& a, const Vector& b) {
   LuDecomposition lu(a);
   return lu.Solve(b);
-}
-
-std::optional<Matrix> Inverse(const Matrix& a) {
-  LuDecomposition lu(a);
-  if (!lu.ok()) return std::nullopt;
-  size_t n = a.rows();
-  Matrix inv(n, n);
-  for (size_t c = 0; c < n; ++c) {
-    Vector e(n);
-    e[c] = 1.0;
-    std::optional<Vector> col = lu.Solve(e);
-    if (!col.has_value()) return std::nullopt;
-    for (size_t r = 0; r < n; ++r) inv(r, c) = (*col)[r];
-  }
-  return inv;
 }
 
 std::optional<Vector> SolveSpd(const Matrix& a, const Vector& b) {

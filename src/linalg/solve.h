@@ -26,22 +26,15 @@ class LuDecomposition {
   /// Solves A x = b; std::nullopt if singular or dimension mismatch.
   std::optional<Vector> Solve(const Vector& b) const;
 
-  /// Determinant of A (0 when singular).
-  double Determinant() const;
-
  private:
   size_t n_ = 0;
   Matrix lu_;
   std::vector<size_t> pivots_;
-  int pivot_sign_ = 1;
   bool ok_ = false;
 };
 
 /// One-shot solve of A x = b via LU; std::nullopt when A is singular.
 std::optional<Vector> Solve(const Matrix& a, const Vector& b);
-
-/// Matrix inverse via LU; std::nullopt when singular.
-std::optional<Matrix> Inverse(const Matrix& a);
 
 /// Cholesky solve of a symmetric positive-definite system A x = b.
 /// Faster and more stable than LU for the logistic-regression normal

@@ -98,55 +98,6 @@ size_t CountTerminalComponents(const SparseMatrix& a) {
 
 }  // namespace
 
-SparsePowerResult SparsePowerIteration(const SparseMatrix& a,
-                                       const SparseSolverOptions& options) {
-  EQIMPACT_CHECK_EQ(a.rows(), a.cols());
-  EQIMPACT_CHECK_GT(a.rows(), 0u);
-  const size_t n = a.rows();
-
-  SparsePowerResult result;
-  // Same deterministic tilted-uniform start as the dense PowerIteration.
-  Vector x(n);
-  for (size_t i = 0; i < n; ++i) {
-    x[i] = 1.0 + 0.001 * static_cast<double>(i + 1);
-  }
-  x /= x.Norm2();
-
-  double lambda = 0.0;
-  for (int it = 0; it < options.max_iterations; ++it) {
-    Vector next = a.Multiply(x, options.product);
-    const double norm = next.Norm2();
-    if (norm == 0.0) {
-      result.eigenvalue = 0.0;
-      result.eigenvector = x;
-      result.iterations = it + 1;
-      result.converged = true;
-      return result;
-    }
-    next /= norm;
-    const double new_lambda = Dot(next, a.Multiply(next, options.product));
-    double drift = MaxAbsDiff(next, x);
-    Vector flipped = next;
-    flipped *= -1.0;
-    drift = std::min(drift, MaxAbsDiff(flipped, x));
-    x = next;
-    if (std::fabs(new_lambda - lambda) <= options.tolerance &&
-        drift <= options.tolerance) {
-      result.eigenvalue = new_lambda;
-      result.eigenvector = x;
-      result.iterations = it + 1;
-      result.converged = true;
-      return result;
-    }
-    lambda = new_lambda;
-  }
-  result.eigenvalue = lambda;
-  result.eigenvector = x;
-  result.iterations = options.max_iterations;
-  result.converged = false;
-  return result;
-}
-
 bool IsIrreducible(const SparseMatrix& a) {
   EQIMPACT_CHECK_EQ(a.rows(), a.cols());
   if (a.rows() == 0) return false;

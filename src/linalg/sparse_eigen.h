@@ -29,20 +29,6 @@ struct SparseSolverOptions {
   SparseProductOptions product;
 };
 
-/// Result of SparsePowerIteration.
-struct SparsePowerResult {
-  double eigenvalue = 0.0;
-  Vector eigenvector;
-  int iterations = 0;
-  bool converged = false;
-};
-
-/// Power iteration for the dominant eigenpair of `a` (by modulus, assuming
-/// a real dominant eigenvalue; sign-flip tracking handles negative ones,
-/// matching the dense PowerIteration contract).
-SparsePowerResult SparsePowerIteration(const SparseMatrix& a,
-                                       const SparseSolverOptions& options = {});
-
 /// True when the support pattern of the square matrix `a` is strongly
 /// connected (the chain it describes is irreducible).
 bool IsIrreducible(const SparseMatrix& a);

@@ -131,47 +131,5 @@ Vector SparseMatrix::Multiply(const Vector& x,
   return y;
 }
 
-Vector SparseMatrix::TransposeMultiply(
-    const Vector& x, const SparseProductOptions& options) const {
-  EQIMPACT_CHECK_EQ(x.size(), rows_);
-  const size_t num_chunks = runtime::NumChunks(rows_, options.chunk_size);
-  if (num_chunks <= 1) {
-    // Single chunk: the fold below would copy one partial; scatter directly.
-    Vector y(cols_);
-    double* yv = y.mutable_data().data();
-    for (size_t r = 0; r < rows_; ++r) {
-      const double xr = x[r];
-      if (xr == 0.0) continue;
-      for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-        yv[col_indices_[k]] += values_[k] * xr;
-      }
-    }
-    return y;
-  }
-  // Per-chunk partial scatters, folded in chunk order: a pure function of
-  // (matrix, x, chunk_size) regardless of the thread count.
-  std::vector<Vector> partials(num_chunks, Vector(cols_));
-  runtime::ParallelForChunks(
-      rows_, options.chunk_size,
-      [&](size_t chunk, size_t begin, size_t end) {
-        double* pv = partials[chunk].mutable_data().data();
-        for (size_t r = begin; r < end; ++r) {
-          const double xr = x[r];
-          if (xr == 0.0) continue;
-          for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-            pv[col_indices_[k]] += values_[k] * xr;
-          }
-        }
-      },
-      ToRuntimeOptions(options));
-  Vector y(cols_);
-  double* yv = y.mutable_data().data();
-  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    const double* pv = partials[chunk].data().data();
-    for (size_t c = 0; c < cols_; ++c) yv[c] += pv[c];
-  }
-  return y;
-}
-
 }  // namespace linalg
 }  // namespace eqimpact

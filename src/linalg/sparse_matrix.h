@@ -21,11 +21,9 @@ struct SparseProductOptions {
   size_t num_threads = 1;
   /// Optional caller-owned persistent pool (see runtime::ParallelFor).
   runtime::ThreadPool* pool = nullptr;
-  /// Rows per dispatch chunk. The chunk size is part of the *result
-  /// definition* of TransposeMultiply (its chunk-ordered reduction folds
-  /// per-chunk partials in chunk order), so it is a fixed default — never
-  /// derived from the thread count — and equal chunk sizes give
-  /// bitwise-equal results at every thread count.
+  /// Rows per dispatch chunk: a fixed default, never derived from the
+  /// thread count. Every output row is owned by one chunk, so results are
+  /// bitwise-equal at every chunk size and thread count.
   size_t chunk_size = 4096;
 };
 
@@ -35,21 +33,13 @@ struct SparseProductOptions {
 /// image of a cell under an affine map is an interval overlapping O(1)
 /// cells, so the transition matrix of an n-cell discretisation has O(n)
 /// non-zeros and the dense O(n^2) storage/O(n^3) solves cap the
-/// resolution. This type stores only the non-zeros and provides the two
-/// products iterative eigensolvers need (see sparse_eigen.h), both
-/// parallelised via runtime::ParallelForChunks under the library-wide
-/// determinism contract:
-///
-///  * Multiply (y = A x) partitions rows across chunks; every output
-///    element is owned by its row and accumulated sequentially in storage
-///    order, so the result is bitwise-identical to the sequential loop at
-///    any thread count.
-///  * TransposeMultiply (y = A^T x) scatters row contributions into
-///    per-chunk partial vectors folded in fixed chunk order — a pure
-///    function of (matrix, x, chunk_size), bitwise-identical at any
-///    thread count (but not, in general, bit-equal to
-///    Transposed().Multiply(x), whose per-element summation groups
-///    differently).
+/// resolution. This type stores only the non-zeros and provides the
+/// products iterative eigensolvers need (see sparse_eigen.h) under the
+/// library-wide determinism contract: Multiply (y = A x) partitions rows
+/// across chunks via runtime::ParallelForChunks; every output element is
+/// owned by its row and accumulated sequentially in storage order, so the
+/// result is bitwise-identical to the sequential loop at any thread
+/// count. A^T x is Transposed().Multiply(x).
 class SparseMatrix {
  public:
   /// Accumulates (row, col, value) triplets and assembles the CSR form.
@@ -112,12 +102,6 @@ class SparseMatrix {
   /// count (row-owned outputs).
   Vector Multiply(const Vector& x,
                   const SparseProductOptions& options = {}) const;
-
-  /// y = A^T x without materialising the transpose: per-chunk partial
-  /// vectors folded in chunk order. Bitwise-deterministic at any thread
-  /// count for a fixed options.chunk_size.
-  Vector TransposeMultiply(const Vector& x,
-                           const SparseProductOptions& options = {}) const;
 
  private:
   size_t rows_ = 0;

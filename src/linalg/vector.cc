@@ -49,11 +49,6 @@ double Vector::Sum() const {
   return sum;
 }
 
-double Vector::Mean() const {
-  EQIMPACT_CHECK(!data_.empty());
-  return Sum() / static_cast<double>(data_.size());
-}
-
 std::string Vector::ToString() const {
   std::string out = "[";
   char buffer[32];
@@ -76,18 +71,8 @@ Vector operator-(Vector lhs, const Vector& rhs) {
   return lhs;
 }
 
-Vector operator*(Vector v, double scalar) {
-  v *= scalar;
-  return v;
-}
-
 Vector operator*(double scalar, Vector v) {
   v *= scalar;
-  return v;
-}
-
-Vector operator/(Vector v, double scalar) {
-  v /= scalar;
   return v;
 }
 

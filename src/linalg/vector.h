@@ -68,8 +68,6 @@ class Vector {
   double NormInf() const;
   /// Sum of entries.
   double Sum() const;
-  /// Arithmetic mean; CHECK-fails on an empty vector.
-  double Mean() const;
 
   /// "[v0, v1, ...]" with 6 significant digits, for diagnostics.
   std::string ToString() const;
@@ -80,9 +78,7 @@ class Vector {
 
 Vector operator+(Vector lhs, const Vector& rhs);
 Vector operator-(Vector lhs, const Vector& rhs);
-Vector operator*(Vector v, double scalar);
 Vector operator*(double scalar, Vector v);
-Vector operator/(Vector v, double scalar);
 
 /// Inner product; CHECK-fails on dimension mismatch.
 double Dot(const Vector& a, const Vector& b);

@@ -39,20 +39,6 @@ linalg::Vector AffineIfs::Step(const linalg::Vector& x,
   return maps_[e](x);
 }
 
-std::vector<linalg::Vector> AffineIfs::Trajectory(const linalg::Vector& x0,
-                                                  size_t steps,
-                                                  rng::Random* random) const {
-  std::vector<linalg::Vector> path;
-  path.reserve(steps + 1);
-  path.push_back(x0);
-  linalg::Vector x = x0;
-  for (size_t k = 0; k < steps; ++k) {
-    x = Step(x, random);
-    path.push_back(x);
-  }
-  return path;
-}
-
 double AffineIfs::TimeAverage(
     const linalg::Vector& x0, size_t steps, size_t burn_in,
     const std::function<double(const linalg::Vector&)>& f,

@@ -40,11 +40,6 @@ class AffineIfs {
   /// One random transition.
   linalg::Vector Step(const linalg::Vector& x, rng::Random* random) const;
 
-  /// Trajectory of `steps` transitions (steps + 1 states with x0).
-  std::vector<linalg::Vector> Trajectory(const linalg::Vector& x0,
-                                         size_t steps,
-                                         rng::Random* random) const;
-
   /// Time average of `f` along a trajectory after `burn_in`.
   double TimeAverage(const linalg::Vector& x0, size_t steps, size_t burn_in,
                      const std::function<double(const linalg::Vector&)>& f,

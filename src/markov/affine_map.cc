@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "base/check.h"
-#include "linalg/solve.h"
 #include "linalg/symmetric_eigen.h"
 
 namespace eqimpact {
@@ -32,13 +31,6 @@ double AffineMap::LipschitzConstant() const {
   // Exact spectral norm via the Jacobi eigensolver: robust even for
   // clustered singular values, where power iteration converges slowly.
   return linalg::SpectralNorm(a_);
-}
-
-linalg::Vector AffineMap::FixedPoint() const {
-  linalg::Matrix system = linalg::Matrix::Identity(dimension()) - a_;
-  std::optional<linalg::Vector> solution = linalg::Solve(system, b_);
-  EQIMPACT_CHECK(solution.has_value());
-  return *solution;
 }
 
 }  // namespace markov

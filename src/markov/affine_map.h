@@ -36,10 +36,6 @@ class AffineMap {
   /// sqrt(lambda_max(A^T A)) by power iteration.
   double LipschitzConstant() const;
 
-  /// Unique fixed point (I - A)^{-1} b; CHECK-fails if ||A||_2 >= 1 makes
-  /// (I - A) singular.
-  linalg::Vector FixedPoint() const;
-
  private:
   linalg::Matrix a_;
   linalg::Vector b_;

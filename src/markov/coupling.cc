@@ -51,19 +51,5 @@ CouplingResult SynchronousCoupling(const AffineIfs& ifs,
   return result;
 }
 
-double CouplingSuccessRate(const AffineIfs& ifs, const linalg::Vector& x0,
-                           const linalg::Vector& y0, size_t steps,
-                           double threshold, size_t trials,
-                           rng::Random* random) {
-  EQIMPACT_CHECK_GT(trials, 0u);
-  size_t successes = 0;
-  for (size_t t = 0; t < trials; ++t) {
-    CouplingResult result =
-        SynchronousCoupling(ifs, x0, y0, steps, threshold, random);
-    successes += result.coupled ? 1u : 0u;
-  }
-  return static_cast<double>(successes) / static_cast<double>(trials);
-}
-
 }  // namespace markov
 }  // namespace eqimpact

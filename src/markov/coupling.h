@@ -44,14 +44,6 @@ CouplingResult SynchronousCoupling(const AffineIfs& ifs,
                                    const linalg::Vector& y0, size_t steps,
                                    double threshold, rng::Random* random);
 
-/// Convenience: runs `trials` couplings from the given pair and reports
-/// the fraction that coupled within `steps` — an empirical certificate
-/// probability. Deterministic in `random`.
-double CouplingSuccessRate(const AffineIfs& ifs, const linalg::Vector& x0,
-                           const linalg::Vector& y0, size_t steps,
-                           double threshold, size_t trials,
-                           rng::Random* random);
-
 }  // namespace markov
 }  // namespace eqimpact
 

@@ -37,10 +37,6 @@ size_t MarkovChain::Period() const {
   return graph::Period(g);
 }
 
-bool MarkovChain::IsAperiodic() const {
-  return IsIrreducible() && Period() == 1;
-}
-
 std::optional<linalg::Vector> MarkovChain::StationaryDistribution() const {
   return linalg::StationaryDistribution(transition_);
 }

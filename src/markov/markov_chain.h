@@ -41,9 +41,6 @@ class MarkovChain {
   /// CHECK-fails unless irreducible.
   size_t Period() const;
 
-  /// True if irreducible with period 1 (primitive transition matrix).
-  bool IsAperiodic() const;
-
   /// Unique stationary distribution when one exists. For an irreducible
   /// finite chain this always succeeds; reducible chains may return
   /// std::nullopt (stationary distribution not unique).

@@ -171,16 +171,5 @@ std::optional<linalg::Vector> SparseUlamOperator::InvariantCellMeasure(
   return result.distribution;
 }
 
-std::optional<double> SparseUlamOperator::InvariantMean(
-    const linalg::SparseSolverOptions& options) const {
-  std::optional<linalg::Vector> pi = InvariantCellMeasure(options);
-  if (!pi.has_value()) return std::nullopt;
-  double mean = 0.0;
-  for (size_t i = 0; i < num_cells(); ++i) {
-    mean += (*pi)[i] * CellCenter(i);
-  }
-  return mean;
-}
-
 }  // namespace markov
 }  // namespace eqimpact

@@ -81,10 +81,6 @@ class SparseUlamOperator {
   std::optional<linalg::Vector> InvariantCellMeasure(
       const linalg::SparseSolverOptions& options = {}) const;
 
-  /// Mean of the approximate invariant measure.
-  std::optional<double> InvariantMean(
-      const linalg::SparseSolverOptions& options = {}) const;
-
  private:
   double lo_;
   double hi_;

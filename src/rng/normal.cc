@@ -58,10 +58,6 @@ double StandardNormalCdf(double x) {
   return base::NormalCdfScalar(x);
 }
 
-void StandardNormalCdfBatch(const double* x, size_t n, double* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = base::NormalCdfScalar(x[i]);
-}
-
 double StandardNormalPdf(double x) {
   return kInvSqrt2Pi * std::exp(-0.5 * x * x);
 }

@@ -9,8 +9,6 @@
 /// distribution function of the standard normal distribution, so these
 /// functions sit on the hot path of every closed-loop step.
 
-#include <cstddef>
-
 namespace eqimpact {
 namespace rng {
 
@@ -24,13 +22,6 @@ namespace rng {
 /// 0/1 saturation beyond (see base/simd_scalar.h for the full contract).
 /// `StandardNormalCdf(0)` is exactly 0.5.
 double StandardNormalCdf(double x);
-
-/// out[i] = StandardNormalCdf(x[i]) in scalar evaluation order. This is
-/// the layer-correct batch entry for callers below `runtime`; hot paths
-/// above `runtime` should call `runtime::kernels::NormalCdfBatch`, whose
-/// vector lanes produce bit-identical results. `out == x` aliasing is
-/// allowed.
-void StandardNormalCdfBatch(const double* x, size_t n, double* out);
 
 /// Probability density function of the standard normal distribution.
 double StandardNormalPdf(double x);

@@ -119,11 +119,6 @@ __attribute__((target("avx2"))) void FillUniformAvx2(uint64_t* state,
 
 }  // namespace
 
-uint64_t Pcg32::AdvanceState(uint64_t state, uint64_t inc, uint64_t steps) {
-  const LcgJump jump = JumpParams(inc, steps);
-  return state * jump.mult + jump.plus;
-}
-
 void Pcg32::FillUniform(double* out, size_t n) {
   size_t filled = 0;
 #if defined(EQIMPACT_AVX2_LANES)

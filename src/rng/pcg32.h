@@ -68,11 +68,6 @@ class Pcg32 {
   /// base::SetSimdForceScalarForTesting) the fill is the scalar loop.
   void FillUniform(double* out, size_t n);
 
-  /// The LCG state reached from `state` after `steps` more outputs under
-  /// increment `inc`, in O(log steps) (Brown's fast-skip recurrence on
-  /// the jump multipliers). Pure; exposed for tests of the batch fill.
-  static uint64_t AdvanceState(uint64_t state, uint64_t inc, uint64_t steps);
-
  private:
   uint64_t state_;
   uint64_t inc_;

@@ -25,24 +25,6 @@ uint64_t Random::UniformInt(uint64_t n) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-double Random::Normal() {
-  if (has_spare_normal_) {
-    has_spare_normal_ = false;
-    return spare_normal_;
-  }
-  // Polar (Marsaglia) method: rejection-sample a point in the unit disc.
-  double u, v, s;
-  do {
-    u = 2.0 * UniformDouble() - 1.0;
-    v = 2.0 * UniformDouble() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  double factor = std::sqrt(-2.0 * std::log(s) / s);
-  spare_normal_ = v * factor;
-  has_spare_normal_ = true;
-  return u * factor;
-}
-
 double Random::Exponential(double lambda) {
   EQIMPACT_CHECK_GT(lambda, 0.0);
   // 1 - U in (0, 1] avoids log(0).

@@ -51,12 +51,6 @@ class Random {
   /// Bernoulli draw: returns true with probability p (clamped to [0,1]).
   bool Bernoulli(double p) { return UniformDouble() < p; }
 
-  /// Standard normal draw (polar Box-Muller with caching of the spare).
-  double Normal();
-
-  /// Normal draw with the given mean and standard deviation (sigma >= 0).
-  double Normal(double mean, double sigma) { return mean + sigma * Normal(); }
-
   /// Exponential draw with the given rate lambda > 0 (mean 1/lambda).
   double Exponential(double lambda);
 
@@ -78,8 +72,6 @@ class Random {
 
  private:
   Pcg32 gen_;
-  bool has_spare_normal_ = false;
-  double spare_normal_ = 0.0;
 };
 
 /// Derives the `index`-th child seed from `master`. Children with distinct

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "base/check.h"
+#include "base/json_escape.h"
 
 namespace eqimpact {
 namespace serve {
@@ -261,7 +262,7 @@ void DumpValue(const JsonValue& value, std::string* out) {
     }
     case JsonValue::Kind::kString:
       out->push_back('"');
-      out->append(JsonEscape(value.as_string()));
+      out->append(base::JsonEscape(value.as_string()));
       out->push_back('"');
       return;
     case JsonValue::Kind::kArray: {
@@ -280,7 +281,7 @@ void DumpValue(const JsonValue& value, std::string* out) {
       for (size_t i = 0; i < members.size(); ++i) {
         if (i > 0) out->push_back(',');
         out->push_back('"');
-        out->append(JsonEscape(members[i].first));
+        out->append(base::JsonEscape(members[i].first));
         out->append("\":");
         DumpValue(members[i].second, out);
       }
@@ -372,32 +373,6 @@ void JsonValue::Set(const std::string& key, JsonValue value) {
 std::string JsonValue::Dump() const {
   std::string out;
   DumpValue(*this, &out);
-  return out;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char raw : text) {
-    const unsigned char ch = static_cast<unsigned char>(raw);
-    switch (ch) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\b': out.append("\\b"); break;
-      case '\f': out.append("\\f"); break;
-      case '\n': out.append("\\n"); break;
-      case '\r': out.append("\\r"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (ch < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-          out.append(buffer);
-        } else {
-          out.push_back(raw);
-        }
-    }
-  }
   return out;
 }
 

@@ -69,10 +69,6 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
-/// Escapes `text` as the *contents* of a JSON string literal (no
-/// surrounding quotes): ", \, and control characters per RFC 8259.
-std::string JsonEscape(const std::string& text);
-
 /// Parses exactly one JSON value spanning all of `text` (surrounding
 /// whitespace allowed). On success returns true and fills `value`; on
 /// failure returns false and fills `error` with a byte-offset-carrying

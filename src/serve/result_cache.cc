@@ -38,11 +38,6 @@ void ResultCache::Insert(uint64_t fingerprint, const JobResult& result) {
   }
 }
 
-size_t ResultCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 size_t ResultCache::hits() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return hits_;

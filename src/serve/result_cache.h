@@ -43,7 +43,6 @@ class ResultCache {
   /// payload is identical anyway.
   void Insert(uint64_t fingerprint, const JobResult& result);
 
-  size_t size() const;
   size_t hits() const;
   size_t misses() const;
 

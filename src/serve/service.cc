@@ -326,8 +326,6 @@ void ExperimentService::RunJob(std::shared_ptr<Inflight> job,
   }
 }
 
-void ExperimentService::Drain() { scheduler_.Drain(); }
-
 void ExperimentService::Shutdown() { scheduler_.Shutdown(); }
 
 size_t ExperimentService::runs_started() const {

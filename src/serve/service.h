@@ -114,9 +114,6 @@ class ExperimentService {
   /// will follow).
   bool Submit(const std::string& request_line, EventSink sink);
 
-  /// Blocks until every accepted job has finished.
-  void Drain();
-
   /// Stops admitting (typed kShuttingDown) and drains in-flight jobs —
   /// the graceful-shutdown path. Idempotent.
   void Shutdown();

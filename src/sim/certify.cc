@@ -6,21 +6,12 @@
 #include <memory>
 
 #include "base/check.h"
+#include "base/json_escape.h"
 #include "sim/scenario_registry.h"
 
 namespace eqimpact {
 namespace sim {
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 std::string JsonNumber(double value) {
   // Non-finite values are not JSON; the only field that can produce one
@@ -36,7 +27,7 @@ void AppendCertificateJson(const ScenarioCertificate& certificate,
   char line[256];
   *out += "    {\n";
   std::snprintf(line, sizeof(line), "      \"scenario\": \"%s\",\n",
-                JsonEscape(certificate.scenario).c_str());
+                base::JsonEscape(certificate.scenario).c_str());
   *out += line;
   std::snprintf(line, sizeof(line), "      \"has_model\": %s",
                 certificate.has_model ? "true" : "false");
@@ -46,8 +37,8 @@ void AppendCertificateJson(const ScenarioCertificate& certificate,
     return;
   }
   *out += ",\n";
-  *out += "      \"model\": \"" + JsonEscape(certificate.model_description) +
-          "\",\n";
+  *out += "      \"model\": \"" +
+          base::JsonEscape(certificate.model_description) + "\",\n";
   const core::SpectralCertificate& s = certificate.spectral;
   *out += "      \"lo\": " + JsonNumber(s.lo) + ",\n";
   *out += "      \"hi\": " + JsonNumber(s.hi) + ",\n";

@@ -17,7 +17,7 @@ struct CreditScenarioOptions {
   /// unless the experiment's trial_threads overrides it.
   credit::CreditLoopOptions loop;
   /// Materialize the raw per-user ADR series in each trial's record
-  /// (needed only for the raw-series CSV export / exact quantiles).
+  /// (needed only for per-user series and exact quantiles).
   bool keep_raw_series = false;
 };
 

@@ -44,8 +44,8 @@ struct MultiTrialOptions {
   /// pool below. Off (the default), per-user series are never
   /// materialized — the pooled distribution lives only in `pooled_adr`,
   /// whose memory is O(num_groups x num_years x adr_bins) regardless of
-  /// cohort size or trial count. Opt in for the raw-series CSV export or
-  /// exact quantiles on small runs.
+  /// cohort size or trial count. Opt in for per-user series or exact
+  /// quantiles on small runs.
   bool keep_raw_series = false;
 
   /// Histogram resolution of the streaming pooled-ADR accumulator.

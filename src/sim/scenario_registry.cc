@@ -1,8 +1,6 @@
 #include "sim/scenario_registry.h"
 
-#include <algorithm>
 #include <map>
-#include <utility>
 
 #include "sim/credit_scenario.h"
 #include "sim/ensemble_scenario.h"
@@ -12,31 +10,24 @@ namespace eqimpact {
 namespace sim {
 namespace {
 
-/// Function-local registry: no static-initialization-order hazards, and
-/// the built-ins are registered explicitly here rather than through
-/// self-registering globals (which static libraries dead-strip).
-std::map<std::string, ScenarioFactory>& Registry() {
-  static std::map<std::string, ScenarioFactory>* registry = [] {
-    auto* map = new std::map<std::string, ScenarioFactory>();
-    (*map)["credit"] = [] {
-      return std::unique_ptr<Scenario>(new CreditScenario());
-    };
-    (*map)["market"] = [] {
-      return std::unique_ptr<Scenario>(new MatchingMarketScenario());
-    };
-    (*map)["ensemble"] = [] {
-      return std::unique_ptr<Scenario>(new EnsembleScenario());
-    };
-    return map;
-  }();
+/// The built-in scenarios. Function-local: no static-initialization-order
+/// hazards, and the entries are listed here rather than self-registered
+/// from globals (which static libraries dead-strip). Built once, read-only
+/// after that, and never destroyed, so a lookup is safe from any thread
+/// at any time, exit included.
+const std::map<std::string, ScenarioFactory>& Registry() {
+  static const auto* registry = new std::map<std::string, ScenarioFactory>{
+      {"credit",
+       [] { return std::unique_ptr<Scenario>(new CreditScenario()); }},
+      {"market",
+       [] { return std::unique_ptr<Scenario>(new MatchingMarketScenario()); }},
+      {"ensemble",
+       [] { return std::unique_ptr<Scenario>(new EnsembleScenario()); }},
+  };
   return *registry;
 }
 
 }  // namespace
-
-bool RegisterScenario(const std::string& name, ScenarioFactory factory) {
-  return Registry().emplace(name, std::move(factory)).second;
-}
 
 std::unique_ptr<Scenario> CreateScenario(const std::string& name) {
   ScenarioFactory factory = GetScenarioFactory(name);

@@ -11,15 +11,13 @@ namespace eqimpact {
 namespace sim {
 
 /// String-keyed scenario registry — the seam through which CLIs, the
-/// perf bench and future scenarios reach the experiment/sweep drivers
-/// from flag-style specs. The three built-in scenarios ("credit",
-/// "market", "ensemble") are registered on first access; additional
-/// scenarios register at runtime. Not thread-safe (register/create from
-/// one thread, as main() and tests do).
-
-/// Registers `factory` under `name`. Returns false (and leaves the
-/// existing entry) when the name is already taken.
-bool RegisterScenario(const std::string& name, ScenarioFactory factory);
+/// perf bench and the service reach the experiment/sweep drivers from
+/// flag-style specs. It is a read-only table of the built-in scenarios
+/// ("credit", "market", "ensemble"), built on first access; a new
+/// scenario is one more line in that table (scenario_registry.cc).
+/// Nothing writes the table after it is built, so every function here
+/// may be called from any thread at once (the service validates specs on
+/// its loop thread while its workers create scenarios).
 
 /// A fresh scenario instance with default configuration, or null for an
 /// unknown name.

@@ -56,20 +56,5 @@ std::string TextTable::ToString() const {
   return out;
 }
 
-std::string TextTable::ToCsv() const {
-  auto render = [](const std::vector<std::string>& row) {
-    std::string line;
-    for (size_t c = 0; c < row.size(); ++c) {
-      line += row[c];
-      if (c + 1 < row.size()) line += ',';
-    }
-    line += '\n';
-    return line;
-  };
-  std::string out = render(headers_);
-  for (const std::vector<std::string>& row : rows_) out += render(row);
-  return out;
-}
-
 }  // namespace sim
 }  // namespace eqimpact

@@ -25,9 +25,6 @@ class TextTable {
   /// Renders the table with per-column widths and a header separator.
   std::string ToString() const;
 
-  /// Renders comma-separated values (for piping into plotting tools).
-  std::string ToCsv() const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

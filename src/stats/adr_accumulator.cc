@@ -182,25 +182,6 @@ double AdrAccumulator::ApproxQuantile(size_t k, size_t g, double p) const {
                           cell_stats.Max());
 }
 
-double AdrAccumulator::StepApproxQuantile(size_t k, double p) const {
-  int64_t total = StepCount(k);
-  if (total == 0) return 0.0;
-  std::vector<int64_t> bins(num_bins_);
-  double min_value = hi_;
-  double max_value = lo_;
-  for (size_t g = 0; g < num_groups_; ++g) {
-    const RunningStats& cell_stats = stats(k, g);
-    if (cell_stats.count() > 0) {
-      min_value = std::min(min_value, cell_stats.Min());
-      max_value = std::max(max_value, cell_stats.Max());
-    }
-    for (size_t b = 0; b < num_bins_; ++b) {
-      bins[b] += bin_count(k, g, b);
-    }
-  }
-  return QuantileFromBins(p, bins.data(), total, min_value, max_value);
-}
-
 void AdrAccumulator::Serialize(base::BinaryWriter* writer) const {
   writer->WriteSize(num_groups_);
   writer->WriteSize(num_steps_);
@@ -245,18 +226,6 @@ bool AdrAccumulator::Deserialize(base::BinaryReader* reader) {
   }
   bin_counts_ = reader->ReadI64Vector();
   return reader->ok() && bin_counts_.size() == expected_bins;
-}
-
-SeriesEnvelope AdrAccumulator::GroupEnvelope(size_t g) const {
-  SeriesEnvelope envelope;
-  envelope.mean.reserve(num_steps_);
-  envelope.std_dev.reserve(num_steps_);
-  for (size_t k = 0; k < num_steps_; ++k) {
-    const RunningStats& cell_stats = stats(k, g);
-    envelope.mean.push_back(cell_stats.Mean());
-    envelope.std_dev.push_back(cell_stats.StdDev());
-  }
-  return envelope;
 }
 
 }  // namespace stats

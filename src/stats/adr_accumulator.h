@@ -102,14 +102,6 @@ class AdrAccumulator {
   /// p = 1 return the exact min/max. Returns 0 when the cell is empty.
   double ApproxQuantile(size_t k, size_t g, double p) const;
 
-  /// Group-blind variant of ApproxQuantile over all groups at step `k`.
-  double StepApproxQuantile(size_t k, double p) const;
-
-  /// Per-step mean +/- std envelope of group `g` over all observations
-  /// (users pooled across trials) — the streaming analogue of
-  /// AggregateEnvelope over the group's raw series bundle.
-  SeriesEnvelope GroupEnvelope(size_t g) const;
-
   /// Writes the full accumulator state — shape plus every cell's raw
   /// Welford moments and bin counts — such that Deserialize restores a
   /// byte-identical accumulator (empty accumulators round-trip too).

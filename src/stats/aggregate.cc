@@ -2,7 +2,6 @@
 
 #include "base/check.h"
 #include "stats/running_stats.h"
-#include "stats/time_series.h"
 
 namespace eqimpact {
 namespace stats {
@@ -24,26 +23,6 @@ SeriesEnvelope AggregateEnvelope(
     envelope.std_dev[k] = acc.StdDev();
   }
   return envelope;
-}
-
-std::vector<std::vector<double>> QuantileFan(
-    const std::vector<std::vector<double>>& series,
-    const std::vector<double>& probabilities) {
-  EQIMPACT_CHECK(!series.empty());
-  const size_t length = series[0].size();
-  EQIMPACT_CHECK_GT(length, 0u);
-  for (const std::vector<double>& s : series) {
-    EQIMPACT_CHECK_EQ(s.size(), length);
-  }
-  std::vector<std::vector<double>> fan(probabilities.size(),
-                                       std::vector<double>(length));
-  for (size_t k = 0; k < length; ++k) {
-    std::vector<double> cross = CrossSection(series, k);
-    for (size_t p = 0; p < probabilities.size(); ++p) {
-      fan[p][k] = Quantile(cross, probabilities[p]);
-    }
-  }
-  return fan;
 }
 
 std::vector<double> CrossSection(

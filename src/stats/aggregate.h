@@ -20,14 +20,6 @@ struct SeriesEnvelope {
 SeriesEnvelope AggregateEnvelope(
     const std::vector<std::vector<double>>& series);
 
-/// Per-time-step quantile fan across a bundle of series: for each requested
-/// probability p, the p-quantile at every time step. This summarises
-/// Figure 4's 5x1000 trajectory bundle without plotting hardware.
-/// All series must have equal non-zero length.
-std::vector<std::vector<double>> QuantileFan(
-    const std::vector<std::vector<double>>& series,
-    const std::vector<double>& probabilities);
-
 /// Cross-section of a bundle at time `k`: the vector of series[i][k].
 std::vector<double> CrossSection(
     const std::vector<std::vector<double>>& series, size_t k);

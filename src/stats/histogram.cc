@@ -1,8 +1,6 @@
 #include "stats/histogram.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "base/check.h"
 
@@ -37,35 +35,6 @@ int64_t Histogram::count(size_t b) const {
 double Histogram::Fraction(size_t b) const {
   if (total_ == 0) return 0.0;
   return static_cast<double>(count(b)) / static_cast<double>(total_);
-}
-
-double Histogram::Density(size_t b) const {
-  return Fraction(b) / bin_width_;
-}
-
-double Histogram::BinCenter(size_t b) const {
-  EQIMPACT_CHECK_LT(b, counts_.size());
-  return lo_ + (static_cast<double>(b) + 0.5) * bin_width_;
-}
-
-std::string Histogram::ToAsciiChart(size_t width) const {
-  int64_t peak = 1;
-  for (int64_t c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char header[96];
-  for (size_t b = 0; b < counts_.size(); ++b) {
-    double left = lo_ + static_cast<double>(b) * bin_width_;
-    double right = left + bin_width_;
-    std::snprintf(header, sizeof(header), "[%8.4f, %8.4f) %8lld |", left,
-                  right, static_cast<long long>(counts_[b]));
-    out += header;
-    size_t bar = static_cast<size_t>(
-        std::llround(static_cast<double>(counts_[b]) * static_cast<double>(width) /
-                     static_cast<double>(peak)));
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace stats

@@ -1,8 +1,8 @@
 #ifndef EQIMPACT_STATS_HISTOGRAM_H_
 #define EQIMPACT_STATS_HISTOGRAM_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace eqimpact {
@@ -12,8 +12,7 @@ namespace stats {
 ///
 /// Observations below `lo` land in the first bin and above `hi` in the
 /// last (clamping, not rejection), matching how the paper's Figure 5
-/// shades ADR densities over [0, 1]. Counts and normalised densities are
-/// both exposed.
+/// shades ADR densities over [0, 1]. Counts and fractions are exposed.
 class Histogram {
  public:
   /// Histogram with `num_bins` equal-width bins spanning [lo, hi].
@@ -36,16 +35,6 @@ class Histogram {
 
   /// Fraction of observations in bin `b` (0 when empty).
   double Fraction(size_t b) const;
-
-  /// Probability density estimate of bin `b` (fraction / bin width).
-  double Density(size_t b) const;
-
-  /// Midpoint of bin `b`.
-  double BinCenter(size_t b) const;
-
-  /// Renders the histogram as an ASCII bar chart (one line per bin),
-  /// scaling the longest bar to `width` characters. For figure benches.
-  std::string ToAsciiChart(size_t width = 50) const;
 
  private:
   double lo_;

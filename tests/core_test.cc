@@ -1,6 +1,6 @@
-// Unit tests for the core module: the closed-loop engine, the equal-
-// treatment and equal-impact auditors, comparison functions / incremental
-// ISS, and the ergodicity certificates.
+// Unit tests for the core module: the equal-treatment and equal-impact
+// auditors, the incremental-ISS certificate, and the ergodicity
+// certificates.
 
 #include <cmath>
 #include <vector>
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "core/auditors.h"
-#include "core/closed_loop.h"
 #include "core/comparison_functions.h"
 #include "core/ergodicity.h"
 #include "linalg/matrix.h"
@@ -23,83 +22,6 @@ namespace {
 
 using linalg::Matrix;
 using linalg::Vector;
-
-// A trivially simple loop: the AI system broadcasts the filtered mean,
-// users respond Bernoulli(p) with p = clamp(output), the filter averages.
-class ConstantAiSystem : public core::AiSystemInterface {
- public:
-  explicit ConstantAiSystem(double value) : value_(value) {}
-  Vector Produce(const Vector&, int64_t) override { return Vector{value_}; }
-
- private:
-  double value_;
-};
-
-class BernoulliUsers : public core::UserEnsembleInterface {
- public:
-  explicit BernoulliUsers(size_t n) : n_(n) {}
-  size_t num_users() const override { return n_; }
-  Vector Respond(const Vector& output, int64_t, rng::Random* random) override {
-    double p = std::clamp(output[0], 0.0, 1.0);
-    Vector actions(n_);
-    for (size_t i = 0; i < n_; ++i) {
-      actions[i] = random->Bernoulli(p) ? 1.0 : 0.0;
-    }
-    return actions;
-  }
-
- private:
-  size_t n_;
-};
-
-class MeanFilter : public core::FilterInterface {
- public:
-  Vector InitialState() const override { return Vector{0.0}; }
-  Vector Update(const Vector& actions, int64_t) override {
-    return Vector{actions.Mean()};
-  }
-};
-
-TEST(ClosedLoopTest, TraceShapes) {
-  ConstantAiSystem ai(0.5);
-  BernoulliUsers users(10);
-  MeanFilter filter;
-  core::ClosedLoop loop(&ai, &users, &filter);
-  rng::Random random(1);
-  core::ClosedLoopTrace trace = loop.Run(20, &random);
-  EXPECT_EQ(trace.outputs.size(), 20u);
-  EXPECT_EQ(trace.filtered.size(), 20u);
-  EXPECT_EQ(trace.user_actions.size(), 10u);
-  EXPECT_EQ(trace.user_actions[0].size(), 20u);
-  EXPECT_EQ(trace.aggregate_actions.size(), 20u);
-}
-
-TEST(ClosedLoopTest, AggregateIsSumOfUserActions) {
-  ConstantAiSystem ai(0.7);
-  BernoulliUsers users(5);
-  MeanFilter filter;
-  core::ClosedLoop loop(&ai, &users, &filter);
-  rng::Random random(2);
-  core::ClosedLoopTrace trace = loop.Run(50, &random);
-  for (size_t k = 0; k < 50; ++k) {
-    double sum = 0.0;
-    for (size_t i = 0; i < 5; ++i) sum += trace.user_actions[i][k];
-    EXPECT_DOUBLE_EQ(trace.aggregate_actions[k], sum);
-  }
-}
-
-TEST(ClosedLoopTest, FilteredSignalLagsActionsByOneStep) {
-  ConstantAiSystem ai(1.0);  // Everyone acts 1.
-  BernoulliUsers users(4);
-  MeanFilter filter;
-  core::ClosedLoop loop(&ai, &users, &filter);
-  rng::Random random(3);
-  core::ClosedLoopTrace trace = loop.Run(5, &random);
-  EXPECT_DOUBLE_EQ(trace.filtered[0][0], 0.0);  // Initial filter state.
-  for (size_t k = 1; k < 5; ++k) {
-    EXPECT_DOUBLE_EQ(trace.filtered[k][0], 1.0);  // Mean of all-ones.
-  }
-}
 
 // --- Equal-impact auditor ----------------------------------------------------
 
@@ -256,39 +178,7 @@ TEST(EqualTreatmentAuditTest, ConditionedTreatmentByClass) {
   EXPECT_TRUE(by_class[1].constant_action);
 }
 
-// --- Comparison functions / incremental ISS ------------------------------------
-
-TEST(ComparisonFunctionTest, LinearGainIsClassKInfinity) {
-  auto linear = [](double s) { return 2.0 * s; };
-  EXPECT_TRUE(core::LooksLikeClassK(linear, 10.0));
-  EXPECT_TRUE(core::LooksLikeClassKInfinity(linear, 10.0));
-}
-
-TEST(ComparisonFunctionTest, SaturatingGainIsKButNotKInfinity) {
-  auto saturating = [](double s) { return s / (1.0 + s); };
-  EXPECT_TRUE(core::LooksLikeClassK(saturating, 10.0));
-  EXPECT_FALSE(core::LooksLikeClassKInfinity(saturating, 10.0));
-}
-
-TEST(ComparisonFunctionTest, OffsetFunctionIsNotClassK) {
-  auto offset = [](double s) { return s + 1.0; };  // f(0) != 0.
-  EXPECT_FALSE(core::LooksLikeClassK(offset, 10.0));
-}
-
-TEST(ComparisonFunctionTest, DecreasingFunctionIsNotClassK) {
-  auto decreasing = [](double s) { return -s; };
-  EXPECT_FALSE(core::LooksLikeClassK(decreasing, 10.0));
-}
-
-TEST(ComparisonFunctionTest, GeometricDecayIsClassKL) {
-  auto beta = [](double s, double t) { return 2.0 * s * std::pow(0.5, t); };
-  EXPECT_TRUE(core::LooksLikeClassKL(beta, 5.0, 60.0));
-}
-
-TEST(ComparisonFunctionTest, NonDecayingBetaIsNotKL) {
-  auto beta = [](double s, double t) { return s * (1.0 + 0.0 * t) + s; };
-  EXPECT_FALSE(core::LooksLikeClassKL(beta, 5.0, 60.0));
-}
+// --- Incremental ISS ---------------------------------------------------------
 
 TEST(LinearIssTest, SchurStableMatrixIsCertified) {
   Matrix a{{0.5, 0.2}, {0.0, 0.3}};

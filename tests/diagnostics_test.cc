@@ -1,8 +1,6 @@
-// Unit tests for the run-length diagnostics (autocorrelation, effective
-// sample size), the compliance-report assessment, and the
+// Unit tests for the compliance-report assessment and the
 // affordability-based lending extensions.
 
-#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,96 +9,9 @@
 #include "credit/lending_policy.h"
 #include "credit/repayment_model.h"
 #include "rng/random.h"
-#include "stats/autocorrelation.h"
 
 namespace eqimpact {
 namespace {
-
-// --- Autocorrelation ---------------------------------------------------------
-
-TEST(AutocorrelationTest, LagZeroIsOne) {
-  std::vector<double> series{1.0, 2.0, 3.0, 4.0, 5.0};
-  std::vector<double> acf = stats::Autocorrelation(series, 2);
-  EXPECT_DOUBLE_EQ(acf[0], 1.0);
-}
-
-TEST(AutocorrelationTest, IidSeriesHasNearZeroAcf) {
-  rng::Random random(1);
-  std::vector<double> series;
-  for (int i = 0; i < 20000; ++i) series.push_back(random.Normal());
-  std::vector<double> acf = stats::Autocorrelation(series, 5);
-  for (size_t lag = 1; lag <= 5; ++lag) {
-    EXPECT_NEAR(acf[lag], 0.0, 0.03) << "lag " << lag;
-  }
-}
-
-TEST(AutocorrelationTest, AlternatingSeriesHasMinusOneAtLagOne) {
-  std::vector<double> series;
-  for (int i = 0; i < 1000; ++i) series.push_back(i % 2 == 0 ? 1.0 : -1.0);
-  std::vector<double> acf = stats::Autocorrelation(series, 2);
-  EXPECT_NEAR(acf[1], -1.0, 0.01);
-  EXPECT_NEAR(acf[2], 1.0, 0.01);
-}
-
-TEST(AutocorrelationTest, ConstantSeriesIsHandled) {
-  std::vector<double> series(100, 3.0);
-  std::vector<double> acf = stats::Autocorrelation(series, 3);
-  EXPECT_DOUBLE_EQ(acf[0], 1.0);
-  EXPECT_DOUBLE_EQ(acf[1], 0.0);
-}
-
-TEST(AutocorrelationTest, PersistentSeriesHasPositiveAcf) {
-  // AR(1) with coefficient 0.9: rho(k) ~ 0.9^k.
-  rng::Random random(2);
-  std::vector<double> series;
-  double x = 0.0;
-  for (int i = 0; i < 50000; ++i) {
-    x = 0.9 * x + random.Normal();
-    series.push_back(x);
-  }
-  std::vector<double> acf = stats::Autocorrelation(series, 3);
-  EXPECT_NEAR(acf[1], 0.9, 0.03);
-  EXPECT_NEAR(acf[2], 0.81, 0.04);
-}
-
-TEST(EffectiveSampleSizeTest, IidSeriesKeepsFullSize) {
-  rng::Random random(3);
-  std::vector<double> series;
-  for (int i = 0; i < 10000; ++i) series.push_back(random.Normal());
-  double tau = stats::IntegratedAutocorrelationTime(series);
-  EXPECT_NEAR(tau, 1.0, 0.2);
-  EXPECT_GT(stats::EffectiveSampleSize(series), 8000.0);
-}
-
-TEST(EffectiveSampleSizeTest, CorrelatedSeriesShrinks) {
-  // AR(1) rho = 0.9 has tau = (1 + rho) / (1 - rho) = 19.
-  rng::Random random(4);
-  std::vector<double> series;
-  double x = 0.0;
-  for (int i = 0; i < 100000; ++i) {
-    x = 0.9 * x + random.Normal();
-    series.push_back(x);
-  }
-  double tau = stats::IntegratedAutocorrelationTime(series);
-  EXPECT_GT(tau, 10.0);
-  EXPECT_LT(tau, 30.0);
-  EXPECT_LT(stats::EffectiveSampleSize(series), 12000.0);
-}
-
-TEST(TimeAverageErrorTest, ShrinksWithLength) {
-  rng::Random random(5);
-  std::vector<double> shorter, longer;
-  for (int i = 0; i < 50000; ++i) {
-    double draw = random.Normal();
-    if (i < 500) shorter.push_back(draw);
-    longer.push_back(draw);
-  }
-  EXPECT_GT(stats::TimeAverageStandardError(shorter),
-            stats::TimeAverageStandardError(longer));
-  // For i.i.d. standard normals the SE is ~1/sqrt(n).
-  EXPECT_NEAR(stats::TimeAverageStandardError(longer),
-              1.0 / std::sqrt(50000.0), 2e-3);
-}
 
 // --- Compliance report ---------------------------------------------------------
 

@@ -1,5 +1,6 @@
-// Unit tests for the graph module: digraphs, SCCs, periods and
-// primitivity — the certificates behind the paper's Section VI.
+// Unit tests for the graph module: digraphs, SCCs and periods — the
+// certificates behind the paper's Section VI (primitive means strongly
+// connected with period 1).
 
 #include <gtest/gtest.h>
 
@@ -41,24 +42,6 @@ TEST(DigraphTest, SelfLoopsAllowed) {
   Digraph g(1);
   g.AddEdge(0, 0);
   EXPECT_TRUE(g.HasEdge(0, 0));
-}
-
-TEST(DigraphTest, ReversedFlipsEdges) {
-  Digraph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  Digraph r = g.Reversed();
-  EXPECT_TRUE(r.HasEdge(1, 0));
-  EXPECT_TRUE(r.HasEdge(2, 1));
-  EXPECT_FALSE(r.HasEdge(0, 1));
-}
-
-TEST(DigraphTest, AdjacencyMatrix) {
-  Digraph g(2);
-  g.AddEdge(0, 1);
-  auto adjacency = g.AdjacencyMatrix();
-  EXPECT_TRUE(adjacency[0][1]);
-  EXPECT_FALSE(adjacency[1][0]);
 }
 
 TEST(SccTest, SingleComponentCycle) {
@@ -149,56 +132,13 @@ TEST(PeriodTest, TwoCyclesGcd) {
   EXPECT_EQ(Period(g), 2u);
 }
 
-TEST(PrimitivityTest, CycleIsNotPrimitive) {
-  EXPECT_FALSE(IsPrimitive(Cycle(3)));
-}
-
-TEST(PrimitivityTest, CycleWithChordOfCoprimeLengthIsPrimitive) {
-  // 3-cycle plus a 2-cycle chord: gcd(3, 2) = 1.
+TEST(PeriodTest, CoprimeCyclesGiveAperiodicGraph) {
+  // 3-cycle plus a 2-cycle chord: gcd(3, 2) = 1, so the graph is
+  // primitive.
   Digraph g = Cycle(3);
   g.AddEdge(1, 0);
-  EXPECT_TRUE(IsPrimitive(g));
-}
-
-TEST(PrimitivityTest, DisconnectedGraphIsNotPrimitive) {
-  Digraph g(2);
-  g.AddEdge(0, 0);
-  g.AddEdge(1, 1);
-  EXPECT_FALSE(IsPrimitive(g));
-}
-
-TEST(PrimitivityExponentTest, CompleteGraphHasExponentOne) {
-  Digraph g(3);
-  for (size_t a = 0; a < 3; ++a) {
-    for (size_t b = 0; b < 3; ++b) g.AddEdge(a, b);
-  }
-  EXPECT_EQ(PrimitivityExponent(g), 1u);
-}
-
-TEST(PrimitivityExponentTest, CycleNeverBecomesPositive) {
-  EXPECT_EQ(PrimitivityExponent(Cycle(4)), 0u);
-}
-
-TEST(PrimitivityExponentTest, WielandtExtremalGraph) {
-  // The Wielandt graph on n vertices (cycle plus one chord) attains the
-  // bound (n-1)^2 + 1.
-  const size_t n = 5;
-  Digraph g = Cycle(n);
-  g.AddEdge(n - 2, 0);  // Chord creating a cycle of length n - 1.
-  size_t exponent = PrimitivityExponent(g);
-  EXPECT_EQ(exponent, (n - 1) * (n - 1) + 1);
-}
-
-TEST(PrimitivityExponentTest, AgreesWithIsPrimitive) {
-  // Primitivity via period must agree with the direct boolean-power
-  // witness on a batch of small graphs.
-  for (size_t n = 2; n <= 6; ++n) {
-    Digraph cycle = Cycle(n);
-    EXPECT_EQ(PrimitivityExponent(cycle) > 0, IsPrimitive(cycle));
-    Digraph with_loop = Cycle(n);
-    with_loop.AddEdge(0, 0);
-    EXPECT_EQ(PrimitivityExponent(with_loop) > 0, IsPrimitive(with_loop));
-  }
+  EXPECT_TRUE(IsStronglyConnected(g));
+  EXPECT_EQ(Period(g), 1u);
 }
 
 // --- Parameterized sweeps ---------------------------------------------------
@@ -210,7 +150,6 @@ TEST_P(CycleSweep, CyclePropertiesHoldForAllLengths) {
   Digraph g = Cycle(n);
   EXPECT_TRUE(IsStronglyConnected(g));
   EXPECT_EQ(Period(g), n);
-  EXPECT_EQ(IsPrimitive(g), n == 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, CycleSweep,
@@ -222,8 +161,8 @@ TEST_P(LoopedCycleSweep, AddingASelfLoopMakesAnyCyclePrimitive) {
   const size_t n = GetParam();
   Digraph g = Cycle(n);
   g.AddEdge(n / 2, n / 2);
-  EXPECT_TRUE(IsPrimitive(g));
-  EXPECT_GT(PrimitivityExponent(g), 0u);
+  EXPECT_TRUE(IsStronglyConnected(g));
+  EXPECT_EQ(Period(g), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, LoopedCycleSweep,

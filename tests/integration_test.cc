@@ -144,39 +144,6 @@ TEST(PipelineTest, CertificatePredictsEltonBehaviourPositive) {
   EXPECT_TRUE(elton.initial_condition_independent);
 }
 
-TEST(PipelineTest, CertificatePredictsEltonBehaviourNegative) {
-  // Two disconnected absorbing contraction basins (a reducible system in
-  // paper terms): the certificate must refuse unique ergodicity, and the
-  // simulation indeed depends on initial conditions.
-  // Maps: w1 contracts toward 0, w2 contracts toward 10; probabilities
-  // are place-dependent and trap the trajectory on its side of 5.
-  markov::MarkovSystem system(
-      2, [](const linalg::Vector& x) -> size_t {
-        return x[0] < 5.0 ? 0 : 1;
-      });
-  system.AddEdge(
-      0, 0, [](const linalg::Vector& x) { return linalg::Vector{0.5 * x[0]}; },
-      [](const linalg::Vector&) { return 1.0; });
-  system.AddEdge(
-      1, 1,
-      [](const linalg::Vector& x) {
-        return linalg::Vector{0.5 * x[0] + 5.0};
-      },
-      [](const linalg::Vector&) { return 1.0; });
-  EXPECT_FALSE(system.IsIrreducible());
-  core::ErgodicityCertificate certificate =
-      core::CertifyMarkovSystem(system, 0.5);
-  EXPECT_FALSE(certificate.uniquely_ergodic);
-
-  rng::Random random(56);
-  auto f = [](const linalg::Vector& x) { return x[0]; };
-  double from_low = system.TimeAverage(linalg::Vector{1.0}, 5000, 100, f,
-                                       &random);
-  double from_high = system.TimeAverage(linalg::Vector{9.0}, 5000, 100, f,
-                                        &random);
-  EXPECT_GT(std::fabs(from_low - from_high), 5.0);
-}
-
 TEST(PipelineTest, EnsembleAuditorsAgreeWithControllers) {
   // Hook the ensemble-control experiments to the auditors end to end.
   sim::EnsembleOptions options;

@@ -53,8 +53,6 @@ TEST(VectorTest, Arithmetic) {
   EXPECT_DOUBLE_EQ(diff[0], -2.0);
   Vector scaled = 2.0 * a;
   EXPECT_DOUBLE_EQ(scaled[1], 4.0);
-  Vector divided = b / 2.0;
-  EXPECT_DOUBLE_EQ(divided[0], 1.5);
 }
 
 TEST(VectorTest, NormsAndReductions) {
@@ -62,7 +60,6 @@ TEST(VectorTest, NormsAndReductions) {
   EXPECT_DOUBLE_EQ(v.Norm2(), 5.0);
   EXPECT_DOUBLE_EQ(v.NormInf(), 4.0);
   EXPECT_DOUBLE_EQ(v.Sum(), -1.0);
-  EXPECT_DOUBLE_EQ(v.Mean(), -0.5);
 }
 
 TEST(VectorTest, DotProduct) {
@@ -106,12 +103,9 @@ TEST(MatrixTest, IdentityAndDiagonal) {
   EXPECT_DOUBLE_EQ(diag(0, 1), 0.0);
 }
 
-TEST(MatrixTest, RowAndColumnExtraction) {
+TEST(MatrixTest, ColumnExtraction) {
   Matrix m{{1.0, 2.0}, {3.0, 4.0}};
-  EXPECT_DOUBLE_EQ(m.Row(0)[1], 2.0);
   EXPECT_DOUBLE_EQ(m.Col(0)[1], 3.0);
-  m.SetRow(1, Vector{9.0, 8.0});
-  EXPECT_DOUBLE_EQ(m(1, 0), 9.0);
 }
 
 TEST(MatrixTest, Product) {
@@ -147,14 +141,6 @@ TEST(MatrixTest, Transpose) {
   EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
 }
 
-TEST(MatrixTest, PowerBySquaring) {
-  Matrix a{{1.0, 1.0}, {0.0, 1.0}};
-  Matrix p = Pow(a, 5);
-  EXPECT_DOUBLE_EQ(p(0, 1), 5.0);
-  Matrix p0 = Pow(a, 0);
-  EXPECT_TRUE(AllClose(p0, Matrix::Identity(2), 0.0));
-}
-
 TEST(MatrixTest, RowStochasticCheck) {
   Matrix good{{0.5, 0.5}, {0.1, 0.9}};
   EXPECT_TRUE(good.IsRowStochastic());
@@ -177,29 +163,17 @@ TEST(LuTest, DetectsSingularMatrix) {
   EXPECT_FALSE(Solve(singular, Vector{1.0, 2.0}).has_value());
   linalg::LuDecomposition lu(singular);
   EXPECT_FALSE(lu.ok());
-  EXPECT_DOUBLE_EQ(lu.Determinant(), 0.0);
 }
 
-TEST(LuTest, DeterminantOfKnownMatrix) {
-  Matrix a{{4.0, 3.0}, {6.0, 3.0}};
-  linalg::LuDecomposition lu(a);
-  ASSERT_TRUE(lu.ok());
-  EXPECT_NEAR(lu.Determinant(), -6.0, 1e-12);
-}
-
-TEST(LuTest, DeterminantTracksRowSwaps) {
-  // A permutation matrix with a single swap has determinant -1.
+TEST(LuTest, SolvesThroughARowSwap) {
+  // The first pivot is zero, so the factorisation must swap the rows.
   Matrix p{{0.0, 1.0}, {1.0, 0.0}};
   linalg::LuDecomposition lu(p);
   ASSERT_TRUE(lu.ok());
-  EXPECT_NEAR(lu.Determinant(), -1.0, 1e-12);
-}
-
-TEST(LuTest, InverseTimesOriginalIsIdentity) {
-  Matrix a{{1.0, 2.0, 0.0}, {0.0, 1.0, 1.0}, {1.0, 0.0, 1.0}};
-  std::optional<Matrix> inv = Inverse(a);
-  ASSERT_TRUE(inv.has_value());
-  EXPECT_TRUE(AllClose(a * *inv, Matrix::Identity(3), 1e-12));
+  std::optional<Vector> x = lu.Solve(Vector{2.0, 3.0});
+  ASSERT_TRUE(x.has_value());
+  EXPECT_DOUBLE_EQ((*x)[0], 3.0);
+  EXPECT_DOUBLE_EQ((*x)[1], 2.0);
 }
 
 TEST(SpdTest, CholeskySolveMatchesLu) {
@@ -217,20 +191,12 @@ TEST(SpdTest, RejectsIndefiniteMatrix) {
   EXPECT_FALSE(SolveSpd(indefinite, Vector{1.0, 1.0}).has_value());
 }
 
-TEST(PowerIterationTest, DiagonalDominantEigenpair) {
-  Matrix a = Matrix::Diagonal(Vector{3.0, 1.0, 0.5});
-  linalg::PowerIterationResult result = PowerIteration(a);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.eigenvalue, 3.0, 1e-9);
-  EXPECT_NEAR(std::fabs(result.eigenvector[0]), 1.0, 1e-6);
-}
-
-TEST(PowerIterationTest, NegativeDominantEigenvalue) {
+TEST(SpectralRadiusTest, NegativeDominantEigenvalue) {
   Matrix a = Matrix::Diagonal(Vector{-2.0, 1.0});
   EXPECT_NEAR(linalg::SpectralRadius(a), 2.0, 1e-8);
 }
 
-TEST(PowerIterationTest, ZeroMatrix) {
+TEST(SpectralRadiusTest, ZeroMatrix) {
   Matrix a(2, 2);
   EXPECT_NEAR(linalg::SpectralRadius(a), 0.0, 1e-12);
 }
@@ -261,24 +227,6 @@ TEST(StationaryTest, WorksForPeriodicChain) {
   std::optional<Vector> pi = linalg::StationaryDistribution(p);
   ASSERT_TRUE(pi.has_value());
   EXPECT_NEAR((*pi)[0], 0.5, 1e-12);
-}
-
-TEST(StationaryTest, IterativeVersionMatchesDirectOnAperiodicChain) {
-  Matrix p{{0.9, 0.1, 0.0}, {0.2, 0.7, 0.1}, {0.1, 0.3, 0.6}};
-  std::optional<Vector> direct = linalg::StationaryDistribution(p);
-  Vector uniform{1.0 / 3, 1.0 / 3, 1.0 / 3};
-  std::optional<Vector> iterated =
-      linalg::StationaryDistributionByIteration(p, uniform);
-  ASSERT_TRUE(direct.has_value());
-  ASSERT_TRUE(iterated.has_value());
-  EXPECT_TRUE(AllClose(*direct, *iterated, 1e-9));
-}
-
-TEST(StationaryTest, IterativeVersionFailsOnPeriodicChainFromAsymmetricStart) {
-  Matrix p{{0.0, 1.0}, {1.0, 0.0}};
-  Vector start{1.0, 0.0};
-  EXPECT_FALSE(
-      linalg::StationaryDistributionByIteration(p, start, 1000).has_value());
 }
 
 // --- Parameterized property sweeps ----------------------------------------
@@ -464,33 +412,6 @@ TEST(SparseMatrixTest, MultiplyIsBitwiseThreadAndChunkInvariant) {
   }
 }
 
-TEST(SparseMatrixTest, TransposeMultiplyMatchesTransposedAndIsInvariant) {
-  SparseMatrix m = AdversarialMatrix(48, 21, 9);
-  rng::Random random(17);
-  Vector x(48);
-  for (size_t i = 0; i < x.size(); ++i) {
-    x[i] = random.UniformDouble(-1.0, 1.0);
-  }
-  // Chunk-folded scatter vs transposed-gather: same value up to FP
-  // reordering (they are NOT bitwise-equal in general — see the header).
-  const Vector gathered = m.Transposed().Multiply(x);
-  const Vector scattered = m.TransposeMultiply(x);
-  ASSERT_EQ(scattered.size(), gathered.size());
-  for (size_t c = 0; c < scattered.size(); ++c) {
-    EXPECT_NEAR(scattered[c], gathered[c], 1e-12);
-  }
-  // At a fixed chunk size the fold order is pinned, so the result is a
-  // pure function of (matrix, x, chunk_size): bitwise thread-invariant.
-  SparseProductOptions pinned;
-  pinned.chunk_size = 16;
-  const Vector reference = m.TransposeMultiply(x, pinned);
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    pinned.num_threads = threads;
-    EXPECT_TRUE(BitwiseEqual(m.TransposeMultiply(x, pinned), reference))
-        << threads << " threads";
-  }
-}
-
 // --- Sparse eigensolvers. ---------------------------------------------------
 
 SparseMatrix FromDense(const Matrix& dense) {
@@ -501,16 +422,6 @@ SparseMatrix FromDense(const Matrix& dense) {
     }
   }
   return builder.Build();
-}
-
-TEST(SparseEigenTest, PowerIterationMatchesDense) {
-  Matrix a{{4.0, 1.0, 0.0}, {1.0, 3.0, 1.0}, {0.0, 1.0, 2.0}};
-  linalg::PowerIterationResult dense = linalg::PowerIteration(a);
-  linalg::SparsePowerResult sparse =
-      linalg::SparsePowerIteration(FromDense(a));
-  ASSERT_TRUE(dense.converged);
-  ASSERT_TRUE(sparse.converged);
-  EXPECT_NEAR(sparse.eigenvalue, dense.eigenvalue, 1e-9);
 }
 
 TEST(SparseEigenTest, StationaryMatchesDenseOnRandomChain) {

@@ -294,7 +294,7 @@ TEST(DriftMonitorTest, StationaryStreamRaisesNoAlert) {
   rng::Random random(11);
   for (int step = 0; step < 10; ++step) {
     std::vector<double> sample;
-    for (int i = 0; i < 500; ++i) sample.push_back(random.Normal());
+    for (int i = 0; i < 500; ++i) sample.push_back(random.UniformDouble());
     monitor.Ingest(std::move(sample));
   }
   EXPECT_FALSE(monitor.AnyAlert());
@@ -305,10 +305,10 @@ TEST(DriftMonitorTest, ShiftedStreamIsDetected) {
   core::DriftMonitor monitor(0.2);
   rng::Random random(12);
   std::vector<double> base;
-  for (int i = 0; i < 500; ++i) base.push_back(random.Normal());
+  for (int i = 0; i < 500; ++i) base.push_back(random.UniformDouble());
   monitor.Ingest(base);
   std::vector<double> shifted;
-  for (int i = 0; i < 500; ++i) shifted.push_back(random.Normal() + 2.0);
+  for (int i = 0; i < 500; ++i) shifted.push_back(random.UniformDouble() + 2.0);
   auto measurement = monitor.Ingest(std::move(shifted));
   ASSERT_TRUE(measurement.has_value());
   EXPECT_TRUE(measurement->drift_alert);
@@ -325,7 +325,7 @@ TEST(DriftMonitorTest, GradualDriftAccumulatesAgainstReference) {
   for (int step = 0; step < 12; ++step) {
     std::vector<double> sample;
     for (int i = 0; i < 800; ++i) {
-      sample.push_back(random.Normal() + 0.25 * step);
+      sample.push_back(random.UniformDouble() + 0.25 * step);
     }
     monitor.Ingest(std::move(sample));
   }

@@ -1,8 +1,7 @@
-// Unit tests for the markov module: finite chains, affine maps, affine
-// IFS (with exact contraction certificates) and general Markov systems.
+// Unit tests for the markov module: finite chains, affine maps and affine
+// IFS (with exact contraction certificates).
 
 #include <cmath>
-#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include "markov/affine_ifs.h"
 #include "markov/affine_map.h"
 #include "markov/markov_chain.h"
-#include "markov/markov_system.h"
 #include "rng/random.h"
 
 namespace eqimpact {
@@ -22,7 +20,6 @@ using linalg::Vector;
 using markov::AffineIfs;
 using markov::AffineMap;
 using markov::MarkovChain;
-using markov::MarkovSystem;
 using markov::TotalVariationDistance;
 
 MarkovChain TwoStateChain(double alpha, double beta) {
@@ -48,8 +45,7 @@ TEST(MarkovChainTest, PeriodicityDetection) {
   MarkovChain flip(Matrix{{0.0, 1.0}, {1.0, 0.0}});
   EXPECT_TRUE(flip.IsIrreducible());
   EXPECT_EQ(flip.Period(), 2u);
-  EXPECT_FALSE(flip.IsAperiodic());
-  EXPECT_TRUE(TwoStateChain(0.2, 0.4).IsAperiodic());
+  EXPECT_EQ(TwoStateChain(0.2, 0.4).Period(), 1u);
 }
 
 TEST(MarkovChainTest, PropagateConvergesToStationary) {
@@ -106,13 +102,6 @@ TEST(AffineMapTest, ScalarApplication) {
   Vector image = map(Vector{4.0});
   EXPECT_DOUBLE_EQ(image[0], 3.0);
   EXPECT_DOUBLE_EQ(map.LipschitzConstant(), 0.5);
-}
-
-TEST(AffineMapTest, FixedPointOfContraction) {
-  AffineMap map = AffineMap::Scalar(0.5, 1.0);
-  Vector fixed = map.FixedPoint();
-  EXPECT_NEAR(fixed[0], 2.0, 1e-12);
-  EXPECT_TRUE(AllClose(map(fixed), fixed, 1e-12));
 }
 
 TEST(AffineMapTest, LipschitzConstantIsSpectralNorm) {
@@ -181,116 +170,6 @@ TEST(AffineIfsTest, EltonCheckFailsForExpansiveDeterministicSystem) {
       ifs, {Vector{1.0}, Vector{2.0}}, 500, 0,
       [](const Vector& x) { return x[0]; }, 0.05, &random);
   EXPECT_FALSE(report.initial_condition_independent);
-}
-
-TEST(AffineIfsTest, TrajectoryLength) {
-  AffineIfs ifs({AffineMap::Scalar(0.5, 1.0)}, {1.0});
-  rng::Random random(10);
-  auto path = ifs.Trajectory(Vector{0.0}, 10, &random);
-  EXPECT_EQ(path.size(), 11u);
-}
-
-// --- MarkovSystem ----------------------------------------------------------
-
-// A two-cell Markov system on R: cell 0 is x < 0, cell 1 is x >= 0.
-// Edges map across the cells with constant probabilities.
-MarkovSystem MakeTwoCellSystem() {
-  MarkovSystem system(
-      2, [](const Vector& x) -> size_t { return x[0] < 0.0 ? 0 : 1; });
-  // From cell 0: either stay negative (contract) or jump positive.
-  system.AddEdge(
-      0, 0, [](const Vector& x) { return Vector{0.5 * x[0] - 0.1}; },
-      [](const Vector&) { return 0.5; });
-  system.AddEdge(
-      0, 1, [](const Vector& x) { return Vector{-0.5 * x[0]}; },
-      [](const Vector&) { return 0.5; });
-  // From cell 1: either stay positive (contract) or jump negative.
-  system.AddEdge(
-      1, 1, [](const Vector& x) { return Vector{0.5 * x[0] + 0.1}; },
-      [](const Vector&) { return 0.7; });
-  system.AddEdge(
-      1, 0, [](const Vector& x) { return Vector{-0.5 * x[0] - 0.1}; },
-      [](const Vector&) { return 0.3; });
-  return system;
-}
-
-TEST(MarkovSystemTest, CellClassification) {
-  MarkovSystem system = MakeTwoCellSystem();
-  EXPECT_EQ(system.CellOf(Vector{-1.0}), 0u);
-  EXPECT_EQ(system.CellOf(Vector{1.0}), 1u);
-  EXPECT_EQ(system.num_vertices(), 2u);
-  EXPECT_EQ(system.num_edges(), 4u);
-}
-
-TEST(MarkovSystemTest, ProbabilitiesNormalised) {
-  MarkovSystem system = MakeTwoCellSystem();
-  EXPECT_TRUE(system.ProbabilitiesNormalisedAt(Vector{-2.0}));
-  EXPECT_TRUE(system.ProbabilitiesNormalisedAt(Vector{3.0}));
-}
-
-TEST(MarkovSystemTest, StepRespectsPartition) {
-  MarkovSystem system = MakeTwoCellSystem();
-  rng::Random random(20);
-  Vector x{-1.0};
-  for (int k = 0; k < 1000; ++k) {
-    x = system.Step(x, &random);
-    // Step CHECK-fails internally if a map violates its target cell; the
-    // state must also stay bounded for this contractive system.
-    EXPECT_LT(std::fabs(x[0]), 10.0);
-  }
-}
-
-TEST(MarkovSystemTest, GraphCertificates) {
-  MarkovSystem system = MakeTwoCellSystem();
-  EXPECT_TRUE(system.IsIrreducible());
-  EXPECT_TRUE(system.IsAperiodic());  // Self-loops kill periodicity.
-}
-
-TEST(MarkovSystemTest, PeriodicSystemDetected) {
-  // Strict alternation between cells: period 2, not primitive.
-  MarkovSystem system(
-      2, [](const Vector& x) -> size_t { return x[0] < 0.0 ? 0 : 1; });
-  system.AddEdge(
-      0, 1, [](const Vector& x) { return Vector{-x[0]}; },
-      [](const Vector&) { return 1.0; });
-  system.AddEdge(
-      1, 0, [](const Vector& x) { return Vector{-x[0] - 1.0}; },
-      [](const Vector&) { return 1.0; });
-  EXPECT_TRUE(system.IsIrreducible());
-  EXPECT_FALSE(system.IsAperiodic());
-}
-
-TEST(MarkovSystemTest, TimeAverageIsInitialConditionIndependent) {
-  MarkovSystem system = MakeTwoCellSystem();
-  rng::Random random(21);
-  auto f = [](const Vector& x) { return x[0]; };
-  double from_negative =
-      system.TimeAverage(Vector{-5.0}, 200000, 500, f, &random);
-  double from_positive =
-      system.TimeAverage(Vector{5.0}, 200000, 500, f, &random);
-  EXPECT_NEAR(from_negative, from_positive, 0.02);
-}
-
-TEST(MarkovSystemTest, MarkovOperatorAveragesOverEdges) {
-  MarkovSystem system = MakeTwoCellSystem();
-  // (P f)(x) with f = identity at x = 1 (cell 1):
-  // 0.7 * (0.5*1 + 0.1) + 0.3 * (-0.5*1 - 0.1) = 0.42 - 0.18 = 0.24.
-  double value = system.ApplyOperator(
-      [](const Vector& x) { return x[0]; }, Vector{1.0});
-  EXPECT_NEAR(value, 0.24, 1e-12);
-}
-
-TEST(MarkovSystemTest, ContractionEstimateBelowOneForContractiveMaps) {
-  MarkovSystem system = MakeTwoCellSystem();
-  rng::Random random(22);
-  double factor = system.EstimateContractionFactor(
-      [](rng::Random* r) {
-        double base = r->UniformDouble(0.5, 5.0);
-        return std::make_pair(Vector{base}, Vector{base + 0.1});
-      },
-      200, &random);
-  EXPECT_LT(factor, 1.0);
-  EXPECT_GT(factor, 0.0);
 }
 
 // --- Parameterized sweeps ---------------------------------------------------

@@ -1,6 +1,5 @@
-// Unit tests for empirical measures (Wasserstein / Kolmogorov metrics,
-// chaos-game invariant measure approximation) and synchronous couplings —
-// the constructive side of the paper's conclusion on coupling arguments.
+// Unit tests for synchronous couplings — the constructive side of the
+// paper's conclusion on coupling arguments.
 
 #include <cmath>
 
@@ -10,7 +9,6 @@
 #include "markov/affine_ifs.h"
 #include "markov/affine_map.h"
 #include "markov/coupling.h"
-#include "markov/empirical_measure.h"
 #include "rng/random.h"
 
 namespace eqimpact {
@@ -19,7 +17,6 @@ namespace {
 using linalg::Vector;
 using markov::AffineIfs;
 using markov::AffineMap;
-using markov::EmpiricalMeasure;
 
 AffineIfs BernoulliConvolutionIfs(double slope) {
   // w1 = slope x, w2 = slope x + (1 - slope): invariant measure supported
@@ -27,92 +24,6 @@ AffineIfs BernoulliConvolutionIfs(double slope) {
   return AffineIfs(
       {AffineMap::Scalar(slope, 0.0), AffineMap::Scalar(slope, 1.0 - slope)},
       {0.5, 0.5});
-}
-
-// --- EmpiricalMeasure -------------------------------------------------------
-
-TEST(EmpiricalMeasureTest, CdfStepsAtSamples) {
-  EmpiricalMeasure m({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(m.Cdf(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(m.Cdf(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(m.Cdf(2.5), 0.5);
-  EXPECT_DOUBLE_EQ(m.Cdf(100.0), 1.0);
-}
-
-TEST(EmpiricalMeasureTest, QuantileInvertsCdf) {
-  EmpiricalMeasure m({10.0, 20.0, 30.0, 40.0});
-  EXPECT_DOUBLE_EQ(m.Quantile(0.25), 10.0);
-  EXPECT_DOUBLE_EQ(m.Quantile(0.5), 20.0);
-  EXPECT_DOUBLE_EQ(m.Quantile(1.0), 40.0);
-  EXPECT_DOUBLE_EQ(m.Quantile(0.0), 10.0);
-}
-
-TEST(EmpiricalMeasureTest, MomentsOfKnownSample) {
-  EmpiricalMeasure m({1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(m.Mean(), 2.0);
-  EXPECT_DOUBLE_EQ(m.Variance(), 1.0);
-  EXPECT_DOUBLE_EQ(m.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(m.Max(), 3.0);
-}
-
-TEST(EmpiricalMeasureTest, SamplesAreSorted) {
-  EmpiricalMeasure m({3.0, 1.0, 2.0});
-  EXPECT_DOUBLE_EQ(m.sorted_samples()[0], 1.0);
-  EXPECT_DOUBLE_EQ(m.sorted_samples()[2], 3.0);
-}
-
-TEST(MeasureDistanceTest, IdenticalMeasuresAtZeroDistance) {
-  EmpiricalMeasure a({1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(KolmogorovDistance(a, a), 0.0);
-  EXPECT_DOUBLE_EQ(Wasserstein1Distance(a, a), 0.0);
-}
-
-TEST(MeasureDistanceTest, PointMassShiftWasserstein) {
-  // W1 between delta_0 and delta_c is exactly c.
-  EmpiricalMeasure zero({0.0});
-  EmpiricalMeasure shifted({2.5});
-  EXPECT_NEAR(Wasserstein1Distance(zero, shifted), 2.5, 1e-12);
-  EXPECT_DOUBLE_EQ(KolmogorovDistance(zero, shifted), 1.0);
-}
-
-TEST(MeasureDistanceTest, TranslationInvarianceOfShiftDistance) {
-  // W1 of a sample and its translate by c is exactly c.
-  EmpiricalMeasure a({1.0, 2.0, 5.0, 9.0});
-  EmpiricalMeasure b({1.7, 2.7, 5.7, 9.7});
-  EXPECT_NEAR(Wasserstein1Distance(a, b), 0.7, 1e-12);
-}
-
-TEST(MeasureDistanceTest, UnequalSampleSizes) {
-  // F_a jumps to 1 at 0; F_b jumps 1/2 at 0 and 1/2 at 1: W1 = 1/2.
-  EmpiricalMeasure a({0.0});
-  EmpiricalMeasure b({0.0, 1.0});
-  EXPECT_NEAR(Wasserstein1Distance(a, b), 0.5, 1e-12);
-  EXPECT_NEAR(KolmogorovDistance(a, b), 0.5, 1e-12);
-}
-
-TEST(InvariantMeasureTest, ChaosGameMatchesExactMean) {
-  AffineIfs ifs = BernoulliConvolutionIfs(0.5);
-  rng::Random random(21);
-  EmpiricalMeasure approx =
-      ApproximateInvariantMeasure(ifs, 0.3, 50000, 1000, 1, &random);
-  EXPECT_NEAR(approx.Mean(), ifs.InvariantMean()[0], 0.01);
-  // slope 1/2 gives the uniform measure on [0, 1]: variance 1/12.
-  EXPECT_NEAR(approx.Variance(), 1.0 / 12.0, 0.01);
-  EXPECT_GE(approx.Min(), -0.01);
-  EXPECT_LE(approx.Max(), 1.01);
-}
-
-TEST(InvariantMeasureTest, WeakConvergenceFromDifferentStarts) {
-  // Two chaos games from far-apart initial conditions sample the same
-  // invariant measure: their W1 distance is small (attractivity).
-  AffineIfs ifs = BernoulliConvolutionIfs(0.5);
-  rng::Random random_a(22), random_b(23);
-  EmpiricalMeasure from_low =
-      ApproximateInvariantMeasure(ifs, -50.0, 30000, 1000, 1, &random_a);
-  EmpiricalMeasure from_high =
-      ApproximateInvariantMeasure(ifs, 50.0, 30000, 1000, 1, &random_b);
-  EXPECT_LT(Wasserstein1Distance(from_low, from_high), 0.02);
-  EXPECT_LT(KolmogorovDistance(from_low, from_high), 0.03);
 }
 
 // --- Synchronous coupling ---------------------------------------------------
@@ -154,22 +65,6 @@ TEST(CouplingTest, IdenticalStartsStayCoupled) {
   EXPECT_DOUBLE_EQ(result.final_distance, 0.0);
 }
 
-TEST(CouplingTest, SuccessRateIsOneForContractiveSystems) {
-  AffineIfs ifs = BernoulliConvolutionIfs(0.6);
-  rng::Random random(34);
-  double rate = CouplingSuccessRate(ifs, Vector{-5.0}, Vector{5.0}, 200,
-                                    1e-8, 50, &random);
-  EXPECT_DOUBLE_EQ(rate, 1.0);
-}
-
-TEST(CouplingTest, SuccessRateIsZeroForExpansiveSystems) {
-  AffineIfs ifs({AffineMap::Scalar(1.2, 0.0)}, {1.0});
-  rng::Random random(35);
-  double rate = CouplingSuccessRate(ifs, Vector{0.0}, Vector{1.0}, 100,
-                                    1e-8, 20, &random);
-  EXPECT_DOUBLE_EQ(rate, 0.0);
-}
-
 TEST(CouplingTest, MixedSlopesCoupleWhenLogAverageIsNegative) {
   // Slopes 1.2 and 0.5 with p = 1/2 each: E[log slope] =
   // (log 1.2 + log 0.5)/2 < 0, so the coupling contracts almost surely
@@ -180,9 +75,10 @@ TEST(CouplingTest, MixedSlopesCoupleWhenLogAverageIsNegative) {
       {0.5, 0.5});
   EXPECT_TRUE(ifs.IsAverageContractive());
   rng::Random random(36);
-  double rate = CouplingSuccessRate(ifs, Vector{-10.0}, Vector{10.0}, 2000,
-                                    1e-6, 30, &random);
-  EXPECT_GT(rate, 0.95);
+  markov::CouplingResult result = SynchronousCoupling(
+      ifs, Vector{-10.0}, Vector{10.0}, 2000, 1e-6, &random);
+  EXPECT_TRUE(result.coupled);
+  EXPECT_LT(result.final_distance, 1e-6);
 }
 
 class CouplingRateSweep : public ::testing::TestWithParam<double> {};

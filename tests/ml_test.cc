@@ -1,5 +1,5 @@
-// Unit tests for the ml module: datasets, logistic regression, metrics
-// and the Table-I-style scorecard.
+// Unit tests for the ml module: datasets, logistic regression and the
+// Table-I-style scorecard.
 
 #include <cmath>
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include "ml/binned_dataset.h"
 #include "ml/dataset.h"
 #include "ml/logistic_regression.h"
-#include "ml/metrics.h"
 #include "ml/scorecard.h"
 #include "rng/random.h"
 #include "runtime/thread_pool.h"
@@ -723,40 +722,6 @@ TEST(SufficientStatisticsFitTest, CallerOwnedPoolMatchesInlineFit) {
   for (size_t j = 0; j < inline_model.weights().size(); ++j) {
     EXPECT_EQ(pooled_model.weights()[j], inline_model.weights()[j]);
   }
-}
-
-TEST(MetricsTest, LogLossOfPerfectPredictionsIsSmall) {
-  double loss = ml::LogLoss({1.0, 0.0}, {1.0 - 1e-13, 1e-13});
-  EXPECT_LT(loss, 1e-9);
-}
-
-TEST(MetricsTest, LogLossOfCoinFlip) {
-  EXPECT_NEAR(ml::LogLoss({1.0, 0.0}, {0.5, 0.5}), std::log(2.0), 1e-12);
-}
-
-TEST(MetricsTest, AccuracyThresholding) {
-  std::vector<double> labels{1.0, 0.0, 1.0, 0.0};
-  std::vector<double> probabilities{0.9, 0.2, 0.4, 0.6};
-  EXPECT_DOUBLE_EQ(ml::Accuracy(labels, probabilities), 0.5);
-  EXPECT_DOUBLE_EQ(ml::Accuracy(labels, probabilities, 0.35), 0.75);
-}
-
-TEST(MetricsTest, AucPerfectRanking) {
-  EXPECT_DOUBLE_EQ(
-      ml::AreaUnderRoc({0.0, 0.0, 1.0, 1.0}, {0.1, 0.2, 0.8, 0.9}), 1.0);
-}
-
-TEST(MetricsTest, AucReversedRanking) {
-  EXPECT_DOUBLE_EQ(
-      ml::AreaUnderRoc({1.0, 1.0, 0.0, 0.0}, {0.1, 0.2, 0.8, 0.9}), 0.0);
-}
-
-TEST(MetricsTest, AucWithTiesIsHalfCredit) {
-  EXPECT_DOUBLE_EQ(ml::AreaUnderRoc({0.0, 1.0}, {0.5, 0.5}), 0.5);
-}
-
-TEST(MetricsTest, AucSingleClassIsHalf) {
-  EXPECT_DOUBLE_EQ(ml::AreaUnderRoc({1.0, 1.0}, {0.3, 0.7}), 0.5);
 }
 
 // --- Scorecard --------------------------------------------------------------

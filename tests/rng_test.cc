@@ -127,22 +127,6 @@ TEST(RandomTest, BernoulliDegenerateProbabilities) {
   }
 }
 
-TEST(RandomTest, NormalHasStandardMoments) {
-  rng::Random random(31);
-  stats::RunningStats acc;
-  for (int i = 0; i < 200000; ++i) acc.Add(random.Normal());
-  EXPECT_NEAR(acc.Mean(), 0.0, 0.02);
-  EXPECT_NEAR(acc.Variance(), 1.0, 0.03);
-}
-
-TEST(RandomTest, NormalWithParametersShiftsAndScales) {
-  rng::Random random(33);
-  stats::RunningStats acc;
-  for (int i = 0; i < 100000; ++i) acc.Add(random.Normal(5.0, 2.0));
-  EXPECT_NEAR(acc.Mean(), 5.0, 0.05);
-  EXPECT_NEAR(acc.StdDev(), 2.0, 0.05);
-}
-
 TEST(RandomTest, ExponentialHasCorrectMean) {
   rng::Random random(41);
   stats::RunningStats acc;

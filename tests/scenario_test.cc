@@ -358,13 +358,9 @@ TEST(ScenarioRegistryTest, CreatedScenariosRunThroughTheDriver) {
   }
 }
 
-TEST(ScenarioRegistryTest, UnknownNameAndDuplicateRegistration) {
+TEST(ScenarioRegistryTest, UnknownNameHasNoScenario) {
   EXPECT_EQ(sim::CreateScenario("no_such_scenario"), nullptr);
   EXPECT_FALSE(sim::GetScenarioFactory("no_such_scenario"));
-  // Built-in names cannot be overwritten.
-  EXPECT_FALSE(sim::RegisterScenario("market", [] {
-    return std::unique_ptr<sim::Scenario>(new sim::MatchingMarketScenario());
-  }));
 }
 
 // --- Sweeps ------------------------------------------------------------------

@@ -240,12 +240,6 @@ TEST(TextTableTest, RendersHeaderAndRows) {
   EXPECT_EQ(lines, 4);
 }
 
-TEST(TextTableTest, CsvOutput) {
-  sim::TextTable table({"a", "b"});
-  table.AddRow({"1", "2"});
-  EXPECT_EQ(table.ToCsv(), "a,b\n1,2\n");
-}
-
 TEST(TextTableTest, CellFormatting) {
   EXPECT_EQ(sim::TextTable::Cell(3.14159, 2), "3.14");
   EXPECT_EQ(sim::TextTable::Cell(42), "42");
