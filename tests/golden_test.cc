@@ -17,6 +17,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +40,7 @@
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "sim/certify.h"
+#include "sim/ensemble_control.h"
 #include "sim/experiment.h"
 #include "sim/market_scenario.h"
 #include "sim/multi_trial.h"
@@ -193,6 +195,84 @@ TEST(GoldenTest, MarketExperiment) {
   options.master_seed = 42;
   const sim::ExperimentResult result = sim::RunExperiment(&scenario, options);
   EXPECT_EQ(Hex(sim::ExperimentDigest(result)), "d751670a73cd1a4f");
+}
+
+TEST(GoldenTest, MarketAndEnsembleConfigurations) {
+  // Configurations that reach each engine's edges: the market's weighted
+  // lottery runs only under the equalizer (equal weights with one skill
+  // class, four weights with four); the exploit cut moves with the rule
+  // and the capacity; the ensemble's hysteresis meets its threshold
+  // exactly at hysteresis 0, where an OFF agent switches ON and back OFF
+  // within one step.
+  const struct {
+    const char* scenario;
+    std::vector<std::pair<const char*, double>> assignments;
+  } kConfigurations[] = {
+      {"market", {{"equalizer_strength", 1.0}}},
+      {"market",
+       {{"heterogeneous_skill", 1.0},
+        {"skill_classes", 4.0},
+        {"equalizer_period", 3.0},
+        {"equalizer_strength", 1.5}}},
+      {"market", {{"equalizer_strength", 8.0}, {"exploration", 0.6}}},
+      {"market", {{"rule", 0.0}}},
+      {"market", {{"rule", 2.0}}},
+      {"market", {{"capacity_fraction", 1.0}}},
+      {"market", {{"capacity_fraction", 0.01}}},
+      {"ensemble", {{"controller", 0.0}, {"hysteresis", 0.0}}},
+      {"ensemble", {{"controller", 1.0}, {"hysteresis", 0.0}}},
+      {"ensemble", {{"controller", 0.0}, {"initial_on_fraction", 0.3}}},
+      {"ensemble", {{"controller", 1.0}, {"initial_on_fraction", 0.3}}},
+      {"ensemble", {{"controller", 0.0}, {"target_fraction", 0.9}}},
+      {"ensemble", {{"controller", 1.0}, {"target_fraction", 0.9}}},
+  };
+  sim::ExperimentOptions options;
+  options.num_trials = 2;
+  options.master_seed = 42;
+  Fnv1a digest;
+  for (const auto& configuration : kConfigurations) {
+    const std::unique_ptr<sim::Scenario> scenario =
+        sim::CreateScenario(configuration.scenario);
+    const bool market = std::string(configuration.scenario) == "market";
+    ASSERT_TRUE(scenario->SetParameter(market ? "num_workers" : "num_agents",
+                                       market ? 200.0 : 300.0));
+    ASSERT_TRUE(scenario->SetParameter(market ? "rounds" : "steps", 200.0));
+    for (const auto& assignment : configuration.assignments) {
+      ASSERT_TRUE(
+          scenario->SetParameter(assignment.first, assignment.second));
+    }
+    digest.Mix(sim::ExperimentDigest(
+        sim::RunExperiment(scenario.get(), options)));
+  }
+  EXPECT_EQ(Hex(digest.hash()), "5650561dbb8c5b99");
+}
+
+TEST(GoldenTest, EnsembleControlWithoutObserver) {
+  // The loop's own outputs, the aggregate series included, with no
+  // observer attached (the path RunEnsembleStudy takes).
+  Fnv1a digest;
+  for (const auto kind : {sim::EnsembleControllerKind::kStableRandomized,
+                          sim::EnsembleControllerKind::kIntegralHysteresis}) {
+    for (const double hysteresis : {0.0, 0.05}) {
+      sim::EnsembleOptions options;
+      options.num_agents = 300;
+      options.steps = 200;
+      options.burn_in = 20;
+      options.hysteresis = hysteresis;
+      options.target_fraction = 0.7;
+      std::vector<bool> initial_on(options.num_agents, false);
+      for (size_t i = 0; i < options.num_agents; i += 3) initial_on[i] = true;
+      rng::Random random(11);
+      const sim::EnsembleRunResult result =
+          sim::RunEnsembleControl(kind, options, initial_on, 0.5, &random);
+      digest.MixSeries(result.per_agent_average);
+      digest.MixSeries(result.aggregate_fraction);
+      digest.MixDouble(result.aggregate_average);
+      digest.MixDouble(result.final_signal);
+      digest.Mix(random.bit_generator().Next64());
+    }
+  }
+  EXPECT_EQ(Hex(digest.hash()), "8adf81f3e5708340");
 }
 
 TEST(GoldenTest, ServedJobDigests) {

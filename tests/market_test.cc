@@ -2,11 +2,14 @@
 // market instantiation), the Gini statistic, the drift monitor, and the
 // impact-equalizer intervention.
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/fnv1a.h"
 #include "core/drift_monitor.h"
 #include "core/impact_equalizer.h"
 #include "market/matching_market.h"
@@ -264,6 +267,80 @@ TEST(MatchingMarketTest, WeightedLotterySurvivesExhaustedWeightMass) {
     EXPECT_GE(result.match_rate[i], 49.0 / 50.0 - 1e-12);
   }
   EXPECT_NEAR(result.mean_match_rate, 0.5, 1e-12);
+}
+
+TEST(MatchingMarketTest, AdversarialLotteryWeightsArePinned) {
+  // An observer sets new exploration weights every round, each case aimed
+  // at one edge of the weighted lottery's arithmetic; the match rates and
+  // reputations of both lottery rules are pinned bit for bit.
+  struct Case {
+    const char* name;
+    double (*weight)(size_t worker, size_t round);
+    const char* digest;
+  };
+  const Case kCases[] = {
+      // Exact zeros and -0.0 are never drawn while positive mass remains.
+      {"zeros",
+       [](size_t i, size_t r) {
+         const size_t k = (i + r) % 4;
+         return k == 0 ? 0.0 : k == 1 ? -0.0 : 0.25 + 0.01 * (i % 7);
+       },
+       "ea0f5ae6b5a6d79c"},
+      // Ties: a swap-remove that moves in an equal weight.
+      {"ties", [](size_t i, size_t r) { return (i + r) % 3 == 0 ? 3.0 : 1.0; },
+       "8813d3dbbcab010d"},
+      // 1e-300 beside 1.0: the running sum absorbs the tiny weights.
+      {"absorbed",
+       [](size_t i, size_t r) { return (i + r) % 2 == 0 ? 1e-300 : 1.0; },
+       "7d44d3ca0dc36b2f"},
+      // All mass on one worker, who may already hold an exploit slot.
+      {"one worker",
+       [](size_t i, size_t r) { return i == (3 * r) % 40 ? 1.0 : 0.0; },
+       "f4a26caf86ea47a8"},
+      // Three positive weights for up to 20 slots: the mass runs out
+      // mid-draw, leaving a rounding residue.
+      {"exhausted",
+       [](size_t i, size_t r) {
+         const size_t k = (i + 40 - r % 40) % 40;
+         return k == 0 ? 0.1 : k == 7 ? 0.2 : k == 19 ? 0.3 : 0.0;
+       },
+       "6e750fc7c4856d35"},
+      // 1.5e-16 beside 1.0 rounds the running total up, so once the 1.0
+      // is drawn the total exceeds what is left: about a third of the
+      // draws land past the last sum and take the last positive entry.
+      {"residue",
+       [](size_t i, size_t r) { return i == r % 5 ? 1.0 : 1.5e-16; },
+       "b31e441d8fd26878"},
+  };
+  MatchingMarketOptions options;
+  options.num_workers = 40;
+  options.capacity_fraction = 0.5;  // 20 slots per round.
+  options.exploration = 0.6;        // 12 of them by lottery.
+  options.rounds = 60;
+  options.seed = 26;
+  for (const Case& c : kCases) {
+    base::Fnv1a digest;
+    for (MatchingRule rule :
+         {MatchingRule::kEpsilonGreedy, MatchingRule::kUniformRandom}) {
+      const MatchingMarketResult result = RunMatchingMarket(
+          rule, options,
+          [&c](const market::RoundSnapshot& snapshot,
+               market::RoundControls* controls) {
+            size_t matched = 0;
+            for (uint8_t m : snapshot.matched) matched += m;
+            EXPECT_EQ(matched, 20u) << c.name << " round " << snapshot.round;
+            controls->explore_weights.resize(snapshot.matched.size());
+            for (size_t i = 0; i < snapshot.matched.size(); ++i) {
+              controls->explore_weights[i] = c.weight(i, snapshot.round + 1);
+            }
+          });
+      digest.MixSeries(result.match_rate);
+      digest.MixSeries(result.reputation);
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016" PRIx64, digest.hash());
+    EXPECT_STREQ(hex, c.digest) << c.name;
+  }
 }
 
 TEST(MatchingMarketTest, RoundsConsumeIndependentSubStreams) {
