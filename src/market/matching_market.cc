@@ -1,6 +1,7 @@
 #include "market/matching_market.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "base/check.h"
@@ -14,8 +15,15 @@ namespace {
 
 /// Draws `slots` workers from the unmatched pool without replacement,
 /// uniformly when `weights` is empty, else with probability proportional
-/// to each worker's weight (iterative roulette on the shrinking pool —
-/// O(slots * pool), deterministic in the rng stream).
+/// to each worker's weight. A weighted draw takes the first pool position
+/// whose running sum of positive weights, added in pool order, exceeds
+/// u = U * total. The running sums are kept between draws: a swap-remove
+/// at position p leaves the sums before p as they were, and those from p
+/// on too when the entry moved into p weighs exactly what the drawn one
+/// did (always, under equal weights). A draw below the last kept sum
+/// binary-searches them; any other resumes the scan where they end, with
+/// the same additions. Every sum and every pick is therefore the one a
+/// fresh scan of the shrinking pool would make, in the same rng stream.
 void FillExploreSlots(size_t slots, const std::vector<double>& weights,
                       rng::Random* match_rng, std::vector<uint8_t>* matched) {
   const size_t n = matched->size();
@@ -24,56 +32,65 @@ void FillExploreSlots(size_t slots, const std::vector<double>& weights,
   for (size_t i = 0; i < n; ++i) {
     if (!(*matched)[i]) pool.push_back(i);
   }
-  if (weights.empty()) {
+  // The uniform lottery: shuffle the pool and match its first `count`.
+  const auto fill_uniform = [&pool, match_rng, matched](size_t count) {
     match_rng->Shuffle(&pool);
-    for (size_t s = 0; s < slots && s < pool.size(); ++s) {
-      (*matched)[pool[s]] = 1;
+    for (size_t t = 0; t < count && t < pool.size(); ++t) {
+      (*matched)[pool[t]] = 1;
     }
+  };
+  if (weights.empty()) {
+    fill_uniform(slots);
     return;
   }
   double total = 0.0;
   for (size_t i : pool) total += weights[i];
+  std::vector<double> sums(pool.size());
+  size_t valid = 0;  // sums[0, valid) are the scan's running sums.
   for (size_t s = 0; s < slots && !pool.empty(); ++s) {
     if (total <= 0.0) {
       // All remaining weight is zero: the rest of the lottery is uniform.
-      match_rng->Shuffle(&pool);
-      for (size_t t = 0; t + s < slots && t < pool.size(); ++t) {
-        (*matched)[pool[t]] = 1;
-      }
+      fill_uniform(slots - s);
       return;
     }
-    double u = match_rng->UniformDouble() * total;
-    // If rounding leaves u beyond the accumulated sum, fall back to the
-    // last *positive-weight* entry, so a zero-weight worker is never
-    // drawn while weighted mass remains.
+    const double u = match_rng->UniformDouble() * total;
     size_t pick = pool.size();
-    size_t last_positive = pool.size();
-    double cumulative = 0.0;
-    for (size_t j = 0; j < pool.size(); ++j) {
-      if (weights[pool[j]] <= 0.0) continue;
-      cumulative += weights[pool[j]];
-      last_positive = j;
-      if (u < cumulative) {
-        pick = j;
-        break;
+    if (valid > 0 && u < sums[valid - 1]) {
+      pick = static_cast<size_t>(
+          std::upper_bound(sums.begin(), sums.begin() + valid, u) -
+          sums.begin());
+    } else {
+      double cumulative = valid > 0 ? sums[valid - 1] : 0.0;
+      while (pick == pool.size() && valid < pool.size()) {
+        const double weight = weights[pool[valid]];
+        if (weight > 0.0) {
+          cumulative += weight;
+          if (u < cumulative) pick = valid;
+        }
+        sums[valid++] = cumulative;
       }
     }
-    if (pick == pool.size()) pick = last_positive;
     if (pick == pool.size()) {
-      // No positive-weight entry left even though subtraction residue
-      // kept total > 0: the weighted mass is exhausted, so the rest of
-      // the lottery is uniform, exactly like the total <= 0 branch.
-      match_rng->Shuffle(&pool);
-      for (size_t t = 0; t + s < slots && t < pool.size(); ++t) {
-        (*matched)[pool[t]] = 1;
+      // Rounding left u beyond the last sum: fall back to the last
+      // *positive-weight* entry, so a zero-weight worker is never drawn
+      // while weighted mass remains.
+      while (pick > 0 && weights[pool[pick - 1]] <= 0.0) --pick;
+      if (pick == 0) {
+        // No positive-weight entry left even though subtraction residue
+        // kept total > 0: the weighted mass is exhausted, so the rest of
+        // the lottery is uniform, exactly like the total <= 0 branch.
+        fill_uniform(slots - s);
+        return;
       }
-      return;
+      --pick;
     }
     const size_t worker = pool[pick];
     (*matched)[worker] = 1;
     total -= weights[worker];
+    if (weights[pool.back()] != weights[worker]) valid = std::min(valid, pick);
     pool[pick] = pool.back();
     pool.pop_back();
+    valid = std::min(valid, pool.size());
   }
 }
 
@@ -93,7 +110,7 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
   EQIMPACT_CHECK(options.exploration >= 0.0 && options.exploration <= 1.0);
   EQIMPACT_CHECK_GT(options.rounds, 0u);
   EQIMPACT_CHECK(options.base_skill > 0.0 && options.base_skill < 1.0);
-  EQIMPACT_CHECK_GE(options.prior_weight, 0.0);
+  EQIMPACT_CHECK_GT(options.prior_weight, 0.0);
 
   const size_t n = options.num_workers;
   const size_t capacity = std::max<size_t>(
@@ -127,6 +144,8 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
   std::vector<double> running_rate(n, 0.0);
 
   std::vector<size_t> order(n);
+  std::vector<double> reputation(n);
+  std::vector<double> ranked(n);
   std::vector<uint8_t> matched(n);
   for (size_t round = 0; round < options.rounds; ++round) {
     std::fill(matched.begin(), matched.end(), 0);
@@ -151,18 +170,34 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
     }
     const size_t exploit_slots = capacity - explore_slots;
 
-    // Exploitation: the highest-reputation workers, random tie-break.
+    // Exploitation: the exploit_slots highest reputations, ties broken
+    // by the shuffled order. The cut is the exploit_slots-th highest
+    // reputation; every worker above it is matched, then the first
+    // workers at it in shuffled order. That is the set a stable sort of
+    // the shuffled order by descending reputation puts first.
     std::iota(order.begin(), order.end(), 0u);
-    match_rng.Shuffle(&order);  // Random tie-break before the stable sort.
-    std::stable_sort(order.begin(), order.end(),
-                     [&rating_sum, &rating_count](size_t a, size_t b) {
-                       return rating_sum[a] / rating_count[a] >
-                              rating_sum[b] / rating_count[b];
-                     });
-    size_t filled = 0;
-    for (size_t rank = 0; rank < n && filled < exploit_slots; ++rank) {
-      matched[order[rank]] = 1;
-      ++filled;
+    match_rng.Shuffle(&order);
+    if (exploit_slots > 0) {
+      for (size_t i = 0; i < n; ++i) {
+        reputation[i] = rating_sum[i] / rating_count[i];
+      }
+      ranked = reputation;
+      std::nth_element(ranked.begin(), ranked.begin() + (exploit_slots - 1),
+                       ranked.end(), std::greater<double>());
+      const double cut = ranked[exploit_slots - 1];
+      size_t at_cut = exploit_slots;
+      for (size_t i = 0; i < n; ++i) {
+        if (reputation[i] > cut) {
+          matched[i] = 1;
+          --at_cut;
+        }
+      }
+      for (size_t rank = 0; rank < n && at_cut > 0; ++rank) {
+        if (reputation[order[rank]] == cut) {
+          matched[order[rank]] = 1;
+          --at_cut;
+        }
+      }
     }
     // Exploration: lottery over the not-yet-matched workers, uniform or
     // weighted per the observer's controls.

@@ -47,7 +47,9 @@ struct MatchingMarketOptions {
   /// Exploration fraction for kEpsilonGreedy (the starting value; a
   /// RoundObserver may steer it between rounds).
   double exploration = 0.1;
-  /// Bayesian prior pseudo-ratings for a cold-start worker.
+  /// Bayesian prior pseudo-ratings for a cold-start worker. Must be
+  /// > 0: without a prior, a worker no one has rated would have
+  /// reputation 0/0 = NaN, which no ranking can order.
   double prior_weight = 1.0;
   double prior_mean = 0.5;
   /// Number of rounds to simulate.

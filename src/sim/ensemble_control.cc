@@ -1,6 +1,7 @@
 #include "sim/ensemble_control.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "base/check.h"
 #include "runtime/parallel_for.h"
@@ -20,7 +21,10 @@ EnsembleRunResult RunEnsembleControl(EnsembleControllerKind kind,
   EQIMPACT_CHECK(random != nullptr);
 
   const size_t n = options.num_agents;
-  std::vector<bool> on = initial_on;
+  // Agent states as bytes (1 = ON), so a step has no per-agent branch.
+  std::vector<uint8_t> on(initial_on.begin(), initial_on.end());
+  std::vector<double> uniforms;
+  if (kind == EnsembleControllerKind::kStableRandomized) uniforms.resize(n);
   double signal = initial_signal;
 
   EnsembleRunResult result;
@@ -38,27 +42,34 @@ EnsembleRunResult RunEnsembleControl(EnsembleControllerKind kind,
     // Agents respond to the broadcast.
     switch (kind) {
       case EnsembleControllerKind::kStableRandomized: {
-        double p = std::clamp(signal, 0.0, 1.0);
-        for (size_t i = 0; i < n; ++i) on[i] = random->Bernoulli(p);
+        // Agent i is ON with probability p: Bernoulli(p) is
+        // UniformDouble() < p, and the batch fill is bit for bit the n
+        // sequential draws.
+        const double p = std::clamp(signal, 0.0, 1.0);
+        random->FillUniformDouble(uniforms.data(), n);
+        for (size_t i = 0; i < n; ++i) on[i] = uniforms[i] < p;
         break;
       }
       case EnsembleControllerKind::kIntegralHysteresis: {
-        for (size_t i = 0; i < n; ++i) {
-          if (!on[i] && signal >= 0.5 + options.hysteresis) on[i] = true;
-          if (on[i] && signal <= 0.5 - options.hysteresis) on[i] = false;
-        }
+        // OFF agents switch ON at or above 1/2 + h; then ON agents, those
+        // just switched included, switch OFF at or below 1/2 - h.
+        const uint8_t up = signal >= 0.5 + options.hysteresis;
+        const uint8_t keep = !(signal <= 0.5 - options.hysteresis);
+        for (size_t i = 0; i < n; ++i) on[i] = (on[i] | up) & keep;
         break;
       }
     }
 
-    // Aggregate and record.
-    double fraction = 0.0;
-    for (size_t i = 0; i < n; ++i) fraction += on[i] ? 1.0 : 0.0;
-    fraction /= static_cast<double>(n);
+    // Aggregate and record. The integer ON count is exactly the sum of
+    // the agents' 0/1 actions as doubles.
+    size_t num_on = 0;
+    for (size_t i = 0; i < n; ++i) num_on += on[i];
+    const double fraction =
+        static_cast<double>(num_on) / static_cast<double>(n);
     result.aggregate_fraction.push_back(fraction);
     if (k >= options.burn_in) {
       for (size_t i = 0; i < n; ++i) {
-        result.per_agent_average[i] += on[i] ? 1.0 : 0.0;
+        result.per_agent_average[i] += static_cast<double>(on[i]);
       }
       result.aggregate_average += fraction;
       ++counted;
@@ -66,7 +77,7 @@ EnsembleRunResult RunEnsembleControl(EnsembleControllerKind kind,
     if (observer) {
       const double denominator = static_cast<double>(k + 1);
       for (size_t i = 0; i < n; ++i) {
-        action_sum[i] += on[i] ? 1.0 : 0.0;
+        action_sum[i] += static_cast<double>(on[i]);
         running_average[i] = action_sum[i] / denominator;
       }
       EnsembleStepSnapshot snapshot{k, running_average, fraction, signal};

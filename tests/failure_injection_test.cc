@@ -9,6 +9,7 @@
 #include "graph/digraph.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
+#include "market/matching_market.h"
 #include "markov/affine_ifs.h"
 #include "markov/affine_map.h"
 #include "markov/markov_chain.h"
@@ -106,6 +107,16 @@ TEST(FailureInjectionTest, AdrFilterUserIndexOutOfRangeAborts) {
   credit::AdrFilter filter({credit::Race::kWhiteAlone});
   EXPECT_DEATH(filter.Update(1, true, true), "CHECK failed");
   EXPECT_DEATH(filter.UserAdr(7), "CHECK failed");
+}
+
+TEST(FailureInjectionTest, MarketWithoutRatingPriorAborts) {
+  market::MatchingMarketOptions options;
+  options.num_workers = 10;
+  options.rounds = 2;
+  options.prior_weight = 0.0;
+  EXPECT_DEATH(market::RunMatchingMarket(market::MatchingRule::kTopScore,
+                                         options),
+               "CHECK failed");
 }
 
 TEST(FailureInjectionTest, ForgettingFactorOutOfRangeAborts) {
