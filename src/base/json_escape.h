@@ -8,8 +8,9 @@ namespace base {
 
 /// Escapes `text` as the *contents* of a JSON string literal (no
 /// surrounding quotes): ", \, and control characters per RFC 8259. The
-/// library's one JSON string escaper: serve::JsonValue::Dump and the
-/// --certify document (sim/certify.cc) call it.
+/// library's one JSON string escaper: serve::JsonValue::Dump, the
+/// run_experiment documents (serve/render_json.cc) and the --certify
+/// document (sim/certify.cc) call it.
 std::string JsonEscape(const std::string& text);
 
 }  // namespace base

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/json_escape.h"
 #include "runtime/simd.h"
 
 namespace eqimpact {
@@ -13,7 +14,9 @@ namespace {
 
 /// printf-into-std::string helper; every format below is the exact
 /// format string the pre-refactor CLI printed, so the rendered document
-/// is byte-identical to the historical output.
+/// is byte-identical to the historical output. Every string it prints
+/// inside quotes goes through base::JsonEscape first, which leaves a
+/// plain string's bytes as they are.
 #if defined(__GNUC__)
 __attribute__((format(printf, 2, 3)))
 #endif
@@ -40,7 +43,7 @@ void AppendStringArray(std::string* out,
                        const std::vector<std::string>& values) {
   out->push_back('[');
   for (size_t i = 0; i < values.size(); ++i) {
-    Appendf(out, "\"%s\"%s", values[i].c_str(),
+    Appendf(out, "\"%s\"%s", base::JsonEscape(values[i]).c_str(),
             i + 1 < values.size() ? ", " : "");
   }
   out->push_back(']');
@@ -80,7 +83,8 @@ std::string RenderProvenance(bool force_scalar, size_t num_shards,
           std::thread::hardware_concurrency(),
           runtime::simd::BackendName(backend),
           force_scalar ? "true" : "false", num_shards,
-          checkpoint_path.c_str(), resume ? "true" : "false");
+          base::JsonEscape(checkpoint_path).c_str(),
+          resume ? "true" : "false");
   if (!extra_json.empty()) {
     out.append(", ");
     out.append(extra_json);
@@ -93,7 +97,8 @@ std::string RenderExperimentJson(const sim::ExperimentResult& result,
                                  const RenderHeader& header) {
   std::string out;
   out.append("{\n");
-  Appendf(&out, "  \"scenario\": \"%s\",\n", result.scenario.c_str());
+  Appendf(&out, "  \"scenario\": \"%s\",\n",
+          base::JsonEscape(result.scenario).c_str());
   Appendf(&out, "  \"num_trials\": %zu,\n", header.num_trials);
   Appendf(&out, "  \"master_seed\": %llu,\n",
           static_cast<unsigned long long>(header.master_seed));
@@ -112,7 +117,8 @@ std::string RenderExperimentJson(const sim::ExperimentResult& result,
   out.append("  \"metrics\": {\n");
   for (size_t m = 0; m < result.metric_names.size(); ++m) {
     Appendf(&out, "    \"%s\": {\"mean\": %.9g, \"std\": %.9g}%s\n",
-            result.metric_names[m].c_str(), result.metric_stats[m].Mean(),
+            base::JsonEscape(result.metric_names[m]).c_str(),
+            result.metric_stats[m].Mean(),
             result.metric_stats[m].StdDev(),
             m + 1 < result.metric_names.size() ? "," : "");
   }
@@ -130,7 +136,8 @@ std::string RenderSweepJson(const sim::SweepResult& result,
                             const RenderHeader& header) {
   std::string out;
   out.append("{\n");
-  Appendf(&out, "  \"scenario\": \"%s\",\n", result.scenario.c_str());
+  Appendf(&out, "  \"scenario\": \"%s\",\n",
+          base::JsonEscape(result.scenario).c_str());
   AppendHeader(&out, header, /*with_point_threads=*/true);
   out.append("  \"parameters\": ");
   AppendStringArray(&out, result.parameter_names);

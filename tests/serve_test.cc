@@ -33,6 +33,7 @@
 #include "serve/service.h"
 #include "sim/experiment.h"
 #include "sim/scenario_registry.h"
+#include "sim/sweep.h"
 
 namespace {
 
@@ -45,6 +46,8 @@ using eqimpact::serve::JobResult;
 using eqimpact::serve::JobSpec;
 using eqimpact::serve::JsonValue;
 using eqimpact::serve::ParseJson;
+using eqimpact::serve::RenderExperimentJson;
+using eqimpact::serve::RenderSweepJson;
 using eqimpact::serve::LineFramer;
 using eqimpact::serve::ResultCache;
 using eqimpact::serve::Scheduler;
@@ -100,6 +103,58 @@ TEST(ServeJson, DumpRoundTrips) {
   EXPECT_EQ(reparsed.Find("name")->as_string(), "a\"b\\c");
   EXPECT_DOUBLE_EQ(reparsed.Find("count")->as_number(), 3.0);
   EXPECT_DOUBLE_EQ(reparsed.Find("items")->items()[0].as_number(), 0.1);
+}
+
+TEST(ServeJson, RenderedDocumentsEscapeEveryQuotedString) {
+  // The checkpoint path comes from the command line; names and labels
+  // come from scenarios. Each must parse back to the bytes that went in.
+  const std::string odd = "ck\"x\\y\nz.bin";
+  JsonValue parsed;
+  std::string error;
+  eqimpact::serve::RenderHeader header;
+  header.provenance_json =
+      eqimpact::serve::RenderProvenance(false, 0, odd, true, "");
+
+  std::unique_ptr<eqimpact::sim::Scenario> scenario =
+      eqimpact::sim::CreateScenario("ensemble");
+  ASSERT_TRUE(scenario->SetParameter("num_agents", 8));
+  ASSERT_TRUE(scenario->SetParameter("steps", 10));
+  eqimpact::sim::ExperimentOptions experiment;
+  experiment.num_trials = 1;
+  eqimpact::sim::ExperimentResult result =
+      eqimpact::sim::RunExperiment(scenario.get(), experiment);
+  result.scenario = odd;
+  result.group_labels[1] = odd;
+  result.metric_names[0] = odd;
+  ASSERT_TRUE(ParseJson(RenderExperimentJson(result, header), &parsed,
+                        &error))
+      << error;
+  EXPECT_EQ(
+      parsed.Find("provenance")->Find("checkpoint_path")->as_string(), odd);
+  EXPECT_EQ(parsed.Find("scenario")->as_string(), odd);
+  EXPECT_EQ(parsed.Find("group_labels")->items()[1].as_string(), odd);
+  EXPECT_EQ(parsed.Find("metrics")->members()[0].first, odd);
+
+  eqimpact::sim::SweepOptions sweep;
+  sweep.experiment = experiment;
+  sweep.parameters = {{"gain", {0.05}}};
+  eqimpact::sim::SweepResult swept = eqimpact::sim::RunSweep(
+      [] {
+        std::unique_ptr<eqimpact::sim::Scenario> point =
+            eqimpact::sim::CreateScenario("ensemble");
+        point->SetParameter("num_agents", 8);
+        point->SetParameter("steps", 10);
+        return point;
+      },
+      sweep);
+  swept.scenario = odd;
+  swept.parameter_names[0] = odd;
+  swept.metric_names[2] = odd;
+  ASSERT_TRUE(ParseJson(RenderSweepJson(swept, header), &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.Find("scenario")->as_string(), odd);
+  EXPECT_EQ(parsed.Find("parameters")->items()[0].as_string(), odd);
+  EXPECT_EQ(parsed.Find("metric_names")->items()[2].as_string(), odd);
 }
 
 TEST(ServeJson, BoundsNestingDepth) {
