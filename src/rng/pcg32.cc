@@ -14,6 +14,8 @@ namespace eqimpact {
 namespace rng {
 namespace {
 
+#if defined(EQIMPACT_AVX2_LANES)
+
 // The LCG multiplier of PCG-XSH-RR 64/32 (O'Neill 2014).
 constexpr uint64_t kPcgMult = 6364136223846793005ULL;
 
@@ -40,8 +42,6 @@ LcgJump JumpParams(uint64_t inc, uint64_t steps) {
   }
   return acc;
 }
-
-#if defined(EQIMPACT_AVX2_LANES)
 
 // a * b mod 2^64 per 64-bit lane (AVX2 has no 64-bit multiply; build it
 // from 32 x 32 -> 64 partial products).
