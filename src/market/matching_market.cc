@@ -32,7 +32,6 @@ void FillExploreSlots(size_t slots, const std::vector<double>& weights,
   for (size_t i = 0; i < n; ++i) {
     if (!(*matched)[i]) pool.push_back(i);
   }
-  // The uniform lottery: shuffle the pool and match its first `count`.
   const auto fill_uniform = [&pool, match_rng, matched](size_t count) {
     match_rng->Shuffle(&pool);
     for (size_t t = 0; t < count && t < pool.size(); ++t) {

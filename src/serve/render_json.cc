@@ -83,8 +83,7 @@ std::string RenderProvenance(bool force_scalar, size_t num_shards,
           std::thread::hardware_concurrency(),
           runtime::simd::BackendName(backend),
           force_scalar ? "true" : "false", num_shards,
-          base::JsonEscape(checkpoint_path).c_str(),
-          resume ? "true" : "false");
+          base::JsonEscape(checkpoint_path).c_str(), resume ? "true" : "false");
   if (!extra_json.empty()) {
     out.append(", ");
     out.append(extra_json);
@@ -118,8 +117,7 @@ std::string RenderExperimentJson(const sim::ExperimentResult& result,
   for (size_t m = 0; m < result.metric_names.size(); ++m) {
     Appendf(&out, "    \"%s\": {\"mean\": %.9g, \"std\": %.9g}%s\n",
             base::JsonEscape(result.metric_names[m]).c_str(),
-            result.metric_stats[m].Mean(),
-            result.metric_stats[m].StdDev(),
+            result.metric_stats[m].Mean(), result.metric_stats[m].StdDev(),
             m + 1 < result.metric_names.size() ? "," : "");
   }
   out.append("  },\n");

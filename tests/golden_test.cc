@@ -238,8 +238,7 @@ TEST(GoldenTest, MarketAndEnsembleConfigurations) {
                                        market ? 200.0 : 300.0));
     ASSERT_TRUE(scenario->SetParameter(market ? "rounds" : "steps", 200.0));
     for (const auto& assignment : configuration.assignments) {
-      ASSERT_TRUE(
-          scenario->SetParameter(assignment.first, assignment.second));
+      ASSERT_TRUE(scenario->SetParameter(assignment.first, assignment.second));
     }
     digest.Mix(sim::ExperimentDigest(
         sim::RunExperiment(scenario.get(), options)));

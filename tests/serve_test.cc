@@ -126,9 +126,8 @@ TEST(ServeJson, RenderedDocumentsEscapeEveryQuotedString) {
   result.scenario = odd;
   result.group_labels[1] = odd;
   result.metric_names[0] = odd;
-  ASSERT_TRUE(ParseJson(RenderExperimentJson(result, header), &parsed,
-                        &error))
-      << error;
+  const std::string experiment_document = RenderExperimentJson(result, header);
+  ASSERT_TRUE(ParseJson(experiment_document, &parsed, &error)) << error;
   EXPECT_EQ(
       parsed.Find("provenance")->Find("checkpoint_path")->as_string(), odd);
   EXPECT_EQ(parsed.Find("scenario")->as_string(), odd);
@@ -150,8 +149,8 @@ TEST(ServeJson, RenderedDocumentsEscapeEveryQuotedString) {
   swept.scenario = odd;
   swept.parameter_names[0] = odd;
   swept.metric_names[2] = odd;
-  ASSERT_TRUE(ParseJson(RenderSweepJson(swept, header), &parsed, &error))
-      << error;
+  const std::string sweep_document = RenderSweepJson(swept, header);
+  ASSERT_TRUE(ParseJson(sweep_document, &parsed, &error)) << error;
   EXPECT_EQ(parsed.Find("scenario")->as_string(), odd);
   EXPECT_EQ(parsed.Find("parameters")->items()[0].as_string(), odd);
   EXPECT_EQ(parsed.Find("metric_names")->items()[2].as_string(), odd);
