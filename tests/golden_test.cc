@@ -28,6 +28,7 @@
 #include "credit/race.h"
 #include "linalg/sparse_eigen.h"
 #include "linalg/vector.h"
+#include "market/matching_market.h"
 #include "markov/affine_ifs.h"
 #include "markov/affine_map.h"
 #include "markov/sparse_ulam.h"
@@ -244,6 +245,95 @@ TEST(GoldenTest, MarketAndEnsembleConfigurations) {
         sim::RunExperiment(scenario.get(), options)));
   }
   EXPECT_EQ(Hex(digest.hash()), "5650561dbb8c5b99");
+}
+
+TEST(GoldenTest, MarketAndEnsembleOddHorizonsAndCuts) {
+  // Horizons that are not multiples of four, so a batched observer fold
+  // ends on a partial batch, and market runs whose exploit cut meets
+  // every case of its selection: the prior's cut in the first round, an
+  // unchanged cut, a cut above or below the last one, one exploit slot
+  // (a 0.005 capacity) and every worker in an exploit slot (capacity 1,
+  // rule 0). 256 skill classes is the most the byte group ids hold.
+  const struct {
+    const char* scenario;
+    std::vector<std::pair<const char*, double>> assignments;
+  } kConfigurations[] = {
+      {"market", {{"rounds", 1.0}, {"equalizer_strength", 2.0}}},
+      {"market",
+       {{"rounds", 3.0},
+        {"heterogeneous_skill", 1.0},
+        {"skill_classes", 4.0},
+        {"equalizer_period", 1.0},
+        {"equalizer_strength", 2.0}}},
+      {"market",
+       {{"rounds", 203.0},
+        {"heterogeneous_skill", 1.0},
+        {"skill_classes", 4.0},
+        {"equalizer_period", 3.0},
+        {"equalizer_strength", 2.0}}},
+      {"market", {{"rounds", 203.0}, {"equalizer_strength", 2.0}}},
+      {"market",
+       {{"rounds", 203.0}, {"rule", 0.0}, {"capacity_fraction", 1.0}}},
+      {"market",
+       {{"rounds", 203.0}, {"rule", 0.0}, {"capacity_fraction", 0.005}}},
+      {"market",
+       {{"rounds", 203.0},
+        {"capacity_fraction", 1.0},
+        {"exploration", 0.3},
+        {"heterogeneous_skill", 1.0}}},
+      {"market",
+       {{"rounds", 5.0},
+        {"heterogeneous_skill", 1.0},
+        {"skill_classes", 256.0},
+        {"equalizer_period", 2.0},
+        {"equalizer_strength", 1.0}}},
+      {"ensemble", {{"steps", 1.0}, {"controller", 0.0}}},
+      {"ensemble", {{"steps", 5.0}, {"controller", 0.0}}},
+      {"ensemble", {{"steps", 5.0}, {"controller", 1.0}}},
+      {"ensemble",
+       {{"steps", 150.0}, {"controller", 0.0}, {"initial_on_fraction", 0.3}}},
+      {"ensemble",
+       {{"steps", 150.0}, {"controller", 1.0}, {"initial_on_fraction", 0.3}}},
+      {"ensemble",
+       {{"steps", 203.0}, {"controller", 1.0}, {"hysteresis", 0.0}}},
+  };
+  sim::ExperimentOptions options;
+  options.num_trials = 2;
+  options.master_seed = 42;
+  Fnv1a digest;
+  for (const auto& configuration : kConfigurations) {
+    const std::unique_ptr<sim::Scenario> scenario =
+        sim::CreateScenario(configuration.scenario);
+    const bool market = std::string(configuration.scenario) == "market";
+    ASSERT_TRUE(scenario->SetParameter(market ? "num_workers" : "num_agents",
+                                       market ? 200.0 : 300.0));
+    for (const auto& assignment : configuration.assignments) {
+      ASSERT_TRUE(scenario->SetParameter(assignment.first, assignment.second));
+    }
+    digest.Mix(sim::ExperimentDigest(
+        sim::RunExperiment(scenario.get(), options)));
+  }
+  EXPECT_EQ(Hex(digest.hash()), "738a94f726442fd8");
+
+  // The engine's own outputs, reputations included, with no observer.
+  Fnv1a engine;
+  for (const auto rule :
+       {market::MatchingRule::kTopScore, market::MatchingRule::kEpsilonGreedy,
+        market::MatchingRule::kUniformRandom}) {
+    for (const size_t rounds : {size_t{1}, size_t{3}, size_t{203}}) {
+      market::MatchingMarketOptions market_options;
+      market_options.num_workers = 150;
+      market_options.rounds = rounds;
+      market_options.heterogeneous_skill = true;
+      market_options.seed = 9;
+      const market::MatchingMarketResult result =
+          market::RunMatchingMarket(rule, market_options);
+      engine.MixSeries(result.match_rate);
+      engine.MixSeries(result.reputation);
+      engine.MixDouble(result.match_rate_gini);
+    }
+  }
+  EXPECT_EQ(Hex(engine.hash()), "9697d1597fadbf4c");
 }
 
 TEST(GoldenTest, EnsembleControlWithoutObserver) {
