@@ -13,6 +13,20 @@ namespace eqimpact {
 namespace market {
 namespace {
 
+/// First position in sums[0, valid) whose running sum exceeds u, given
+/// that sums[valid - 1] does: std::upper_bound's answer over the
+/// non-decreasing sums, by a search whose steps depend only on `valid`,
+/// so its one data-dependent choice per step is a conditional move.
+size_t FirstSumAbove(const double* sums, size_t valid, double u) {
+  const double* base = sums;
+  for (size_t len = valid; len > 1;) {
+    const size_t half = len / 2;
+    base = u < base[half - 1] ? base : base + half;
+    len -= half;
+  }
+  return static_cast<size_t>(base - sums);
+}
+
 /// Draws `slots` workers from the unmatched pool without replacement,
 /// uniformly when `weights` is empty, else with probability proportional
 /// to each worker's weight. A weighted draw takes the first pool position
@@ -21,17 +35,23 @@ namespace {
 /// at position p leaves the sums before p as they were, and those from p
 /// on too when the entry moved into p weighs exactly what the drawn one
 /// did (always, under equal weights). A draw below the last kept sum
-/// binary-searches them; any other resumes the scan where they end, with
-/// the same additions. Every sum and every pick is therefore the one a
-/// fresh scan of the shrinking pool would make, in the same rng stream.
+/// searches them; any other resumes the scan where they end, with the
+/// same additions. Every sum and every pick is therefore the one a fresh
+/// scan of the shrinking pool would make, in the same rng stream. `pool`
+/// and `sums` are scratch that keeps its capacity across rounds.
 void FillExploreSlots(size_t slots, const std::vector<double>& weights,
-                      rng::Random* match_rng, std::vector<uint8_t>* matched) {
+                      rng::Random* match_rng, std::vector<uint8_t>* matched,
+                      std::vector<size_t>* pool_buffer,
+                      std::vector<double>* sums_buffer) {
   const size_t n = matched->size();
-  std::vector<size_t> pool;
-  pool.reserve(n);
+  std::vector<size_t>& pool = *pool_buffer;
+  pool.resize(n);
+  size_t unmatched = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (!(*matched)[i]) pool.push_back(i);
+    pool[unmatched] = i;
+    unmatched += !(*matched)[i];
   }
+  pool.resize(unmatched);
   const auto fill_uniform = [&pool, match_rng, matched](size_t count) {
     match_rng->Shuffle(&pool);
     for (size_t t = 0; t < count && t < pool.size(); ++t) {
@@ -44,7 +64,8 @@ void FillExploreSlots(size_t slots, const std::vector<double>& weights,
   }
   double total = 0.0;
   for (size_t i : pool) total += weights[i];
-  std::vector<double> sums(pool.size());
+  sums_buffer->resize(pool.size());
+  double* sums = sums_buffer->data();
   size_t valid = 0;  // sums[0, valid) are the scan's running sums.
   for (size_t s = 0; s < slots && !pool.empty(); ++s) {
     if (total <= 0.0) {
@@ -55,9 +76,7 @@ void FillExploreSlots(size_t slots, const std::vector<double>& weights,
     const double u = match_rng->UniformDouble() * total;
     size_t pick = pool.size();
     if (valid > 0 && u < sums[valid - 1]) {
-      pick = static_cast<size_t>(
-          std::upper_bound(sums.begin(), sums.begin() + valid, u) -
-          sums.begin());
+      pick = FirstSumAbove(sums, valid, u);
     } else {
       double cumulative = valid > 0 ? sums[valid - 1] : 0.0;
       while (pick == pool.size() && valid < pool.size()) {
@@ -91,6 +110,35 @@ void FillExploreSlots(size_t slots, const std::vector<double>& weights,
     pool.pop_back();
     valid = std::min(valid, pool.size());
   }
+}
+
+/// The `slots`-th highest of values[0, n) (1 <= slots <= n): the value
+/// std::nth_element puts at position slots - 1 under std::greater. It
+/// partitions the values around `pivot` (any value but NaN) and selects
+/// only on the side where that position falls; when it falls among the
+/// values equal to the pivot, the answer is the pivot. `above` and
+/// `below` are scratch of n values.
+double HighestAt(const double* values, size_t n, size_t slots, double pivot,
+                 double* above, double* below) {
+  size_t num_above = 0;
+  size_t num_below = 0;
+  for (size_t i = 0; i < n; ++i) {
+    above[num_above] = values[i];
+    below[num_below] = values[i];
+    num_above += values[i] > pivot;
+    num_below += values[i] < pivot;
+  }
+  if (slots <= num_above) {
+    std::nth_element(above, above + (slots - 1), above + num_above,
+                     std::greater<double>());
+    return above[slots - 1];
+  }
+  const size_t at_or_above = n - num_below;
+  if (slots <= at_or_above) return pivot;
+  const size_t rest = slots - at_or_above;
+  std::nth_element(below, below + (rest - 1), below + num_below,
+                   std::greater<double>());
+  return below[rest - 1];
 }
 
 }  // namespace
@@ -142,10 +190,19 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
   controls.exploration = options.exploration;
   std::vector<double> running_rate(n, 0.0);
 
+  // Per-round scratch, allocated once.
   std::vector<size_t> order(n);
   std::vector<double> reputation(n);
-  std::vector<double> ranked(n);
+  std::vector<double> above(n);
+  std::vector<double> below(n);
   std::vector<uint8_t> matched(n);
+  std::vector<size_t> pool;
+  std::vector<double> sums;
+  std::vector<size_t> rated(n);
+  std::vector<double> draws(n);
+  // The last exploit cut, which pivots the next round's selection; every
+  // worker starts at the prior's reputation, so round 0 needs no search.
+  double cut = rating_sum[0] / rating_count[0];
   for (size_t round = 0; round < options.rounds; ++round) {
     std::fill(matched.begin(), matched.end(), 0);
     const runtime::SeedSequence round_streams = round_seeds.Child(round);
@@ -180,22 +237,18 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
       for (size_t i = 0; i < n; ++i) {
         reputation[i] = rating_sum[i] / rating_count[i];
       }
-      ranked = reputation;
-      std::nth_element(ranked.begin(), ranked.begin() + (exploit_slots - 1),
-                       ranked.end(), std::greater<double>());
-      const double cut = ranked[exploit_slots - 1];
+      cut = HighestAt(reputation.data(), n, exploit_slots, cut, above.data(),
+                      below.data());
       size_t at_cut = exploit_slots;
       for (size_t i = 0; i < n; ++i) {
-        if (reputation[i] > cut) {
-          matched[i] = 1;
-          --at_cut;
-        }
+        const uint8_t take = reputation[i] > cut;
+        matched[i] = take;
+        at_cut -= take;
       }
       for (size_t rank = 0; rank < n && at_cut > 0; ++rank) {
-        if (reputation[order[rank]] == cut) {
-          matched[order[rank]] = 1;
-          --at_cut;
-        }
+        const uint8_t take = reputation[order[rank]] == cut;
+        matched[order[rank]] |= take;
+        at_cut -= take;
       }
     }
     // Exploration: lottery over the not-yet-matched workers, uniform or
@@ -206,17 +259,24 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
         for (double w : controls.explore_weights) EQIMPACT_CHECK_GE(w, 0.0);
       }
       FillExploreSlots(explore_slots, controls.explore_weights, &match_rng,
-                       &matched);
+                       &matched, &pool, &sums);
     }
 
     // Outcomes and the rating filter update (only matched workers are
-    // rated — the loop's self-selection).
+    // rated — the loop's self-selection). The matched workers draw in
+    // index order, one uniform each, as one batch.
+    size_t num_rated = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (!matched[i]) continue;
+      rated[num_rated] = i;
+      num_rated += matched[i];
+    }
+    outcome_rng.FillUniformDouble(draws.data(), num_rated);
+    for (size_t r = 0; r < num_rated; ++r) {
+      const size_t i = rated[r];
       ++matches[i];
-      bool success = outcome_rng.Bernoulli(result.skill[i]);
       rating_count[i] += 1.0;
-      rating_sum[i] += success ? 1.0 : 0.0;
+      // Bernoulli(skill): a success adds 1, a failure 0.
+      rating_sum[i] += static_cast<double>(draws[r] < result.skill[i]);
     }
 
     if (observer) {

@@ -111,13 +111,13 @@ TrialOutcome EnsembleScenario::RunTrial(const TrialContext& context,
   outcome.group_impact.assign(2, std::vector<double>(steps, 0.0));
 
   rng::Random random(context.trial_seed);
+  stats::CrossSectionBatch cross_sections(impacts, &group_ids);
   EnsembleRunResult record = RunEnsembleControl(
       options_.kind, options_.ensemble, initial_on, options_.initial_signal,
       &random,
-      [impacts, &outcome, &group_ids,
+      [&cross_sections, &outcome, &group_ids,
        &group_counts](const EnsembleStepSnapshot& snapshot) {
-        impacts->AddCrossSection(snapshot.step, snapshot.running_average,
-                                 group_ids);
+        cross_sections.Add(snapshot.step, snapshot.running_average);
         double sums[2] = {0.0, 0.0};
         for (size_t i = 0; i < group_ids.size(); ++i) {
           sums[group_ids[i]] += snapshot.running_average[i];
@@ -129,6 +129,7 @@ TrialOutcome EnsembleScenario::RunTrial(const TrialContext& context,
                   : 0.0;
         }
       });
+  cross_sections.Flush();
 
   outcome.metrics = {stats::CoincidenceGap(record.per_agent_average),
                      record.aggregate_average, record.final_signal};

@@ -104,7 +104,7 @@ bool MatchingMarketScenario::SetParameter(const std::string& name,
     return true;
   }
   if (name == "skill_classes") {
-    if (!CountParameterInRange(value)) return false;
+    if (!ParameterInRange(value, 1.0, kMaxSkillClasses)) return false;
     options_.skill_classes = static_cast<size_t>(value);
     return true;
   }
@@ -132,6 +132,7 @@ TrialOutcome MatchingMarketScenario::RunTrial(const TrialContext& context,
   market::MatchingMarketOptions market_options = options_.market;
   market_options.seed = context.trial_seed;
   const size_t groups = num_groups();
+  EQIMPACT_CHECK_LE(groups, kMaxSkillClasses);
   const size_t rounds = market_options.rounds;
 
   TrialOutcome outcome;
@@ -148,11 +149,14 @@ TrialOutcome MatchingMarketScenario::RunTrial(const TrialContext& context,
   std::vector<uint8_t> group_ids;
   std::vector<int64_t> group_counts(groups, 0);
   std::vector<double> class_mean(groups, 0.0);
+  std::vector<double> class_weight(groups, 0.0);
+  stats::CrossSectionBatch cross_sections(impacts, &group_ids);
 
   const market::RoundObserver observer =
-      [this, impacts, &outcome, &equalizer, &group_ids, &group_counts,
-       &class_mean, groups](const market::RoundSnapshot& snapshot,
-                            market::RoundControls* controls) {
+      [this, &outcome, &equalizer, &group_ids, &group_counts, &class_mean,
+       &class_weight, &cross_sections,
+       groups](const market::RoundSnapshot& snapshot,
+               market::RoundControls* controls) {
         const size_t n = snapshot.skill.size();
         if (group_ids.empty()) {
           group_ids.resize(n);
@@ -161,8 +165,7 @@ TrialOutcome MatchingMarketScenario::RunTrial(const TrialContext& context,
             ++group_counts[group_ids[i]];
           }
         }
-        impacts->AddCrossSection(snapshot.round, snapshot.running_match_rate,
-                                 group_ids);
+        cross_sections.Add(snapshot.round, snapshot.running_match_rate);
 
         // Per-class mean running match rate; empty classes carry the
         // overall mean so they stay neutral under the equalizer.
@@ -187,11 +190,13 @@ TrialOutcome MatchingMarketScenario::RunTrial(const TrialContext& context,
         if (equalizer &&
             (snapshot.round + 1) % options_.equalizer.period == 0) {
           equalizer->Observe(class_mean);
-          std::vector<double> weights(n);
-          for (size_t i = 0; i < n; ++i) {
-            weights[i] = std::exp(equalizer->offsets()[group_ids[i]]);
+          for (size_t g = 0; g < groups; ++g) {
+            class_weight[g] = std::exp(equalizer->offsets()[g]);
           }
-          controls->explore_weights = std::move(weights);
+          controls->explore_weights.resize(n);
+          for (size_t i = 0; i < n; ++i) {
+            controls->explore_weights[i] = class_weight[group_ids[i]];
+          }
           const double dispersion =
               stats::GiniCoefficient(snapshot.running_match_rate);
           controls->exploration =
@@ -203,6 +208,7 @@ TrialOutcome MatchingMarketScenario::RunTrial(const TrialContext& context,
 
   market::MatchingMarketResult record =
       RunMatchingMarket(options_.rule, market_options, observer);
+  cross_sections.Flush();
   outcome.metrics = {record.match_rate_gini, record.mean_match_rate,
                      record.final_exploration};
   return outcome;

@@ -12,6 +12,9 @@
 namespace eqimpact {
 namespace sim {
 
+/// Skill classes are byte group ids, so a market has at most 256.
+inline constexpr size_t kMaxSkillClasses = 256;
+
 /// Configuration of the matching-market scenario.
 struct MatchingMarketScenarioOptions {
   /// Per-trial market configuration; the trial seed is overridden per
@@ -21,7 +24,7 @@ struct MatchingMarketScenarioOptions {
   /// Impact groups: equal-width skill classes over the heterogeneous
   /// skill range [0.3, 0.9). With homogeneous skill every worker lands
   /// in the class containing base_skill; use 1 class (the default) for
-  /// the "identical workers" experiments.
+  /// the "identical workers" experiments. At most kMaxSkillClasses.
   size_t skill_classes = 1;
   /// Regulator intervention: every `equalizer.period` rounds, a
   /// core::ImpactEqualizer observes the per-class running match rates
@@ -50,7 +53,7 @@ class MatchingMarketScenario : public Scenario {
   std::vector<std::string> MetricNames() const override;
   /// "exploration", "capacity_fraction", "rounds", "num_workers",
   /// "rule" (0 = top-score, 1 = epsilon-greedy, 2 = uniform),
-  /// "heterogeneous_skill" (0/1), "skill_classes",
+  /// "heterogeneous_skill" (0/1), "skill_classes" (1 to 256),
   /// "equalizer_strength", "equalizer_period" are accepted.
   bool SetParameter(const std::string& name, double value) override;
   std::vector<std::string> ParameterNames() const override;

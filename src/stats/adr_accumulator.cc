@@ -30,49 +30,115 @@ size_t AdrAccumulator::CellIndex(size_t k, size_t g) const {
   return k * num_groups_ + g;
 }
 
-size_t AdrAccumulator::BinIndex(double value) const {
-  // Clamp-then-bin, matching stats::Histogram::Add. NaN, which clamps to
-  // itself and has no integer conversion, counts in the last bin.
-  if (std::isnan(value)) return num_bins_ - 1;
-  double clamped = std::clamp(value, lo_, hi_);
-  size_t bin = static_cast<size_t>((clamped - lo_) / bin_width_);
-  return std::min(bin, num_bins_ - 1);
+namespace {
+
+// Clamp-then-bin, matching stats::Histogram::Add. NaN, which clamps to
+// itself and has no integer conversion, counts in the last bin.
+inline size_t BinOf(double value, double lo, double hi, double bin_width,
+                    size_t last_bin) {
+  if (std::isnan(value)) return last_bin;
+  double clamped = std::clamp(value, lo, hi);
+  size_t bin = static_cast<size_t>((clamped - lo) / bin_width);
+  return std::min(bin, last_bin);
 }
 
-// Out of line, so that both cross-section forms run the same
-// instructions: the sign of a NaN that an operation like inf - inf
-// creates follows the operand order the compiler picked for an addition,
-// which two inlined copies of the loop need not share. The moments fold
-// into a local copy that stays in registers.
-__attribute__((noinline)) void AdrAccumulator::FoldRun(size_t cell,
-                                                       const double* values,
-                                                       size_t n) {
-  RunningStats cell_stats = stats_[cell];
-  int64_t* cell_bins = &bin_counts_[cell * num_bins_];
-  for (size_t i = 0; i < n; ++i) {
-    cell_stats.Add(values[i]);
-    ++cell_bins[BinIndex(values[i])];
+}  // namespace
+
+// Out of line, so that every one-section fold (AddCrossSection's runs,
+// AddGroupCrossSection's compacted group) runs the same instructions:
+// when two NaNs meet in an addition, the result's sign follows the
+// operand order the compiler picked, which two inlined copies of the
+// loop need not share. The moments fold into local copies that stay in
+// registers; with several sections, the steps' chains, each waiting on
+// its own last division, overlap.
+template <size_t kSections>
+__attribute__((noinline)) void AdrAccumulator::FoldRuns(size_t cell,
+                                                        const double* values,
+                                                        size_t stride,
+                                                        size_t n) {
+  if constexpr (kSections > 1) {
+    // Side by side, the chains may pick other operand orders than the
+    // one-section fold. That leaves the bits alone while every NaN in
+    // play is one the fold creates (inf - inf, 0 * inf), since those all
+    // carry the same bits. A NaN among the values or already in a cell's
+    // moments need not, so such a run folds one section at a time.
+    bool foreign_nan = false;
+    for (size_t j = 0; j < kSections; ++j) {
+      foreign_nan |= stats_[cell + j * num_groups_].HasNan();
+      for (size_t i = 0; i < n; ++i) {
+        foreign_nan |= std::isnan(values[j * stride + i]);
+      }
+    }
+    if (foreign_nan) {
+      for (size_t j = 0; j < kSections; ++j) {
+        FoldRuns<1>(cell + j * num_groups_, values + j * stride, 0, n);
+      }
+      return;
+    }
   }
-  stats_[cell] = cell_stats;
+  RunningStats cell_stats[kSections];
+  int64_t* cell_bins[kSections];
+  for (size_t j = 0; j < kSections; ++j) {
+    cell_stats[j] = stats_[cell + j * num_groups_];
+    cell_bins[j] = &bin_counts_[(cell + j * num_groups_) * num_bins_];
+  }
+  // The bin counts are stores the compiler cannot tell from the shape
+  // fields, so the shape is read once, before the loop.
+  const double lo = lo_, hi = hi_, bin_width = bin_width_;
+  const size_t last_bin = num_bins_ - 1;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < kSections; ++j) {
+      const double value = values[j * stride + i];
+      cell_stats[j].Add(value);
+      ++cell_bins[j][BinOf(value, lo, hi, bin_width, last_bin)];
+    }
+  }
+  for (size_t j = 0; j < kSections; ++j) {
+    stats_[cell + j * num_groups_] = cell_stats[j];
+  }
 }
 
 void AdrAccumulator::Add(size_t k, size_t g, double value) {
   size_t cell = CellIndex(k, g);
   stats_[cell].Add(value);
-  ++bin_counts_[cell * num_bins_ + BinIndex(value)];
+  ++bin_counts_[cell * num_bins_ +
+                BinOf(value, lo_, hi_, bin_width_, num_bins_ - 1)];
 }
 
 void AdrAccumulator::AddCrossSection(size_t k,
                                      const std::vector<double>& values,
                                      const std::vector<uint8_t>& groups) {
-  EQIMPACT_CHECK_EQ(values.size(), groups.size());
+  AddCrossSections(k, 1, values, groups);
+}
+
+void AdrAccumulator::AddCrossSections(size_t k, size_t num_sections,
+                                      const std::vector<double>& sections,
+                                      const std::vector<uint8_t>& groups) {
+  const size_t n = groups.size();
+  EQIMPACT_CHECK(num_sections >= 1 && num_sections <= kMaxSections);
+  EQIMPACT_CHECK_EQ(sections.size(), num_sections * n);
   EQIMPACT_CHECK_LT(k, num_steps_);
+  EQIMPACT_CHECK_LE(num_sections, num_steps_ - k);
   // One fold per run of consecutive values of one group.
-  for (size_t i = 0, end = 0; i < values.size(); i = end) {
+  for (size_t i = 0, end = 0; i < n; i = end) {
     const size_t g = groups[i];
     EQIMPACT_CHECK_LT(g, num_groups_);
-    for (end = i + 1; end < values.size() && groups[end] == g;) ++end;
-    FoldRun(k * num_groups_ + g, &values[i], end - i);
+    for (end = i + 1; end < n && groups[end] == g;) ++end;
+    const size_t cell = k * num_groups_ + g;
+    switch (num_sections) {
+      case 1:
+        FoldRuns<1>(cell, &sections[i], n, end - i);
+        break;
+      case 2:
+        FoldRuns<2>(cell, &sections[i], n, end - i);
+        break;
+      case 3:
+        FoldRuns<3>(cell, &sections[i], n, end - i);
+        break;
+      default:
+        FoldRuns<4>(cell, &sections[i], n, end - i);
+        break;
+    }
   }
 }
 
@@ -102,7 +168,7 @@ void AdrAccumulator::AddGroupCrossSection(size_t k, size_t g,
     compacted[m] = values[i];
     m += ids[i] == id;
   }
-  FoldRun(cell, compacted, members);
+  FoldRuns<1>(cell, compacted, 0, members);
 }
 
 void AdrAccumulator::Merge(const AdrAccumulator& other) {
@@ -226,6 +292,25 @@ bool AdrAccumulator::Deserialize(base::BinaryReader* reader) {
   }
   bin_counts_ = reader->ReadI64Vector();
   return reader->ok() && bin_counts_.size() == expected_bins;
+}
+
+void CrossSectionBatch::Add(size_t k, const std::vector<double>& values) {
+  const size_t n = groups_->size();
+  EQIMPACT_CHECK_EQ(values.size(), n);
+  if (buffered_ == 0) {
+    first_step_ = k;
+    sections_.resize(AdrAccumulator::kMaxSections * n);
+  }
+  EQIMPACT_CHECK_EQ(k, first_step_ + buffered_);
+  std::copy(values.begin(), values.end(), sections_.begin() + buffered_ * n);
+  if (++buffered_ == AdrAccumulator::kMaxSections) Flush();
+}
+
+void CrossSectionBatch::Flush() {
+  if (buffered_ == 0) return;
+  sections_.resize(buffered_ * groups_->size());
+  target_->AddCrossSections(first_step_, buffered_, sections_, *groups_);
+  buffered_ = 0;
 }
 
 }  // namespace stats

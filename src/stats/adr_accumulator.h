@@ -47,6 +47,9 @@ class AdrAccumulator {
   AdrAccumulator(size_t num_groups, size_t num_steps, size_t num_bins,
                  double lo = 0.0, double hi = 1.0);
 
+  /// The most cross-sections one AddCrossSections call folds.
+  static constexpr size_t kMaxSections = 4;
+
   size_t num_groups() const { return num_groups_; }
   size_t num_steps() const { return num_steps_; }
   size_t num_bins() const { return num_bins_; }
@@ -61,6 +64,17 @@ class AdrAccumulator {
   /// group groups[i]. CHECK-fails on length mismatch.
   void AddCrossSection(size_t k, const std::vector<double>& values,
                        const std::vector<uint8_t>& groups);
+
+  /// The cross-sections of `num_sections` (1 to kMaxSections) steps k,
+  /// k + 1, ... that share one group layout: sections[j * groups.size()
+  /// + i] belongs to group groups[i] at step k + j. Every cell ends
+  /// bitwise as num_sections AddCrossSection calls leave it: each cell
+  /// still folds its values in index order, and the steps' cells, whose
+  /// Welford chains are independent, are folded side by side.
+  /// CHECK-fails on a length mismatch or a step past the last.
+  void AddCrossSections(size_t k, size_t num_sections,
+                        const std::vector<double>& sections,
+                        const std::vector<uint8_t>& groups);
 
   /// Group `g`'s share of AddCrossSection(k, values, groups): compacts
   /// the values[i] with groups[i] == g, in index order, into `scratch`
@@ -115,10 +129,11 @@ class AdrAccumulator {
 
  private:
   size_t CellIndex(size_t k, size_t g) const;
-  size_t BinIndex(double value) const;
-  /// Folds values[0..n) in order into cell `cell`: the one fold loop
-  /// behind both cross-section forms.
-  void FoldRun(size_t cell, const double* values, size_t n);
+  /// Folds values[j * stride + i], i in [0, n), in order into cell
+  /// `cell + j * num_groups_` (step k + j's cell of the group), for each
+  /// j < kSections: the one fold loop behind every cross-section form.
+  template <size_t kSections>
+  void FoldRuns(size_t cell, const double* values, size_t stride, size_t n);
   double QuantileFromBins(double p, const int64_t* bins, int64_t total,
                           double min_value, double max_value) const;
 
@@ -131,6 +146,31 @@ class AdrAccumulator {
   // Indexed [k * num_groups_ + g]; bins additionally by * num_bins_ + b.
   std::vector<RunningStats> stats_;
   std::vector<int64_t> bin_counts_;
+};
+
+/// Feeds an AdrAccumulator the cross-sections of consecutive steps that
+/// share one group layout, AdrAccumulator::kMaxSections steps to an
+/// AddCrossSections call. Until Flush(), up to kMaxSections - 1 steps
+/// wait here, not in the accumulator.
+class CrossSectionBatch {
+ public:
+  /// Folds into `target` by `groups`, which the caller keeps alive, and
+  /// fills before the first Add, while the batch holds steps.
+  CrossSectionBatch(AdrAccumulator* target,
+                    const std::vector<uint8_t>* groups)
+      : target_(target), groups_(groups) {}
+
+  /// Buffers step k's cross-section; k follows the last step added.
+  void Add(size_t k, const std::vector<double>& values);
+  /// Folds the steps still buffered. Call it after the last step.
+  void Flush();
+
+ private:
+  AdrAccumulator* target_;
+  const std::vector<uint8_t>* groups_;
+  size_t first_step_ = 0;
+  size_t buffered_ = 0;
+  std::vector<double> sections_;
 };
 
 }  // namespace stats

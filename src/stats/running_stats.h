@@ -2,6 +2,7 @@
 #define EQIMPACT_STATS_RUNNING_STATS_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -46,6 +47,9 @@ class RunningStats {
   double Min() const { return min_; }
   /// Largest observation (-inf when empty).
   double Max() const { return max_; }
+  /// True when the running mean or second moment is NaN, which every
+  /// later Add keeps.
+  bool HasNan() const { return std::isnan(mean_) || std::isnan(m2_); }
 
   /// Writes the raw accumulator state (bit-exact doubles); Deserialize
   /// restores a byte-identical accumulator.

@@ -213,6 +213,21 @@ TEST(ExperimentTest, MarketBitwiseDeterministicAtOneTwoEightThreads) {
         return sim::MatchingMarketScenario(options);
       },
       5);
+  // The weighted lottery, the pivoted exploit cut and the batched
+  // observer fold (203 rounds end on a batch of three) under concurrent
+  // trials of one scenario instance.
+  ExpectThreadCountInvariance(
+      [] {
+        sim::MatchingMarketScenarioOptions options;
+        options.market.num_workers = 60;
+        options.market.rounds = 203;
+        options.market.heterogeneous_skill = true;
+        options.skill_classes = 4;
+        options.equalizer.strength = 2.0;
+        options.equalizer.period = 3;
+        return sim::MatchingMarketScenario(options);
+      },
+      5);
 }
 
 TEST(ExperimentTest, EnsembleBitwiseDeterministicAtOneTwoEightThreads) {
@@ -222,6 +237,17 @@ TEST(ExperimentTest, EnsembleBitwiseDeterministicAtOneTwoEightThreads) {
         options.ensemble.num_agents = 12;
         options.ensemble.steps = 150;
         options.ensemble.burn_in = 30;
+        return sim::EnsembleScenario(options);
+      },
+      6);
+  // 101 steps end the batched observer fold on a batch of one.
+  ExpectThreadCountInvariance(
+      [] {
+        sim::EnsembleScenarioOptions options;
+        options.ensemble.num_agents = 40;
+        options.ensemble.steps = 101;
+        options.ensemble.burn_in = 10;
+        options.initial_on_fraction = 0.3;
         return sim::EnsembleScenario(options);
       },
       6);
@@ -356,6 +382,16 @@ TEST(ScenarioRegistryTest, CreatedScenariosRunThroughTheDriver) {
     EXPECT_FALSE(result.pooled_impact.empty());
     EXPECT_EQ(result.metric_stats.size(), result.metric_names.size());
   }
+}
+
+TEST(MarketScenarioTest, SkillClassesFitByteGroupIds) {
+  // Group ids are bytes: 256 classes fit, a 257th would share an id.
+  sim::MatchingMarketScenario scenario;
+  EXPECT_TRUE(scenario.SetParameter("skill_classes", 256.0));
+  EXPECT_FALSE(scenario.SetParameter("skill_classes", 257.0));
+  EXPECT_FALSE(scenario.SetParameter("skill_classes", 0.0));
+  EXPECT_EQ(scenario.options().skill_classes, 256u);
+  EXPECT_EQ(scenario.GroupLabels().size(), 256u);
 }
 
 TEST(ScenarioRegistryTest, UnknownNameHasNoScenario) {

@@ -667,6 +667,8 @@ TEST(ServeService, TypedErrorsDoNotReachTheScheduler) {
        "bad_parameter"},
       {R"({"scenario": "credit", "sweep": {"warp": [1]}})",
        "bad_parameter"},
+      {R"({"scenario": "market", "set": {"skill_classes": 257}})",
+       "bad_parameter"},
   };
   for (const auto& test_case : cases) {
     EventLog log;

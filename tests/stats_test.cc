@@ -500,28 +500,35 @@ TEST(AdrAccumulatorTest, DeserializeRejectsTruncatedBytes) {
   }
 }
 
-TEST(AdrAccumulatorTest, GroupCrossSectionMatchesCrossSectionBitwise) {
-  // Groups 0 and 1 hold finite values, some outside [lo, hi], so their
-  // moments depend on the fold order; group 0 also gets signed zeros,
-  // group 3 infinities and a NaN, and group 2 stays empty. Each step
-  // takes two cross-sections, so the second folds onto a populated cell.
+/// A cross-section over four groups whose moments depend on the fold
+/// order: groups 0 and 1 hold finite values, some outside [0, 1]; group
+/// 0 also gets signed zeros, group 3 the infinities and `special`
+/// between finite values, and group 2 stays empty.
+void MixedCrossSection(double special, std::vector<double>* values,
+                       std::vector<uint8_t>* groups) {
   const double inf = std::numeric_limits<double>::infinity();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
   rng::Random random(11);
-  std::vector<double> values;
-  std::vector<uint8_t> groups;
   for (int i = 0; i < 40; ++i) {
-    values.push_back(random.UniformDouble(-0.5, 1.5));
-    groups.push_back(static_cast<uint8_t>(i % 2));
+    values->push_back(random.UniformDouble(-0.5, 1.5));
+    groups->push_back(static_cast<uint8_t>(i % 2));
   }
   for (const double zero : {-0.0, 0.0, -0.0}) {
-    values.push_back(zero);
-    groups.push_back(0);
+    values->push_back(zero);
+    groups->push_back(0);
   }
-  for (const double special : {inf, 0.5, -inf, nan, 0.25}) {
-    values.push_back(special);
-    groups.push_back(3);
+  for (const double value : {inf, 0.5, -inf, special, 0.25}) {
+    values->push_back(value);
+    groups->push_back(3);
   }
+}
+
+TEST(AdrAccumulatorTest, GroupCrossSectionMatchesCrossSectionBitwise) {
+  // Each step takes two cross-sections, so the second folds onto a
+  // populated cell.
+  std::vector<double> values;
+  std::vector<uint8_t> groups;
+  MixedCrossSection(std::numeric_limits<double>::quiet_NaN(), &values,
+                    &groups);
   const std::vector<double> reversed(values.rbegin(), values.rend());
   const std::vector<uint8_t> reversed_groups(groups.rbegin(), groups.rend());
   stats::AdrAccumulator whole(4, 2, 8, 0.0, 1.0);
@@ -542,6 +549,74 @@ TEST(AdrAccumulatorTest, GroupCrossSectionMatchesCrossSectionBitwise) {
   EXPECT_TRUE(std::isnan(grouped.stats(0, 3).Mean()));
   // Both infinities clamp to an end bin; NaN counts in the last one.
   EXPECT_EQ(grouped.bin_count(0, 3, 7), 4);
+}
+
+TEST(AdrAccumulatorTest, BatchedCrossSectionsMatchPerStepFoldBitwise) {
+  // The same inputs as up to four steps' sections of one group layout.
+  // Section j rotates every group's values by j places among its own
+  // slots, so the infinities and the NaN meet each cell's chain in a
+  // different order per step. Without the NaN (-1e308 in its place) the
+  // infinities still make NaNs inside the side-by-side fold; with it, a
+  // foreign NaN sends the run to the one-section fold.
+  for (const double special :
+       {std::numeric_limits<double>::quiet_NaN(), -1e308}) {
+    std::vector<double> values;
+    std::vector<uint8_t> groups;
+    MixedCrossSection(special, &values, &groups);
+    const size_t n = values.size();
+    std::vector<std::vector<double>> sections(4, values);
+    for (size_t g = 0; g < 4; ++g) {
+      std::vector<size_t> slots;
+      for (size_t i = 0; i < n; ++i) {
+        if (groups[i] == g) slots.push_back(i);
+      }
+      for (size_t j = 0; j < 4; ++j) {
+        for (size_t t = 0; t < slots.size(); ++t) {
+          sections[j][slots[t]] = values[slots[(t + j) % slots.size()]];
+        }
+      }
+    }
+    for (size_t count = 1; count <= 4; ++count) {
+      stats::AdrAccumulator per_step(4, 5, 8, 0.0, 1.0);
+      stats::AdrAccumulator batched(4, 5, 8, 0.0, 1.0);
+      std::vector<double> flat;
+      for (size_t j = 0; j < count; ++j) {
+        flat.insert(flat.end(), sections[j].begin(), sections[j].end());
+      }
+      // Two passes: the second folds onto populated cells.
+      for (int pass = 0; pass < 2; ++pass) {
+        for (size_t j = 0; j < count; ++j) {
+          per_step.AddCrossSection(1 + j, sections[j], groups);
+        }
+        batched.AddCrossSections(1, count, flat, groups);
+      }
+      EXPECT_EQ(AccumulatorBytes(batched), AccumulatorBytes(per_step))
+          << count << " sections, special " << special;
+      EXPECT_EQ(batched.count(1, 2), 0);
+      EXPECT_EQ(batched.count(count, 3), 10);
+      EXPECT_TRUE(std::isnan(batched.stats(count, 3).Mean()));
+    }
+  }
+}
+
+TEST(AdrAccumulatorTest, CrossSectionBatchFoldsEveryStepOnce) {
+  // Seven steps are one full batch of four and a flushed batch of three.
+  std::vector<uint8_t> groups = {0, 0, 1, 0, 1, 1};
+  stats::AdrAccumulator per_step(2, 7, 4);
+  stats::AdrAccumulator batched(2, 7, 4);
+  stats::CrossSectionBatch batch(&batched, &groups);
+  rng::Random random(5);
+  for (size_t k = 0; k < 7; ++k) {
+    std::vector<double> values(groups.size());
+    for (double& value : values) value = random.UniformDouble();
+    per_step.AddCrossSection(k, values, groups);
+    batch.Add(k, values);
+  }
+  EXPECT_EQ(batched.count(4, 0), 0);  // Steps 4 to 6 are still buffered.
+  batch.Flush();
+  EXPECT_EQ(AccumulatorBytes(batched), AccumulatorBytes(per_step));
+  batch.Flush();  // Nothing is left to fold twice.
+  EXPECT_EQ(AccumulatorBytes(batched), AccumulatorBytes(per_step));
 }
 
 }  // namespace
