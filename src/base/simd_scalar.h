@@ -7,17 +7,21 @@
 /// references), and the pinned scalar reference of the standard normal
 /// CDF that the kernel layer vectorizes.
 ///
-/// The kernel layer (runtime/simd.h + runtime/kernels.h and
-/// rng::Pcg32::FillUniform) promises that the vector lanes are
-/// bit-for-bit the scalar reference on every input. This switch is how
-/// that promise is *checked*: the EQIMPACT_FORCE_SCALAR compile
-/// definition (CMake option of the same name) removes the vector lanes
-/// from the build entirely, and the runtime toggle lets one test binary
-/// run the same workload through both paths and compare digests.
+/// The kernel layer (runtime/simd.h + runtime/kernels.h,
+/// rng::Pcg32::FillUniform, and the four-step fold of
+/// stats::AdrAccumulator) promises that the vector lanes are bit-for-bit
+/// the scalar reference on every input. The fold lane reassociates
+/// nothing: each of its lanes is one accumulator cell, folding that
+/// cell's values in the scalar order. This switch is how that promise
+/// is *checked*: the EQIMPACT_FORCE_SCALAR compile definition (CMake
+/// option of the same name) removes the vector lanes from the build
+/// entirely, and the runtime toggle lets one test binary run the same
+/// workload through both paths and compare digests.
 ///
-/// It lives in `base` — below both `rng` and `runtime` in the layer
-/// graph — because the PCG batch fill (rng) and the elementwise kernels
-/// (runtime) sit in different layers but must make one decision. The
+/// It lives in `base` — below `rng`, `stats` and `runtime` in the layer
+/// graph — because the PCG batch fill (rng), the fold (stats) and the
+/// elementwise kernels (runtime) sit in different layers but must make
+/// one decision. The
 /// normal CDF reference lives here for the same reason: rng (the scalar
 /// entry `rng::StandardNormalCdf`) and runtime (the vector lanes of
 /// `kernels::NormalCdfBatch`) sit in different layers but must evaluate

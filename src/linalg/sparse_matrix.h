@@ -53,9 +53,6 @@ class SparseMatrix {
     /// Adds one triplet; duplicates are allowed (summed on Build).
     void Add(size_t row, size_t col, double value);
 
-    /// Triplets buffered so far.
-    size_t num_triplets() const { return triplets_.size(); }
-
     /// Assembles the CSR matrix (stable sort by (row, col), then
     /// insertion-order coalescing). The builder is left empty.
     SparseMatrix Build();

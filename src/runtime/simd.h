@@ -7,15 +7,18 @@
 /// SIMD backend reporting for the kernel sublayer.
 ///
 /// The library's elementwise hot paths (runtime/kernels.h, plus
-/// rng::Pcg32::FillUniform) each ship a scalar reference implementation
-/// and one vector lane, AVX2 (4 x double). The AVX2 lane is compiled on
-/// x86-64 with GCC or Clang through the `target("avx2")` function
-/// attribute, so default builds carry it, and it is entered only after a
-/// one-time CPUID check (base::UseAvx2Lanes). Every other target, and
-/// any build with -DEQIMPACT_FORCE_SCALAR=ON, runs the scalar reference
-/// only. There is exactly one vector lane so that every lane that ships
-/// runs in CI: the AVX2 runners execute it, and the force-scalar switch
-/// lets one test binary compare it with the reference.
+/// rng::Pcg32::FillUniform) and the observers' four-step fold
+/// (stats::AdrAccumulator::AddCrossSections, one accumulator cell per
+/// lane, so it reassociates nothing) each ship a scalar reference
+/// implementation and one vector lane, AVX2 (4 x double). The AVX2 lane
+/// is compiled on x86-64 with GCC or Clang through the `target("avx2")`
+/// function attribute, so default builds carry it, and it is entered
+/// only after a one-time CPUID check (base::UseAvx2Lanes). Every other
+/// target, and any build with -DEQIMPACT_FORCE_SCALAR=ON, runs the
+/// scalar reference only. There is exactly one vector lane so that
+/// every lane that ships runs in CI: the AVX2 runners execute it, and
+/// the force-scalar switch lets one test binary compare it with the
+/// reference.
 ///
 /// Determinism contract: the vector lane is bit-for-bit the scalar
 /// reference on every input — NaN payloads, infinities, subnormals,

@@ -6,6 +6,7 @@
 
 #include "base/check.h"
 #include "sim/text_table.h"
+#include "stats/aggregate.h"
 #include "stats/time_series.h"
 
 namespace eqimpact {
@@ -119,9 +120,7 @@ TrialOutcome EnsembleScenario::RunTrial(const TrialContext& context,
        &group_counts](const EnsembleStepSnapshot& snapshot) {
         cross_sections.Add(snapshot.step, snapshot.running_average);
         double sums[2] = {0.0, 0.0};
-        for (size_t i = 0; i < group_ids.size(); ++i) {
-          sums[group_ids[i]] += snapshot.running_average[i];
-        }
+        stats::AddGroupSums(snapshot.running_average, group_ids, sums);
         for (size_t g = 0; g < 2; ++g) {
           outcome.group_impact[g][snapshot.step] =
               group_counts[g] > 0

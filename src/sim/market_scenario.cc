@@ -7,6 +7,7 @@
 
 #include "base/check.h"
 #include "sim/text_table.h"
+#include "stats/aggregate.h"
 #include "stats/time_series.h"
 
 namespace eqimpact {
@@ -169,13 +170,11 @@ TrialOutcome MatchingMarketScenario::RunTrial(const TrialContext& context,
 
         // Per-class mean running match rate; empty classes carry the
         // overall mean so they stay neutral under the equalizer.
-        double overall = 0.0;
         std::fill(class_mean.begin(), class_mean.end(), 0.0);
-        for (size_t i = 0; i < n; ++i) {
-          class_mean[group_ids[i]] += snapshot.running_match_rate[i];
-          overall += snapshot.running_match_rate[i];
-        }
-        overall /= static_cast<double>(n);
+        const double overall =
+            stats::AddGroupSums(snapshot.running_match_rate, group_ids,
+                                class_mean.data()) /
+            static_cast<double>(n);
         for (size_t g = 0; g < groups; ++g) {
           class_mean[g] = group_counts[g] > 0
                               ? class_mean[g] /

@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "base/check.h"
+#include "base/simd_scalar.h"
+
+#if defined(EQIMPACT_AVX2_LANES)
+#include <immintrin.h>
+#endif
 
 namespace eqimpact {
 namespace stats {
@@ -42,7 +48,111 @@ inline size_t BinOf(double value, double lo, double hi, double bin_width,
   return std::min(bin, last_bin);
 }
 
+// Whether values[0, n) hold a NaN. A NaN's magnitude bits exceed
+// +inf's, so +inf's bits minus them borrow into the sign bit. Integer
+// operations vectorize where a loop of floating-point compares does not.
+bool AnyNan(const double* values, size_t n) {
+  constexpr uint64_t kMagnitude = ~(uint64_t{1} << 63);
+  constexpr uint64_t kInfBits = 0x7ff0000000000000;
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t bits;
+    std::memcpy(&bits, &values[i], sizeof(bits));
+    borrow |= kInfBits - (bits & kMagnitude);
+  }
+  return (borrow >> 63) != 0;
+}
+
 }  // namespace
+
+#if defined(EQIMPACT_AVX2_LANES)
+
+// FoldRuns<4>'s AVX2 lane. The four sections' cells of one group run sit
+// in the four lanes of each register, so each lane is one cell's own
+// chain and nothing is reassociated. Each lane replays RunningStats::Add
+// and BinOf operation for operation: the count is a double, exact below
+// 2^53; one vdivpd makes the four Welford divisions and one the four
+// bin quotients; min_pd(x, m) and max_pd(x, m) return what std::min(m,
+// x) and std::max(m, x) return, and min_pd(hi, max_pd(lo, x)) what
+// std::clamp(x, lo, hi) does. The quotient is capped at last_bin before
+// its truncating cast, which for a quotient >= 0 is BinOf's
+// min(bin, last_bin), and the cast narrows through int32.
+struct FoldLane {
+  /// True when the lane gives the scalar fold's bits for every value
+  /// but NaN, which the caller's guard keeps out: no count passes 2^53,
+  /// the bin index fits an int32, and the bin width is finite and
+  /// positive, so BinOf's quotient is finite and >= 0 (with an infinite
+  /// or zero width the scalar cast itself is undefined).
+  static bool Fits(const RunningStats* cells, size_t n, size_t last_bin,
+                   double bin_width) {
+    constexpr int64_t kExactCount = int64_t{1} << 53;
+    bool fits = last_bin <= 0x7fffffff && std::isfinite(bin_width) &&
+                bin_width > 0.0 && n <= static_cast<size_t>(kExactCount);
+    for (size_t j = 0; j < 4; ++j) {
+      fits &= cells[j].count_ <= kExactCount - static_cast<int64_t>(n);
+    }
+    return fits;
+  }
+
+  __attribute__((target("avx2"))) static void Fold(
+      RunningStats* cells, int64_t* const* bins, const double* values,
+      size_t stride, size_t n, double lo, double hi, double bin_width,
+      size_t last_bin) {
+    __m256d count = _mm256_set_pd(
+        static_cast<double>(cells[3].count_),
+        static_cast<double>(cells[2].count_),
+        static_cast<double>(cells[1].count_),
+        static_cast<double>(cells[0].count_));
+    __m256d mean = _mm256_set_pd(cells[3].mean_, cells[2].mean_,
+                                 cells[1].mean_, cells[0].mean_);
+    __m256d m2 =
+        _mm256_set_pd(cells[3].m2_, cells[2].m2_, cells[1].m2_, cells[0].m2_);
+    __m256d min = _mm256_set_pd(cells[3].min_, cells[2].min_, cells[1].min_,
+                                cells[0].min_);
+    __m256d max = _mm256_set_pd(cells[3].max_, cells[2].max_, cells[1].max_,
+                                cells[0].max_);
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d lo_v = _mm256_set1_pd(lo);
+    const __m256d hi_v = _mm256_set1_pd(hi);
+    const __m256d width = _mm256_set1_pd(bin_width);
+    const __m256d last = _mm256_set1_pd(static_cast<double>(last_bin));
+    alignas(16) int32_t bin[4];
+    for (size_t i = 0; i < n; ++i) {
+      const __m256d x =
+          _mm256_set_pd(values[3 * stride + i], values[2 * stride + i],
+                        values[stride + i], values[i]);
+      count = _mm256_add_pd(count, one);
+      const __m256d delta = _mm256_sub_pd(x, mean);
+      mean = _mm256_add_pd(mean, _mm256_div_pd(delta, count));
+      m2 = _mm256_add_pd(m2, _mm256_mul_pd(delta, _mm256_sub_pd(x, mean)));
+      min = _mm256_min_pd(x, min);
+      max = _mm256_max_pd(x, max);
+      const __m256d clamped = _mm256_min_pd(hi_v, _mm256_max_pd(lo_v, x));
+      const __m256d quotient =
+          _mm256_div_pd(_mm256_sub_pd(clamped, lo_v), width);
+      _mm_store_si128(reinterpret_cast<__m128i*>(bin),
+                      _mm256_cvttpd_epi32(_mm256_min_pd(quotient, last)));
+      ++bins[0][bin[0]];
+      ++bins[1][bin[1]];
+      ++bins[2][bin[2]];
+      ++bins[3][bin[3]];
+    }
+    alignas(32) double lanes[4][4];
+    _mm256_store_pd(lanes[0], mean);
+    _mm256_store_pd(lanes[1], m2);
+    _mm256_store_pd(lanes[2], min);
+    _mm256_store_pd(lanes[3], max);
+    for (size_t j = 0; j < 4; ++j) {
+      cells[j].count_ += static_cast<int64_t>(n);
+      cells[j].mean_ = lanes[0][j];
+      cells[j].m2_ = lanes[1][j];
+      cells[j].min_ = lanes[2][j];
+      cells[j].max_ = lanes[3][j];
+    }
+  }
+};
+
+#endif  // EQIMPACT_AVX2_LANES
 
 // Out of line, so that every one-section fold (AddCrossSection's runs,
 // AddGroupCrossSection's compacted group) runs the same instructions:
@@ -56,26 +166,6 @@ __attribute__((noinline)) void AdrAccumulator::FoldRuns(size_t cell,
                                                         const double* values,
                                                         size_t stride,
                                                         size_t n) {
-  if constexpr (kSections > 1) {
-    // Side by side, the chains may pick other operand orders than the
-    // one-section fold. That leaves the bits alone while every NaN in
-    // play is one the fold creates (inf - inf, 0 * inf), since those all
-    // carry the same bits. A NaN among the values or already in a cell's
-    // moments need not, so such a run folds one section at a time.
-    bool foreign_nan = false;
-    for (size_t j = 0; j < kSections; ++j) {
-      foreign_nan |= stats_[cell + j * num_groups_].HasNan();
-      for (size_t i = 0; i < n; ++i) {
-        foreign_nan |= std::isnan(values[j * stride + i]);
-      }
-    }
-    if (foreign_nan) {
-      for (size_t j = 0; j < kSections; ++j) {
-        FoldRuns<1>(cell + j * num_groups_, values + j * stride, 0, n);
-      }
-      return;
-    }
-  }
   RunningStats cell_stats[kSections];
   int64_t* cell_bins[kSections];
   for (size_t j = 0; j < kSections; ++j) {
@@ -86,7 +176,18 @@ __attribute__((noinline)) void AdrAccumulator::FoldRuns(size_t cell,
   // fields, so the shape is read once, before the loop.
   const double lo = lo_, hi = hi_, bin_width = bin_width_;
   const size_t last_bin = num_bins_ - 1;
-  for (size_t i = 0; i < n; ++i) {
+  bool scalar = true;
+#if defined(EQIMPACT_AVX2_LANES)
+  if constexpr (kSections == kMaxSections) {
+    if (base::UseAvx2Lanes() &&
+        FoldLane::Fits(cell_stats, n, last_bin, bin_width)) {
+      FoldLane::Fold(cell_stats, cell_bins, values, stride, n, lo, hi,
+                     bin_width, last_bin);
+      scalar = false;
+    }
+  }
+#endif
+  for (size_t i = 0; scalar && i < n; ++i) {
     for (size_t j = 0; j < kSections; ++j) {
       const double value = values[j * stride + i];
       cell_stats[j].Add(value);
@@ -119,12 +220,31 @@ void AdrAccumulator::AddCrossSections(size_t k, size_t num_sections,
   EQIMPACT_CHECK_EQ(sections.size(), num_sections * n);
   EQIMPACT_CHECK_LT(k, num_steps_);
   EQIMPACT_CHECK_LE(num_sections, num_steps_ - k);
+  // Side by side, the sections' chains may pick other operand orders
+  // than the one-section fold. That leaves the bits alone while every
+  // NaN in play is one the fold creates (inf - inf, 0 * inf), since those
+  // all carry the same bits. A NaN among the values or already in a
+  // run's cells need not, so with one anywhere among the values every
+  // run, and with one in a run's cells that run, folds one section at a
+  // time.
+  const bool values_nan =
+      num_sections > 1 && AnyNan(sections.data(), sections.size());
   // One fold per run of consecutive values of one group.
   for (size_t i = 0, end = 0; i < n; i = end) {
     const size_t g = groups[i];
     EQIMPACT_CHECK_LT(g, num_groups_);
     for (end = i + 1; end < n && groups[end] == g;) ++end;
     const size_t cell = k * num_groups_ + g;
+    bool one_at_a_time = values_nan;
+    for (size_t j = 0; j < num_sections && num_sections > 1; ++j) {
+      one_at_a_time |= stats_[cell + j * num_groups_].HasNan();
+    }
+    if (one_at_a_time) {
+      for (size_t j = 0; j < num_sections; ++j) {
+        FoldRuns<1>(cell + j * num_groups_, &sections[j * n + i], 0, end - i);
+      }
+      continue;
+    }
     switch (num_sections) {
       case 1:
         FoldRuns<1>(cell, &sections[i], n, end - i);

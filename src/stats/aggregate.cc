@@ -36,5 +36,22 @@ std::vector<double> CrossSection(
   return out;
 }
 
+double AddGroupSums(const std::vector<double>& values,
+                    const std::vector<uint8_t>& groups, double* sums) {
+  EQIMPACT_CHECK_EQ(values.size(), groups.size());
+  const size_t n = values.size();
+  double total = 0.0;
+  for (size_t i = 0, end = 0; i < n; i = end) {
+    const uint8_t g = groups[i];
+    double sum = sums[g];
+    for (end = i; end < n && groups[end] == g; ++end) {
+      sum += values[end];
+      total += values[end];
+    }
+    sums[g] = sum;
+  }
+  return total;
+}
+
 }  // namespace stats
 }  // namespace eqimpact

@@ -2,6 +2,7 @@
 #define EQIMPACT_STATS_AGGREGATE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace eqimpact {
@@ -23,6 +24,14 @@ SeriesEnvelope AggregateEnvelope(
 /// Cross-section of a bundle at time `k`: the vector of series[i][k].
 std::vector<double> CrossSection(
     const std::vector<std::vector<double>>& series, size_t k);
+
+/// Adds every values[i] to sums[groups[i]] and returns the values'
+/// total, with the additions `sums[groups[i]] += values[i]; total +=
+/// values[i];` make for i = 0, 1, ..., bit for bit. Each run of equal
+/// ids adds in a register, so an addition does not wait on the store of
+/// the one before. CHECK-fails on a length mismatch.
+double AddGroupSums(const std::vector<double>& values,
+                    const std::vector<uint8_t>& groups, double* sums);
 
 }  // namespace stats
 }  // namespace eqimpact

@@ -59,6 +59,11 @@ class RunningStats {
   bool Deserialize(base::BinaryReader* reader);
 
  private:
+  // The AVX2 lane of AdrAccumulator's four-section fold
+  // (stats/adr_accumulator.cc) holds four cells' fields in the lanes of
+  // vector registers and replays Add on each.
+  friend struct FoldLane;
+
   int64_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;

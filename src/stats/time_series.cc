@@ -49,14 +49,64 @@ double Quantile(std::vector<double> values, double p) {
   return values[lower] + fraction * (values[upper] - values[lower]);
 }
 
+namespace {
+
+/// Below this many values, std::sort alone is as fast.
+constexpr size_t kBucketSortMin = 64;
+
+/// Sorts non-negative values into the sequence std::sort gives. The
+/// values go to n buckets by floor((x - min) * n / (max - min)), capped
+/// at n - 1; each of those operations rounds monotonically, so a smaller
+/// value never lands in a later bucket, and sorting each bucket's values
+/// with std::sort completes the order. Equal values are equal bits up to
+/// the sign of zero, which no sum over the sorted values sees. Small
+/// samples, and ranges that are not finite and positive (an infinity, a
+/// constant sample, a scale that overflows), take std::sort directly.
+void SortNonNegative(std::vector<double>* values) {
+  const size_t n = values->size();
+  if (n < kBucketSortMin) {
+    std::sort(values->begin(), values->end());
+    return;
+  }
+  const auto [min_it, max_it] =
+      std::minmax_element(values->begin(), values->end());
+  const double min = *min_it;
+  const double range = *max_it - min;
+  const double scale = static_cast<double>(n) / range;
+  if (!(range > 0.0 && std::isfinite(range) && std::isfinite(scale))) {
+    std::sort(values->begin(), values->end());
+    return;
+  }
+  const double last = static_cast<double>(n - 1);
+  const auto bucket = [min, scale, last](double x) {
+    return static_cast<size_t>(std::min((x - min) * scale, last));
+  };
+  // ends[b + 1] counts bucket b, then ends[b] becomes its first slot,
+  // and after the scatter its end.
+  std::vector<size_t> ends(n + 1, 0);
+  for (double x : *values) ++ends[bucket(x) + 1];
+  for (size_t b = 1; b < n; ++b) ends[b] += ends[b - 1];
+  std::vector<double> sorted(n);
+  for (double x : *values) sorted[ends[bucket(x)]++] = x;
+  for (size_t b = 0, begin = 0; b < n; begin = ends[b++]) {
+    if (ends[b] - begin > 1) {
+      std::sort(sorted.begin() + begin, sorted.begin() + ends[b]);
+    }
+  }
+  values->swap(sorted);
+}
+
+}  // namespace
+
 double GiniCoefficient(std::vector<double> values) {
   EQIMPACT_CHECK(!values.empty());
-  std::sort(values.begin(), values.end());
+  // Before sorting: a NaN breaks the sort's ordering and a bucket range.
+  for (double value : values) EQIMPACT_CHECK_GE(value, 0.0);
+  SortNonNegative(&values);
   double total = 0.0;
   double weighted = 0.0;
   const double n = static_cast<double>(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    EQIMPACT_CHECK_GE(values[i], 0.0);
     total += values[i];
     weighted += (static_cast<double>(i) + 1.0) * values[i];
   }

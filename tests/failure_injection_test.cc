@@ -2,6 +2,9 @@
 // library's documented CHECK contract), not corrupt a fairness audit.
 // One test per representative precondition across the modules.
 
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "credit/adr_filter.h"
@@ -95,6 +98,24 @@ TEST(FailureInjectionTest, QuantileOfEmptySampleAborts) {
 
 TEST(FailureInjectionTest, GiniRejectsNegativeValues) {
   EXPECT_DEATH(stats::GiniCoefficient({1.0, -0.5}), "CHECK failed");
+}
+
+TEST(FailureInjectionTest, GiniChecksEveryValueBeforeSorting) {
+  // A NaN would break the sort's ordering and the bucket range, so the
+  // check runs first, here on samples large enough to be bucketed.
+  std::vector<double> values(500);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>(i % 17);
+  }
+  std::vector<double> negative = values;
+  negative[250] = -1e-300;
+  EXPECT_DEATH(stats::GiniCoefficient(negative), "CHECK failed");
+  std::vector<double> nan = values;
+  nan[3] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(stats::GiniCoefficient(nan), "CHECK failed");
+  EXPECT_DEATH(
+      stats::GiniCoefficient({std::numeric_limits<double>::quiet_NaN()}),
+      "CHECK failed");
 }
 
 TEST(FailureInjectionTest, RepaymentModelRejectsNonPositiveIncome) {

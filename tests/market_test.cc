@@ -2,9 +2,12 @@
 // market instantiation), the Gini statistic, the drift monitor, and the
 // impact-equalizer intervention.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,6 +53,95 @@ TEST(GiniTest, ScaleInvariance) {
 
 TEST(GiniTest, AllZerosGiveZero) {
   EXPECT_DOUBLE_EQ(stats::GiniCoefficient({0.0, 0.0}), 0.0);
+}
+
+/// stats::GiniCoefficient as it was before its bucketed sort: std::sort,
+/// then the sums over the sorted values (the bitwise oracle).
+double StdSortGini(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  double total = 0.0;
+  double weighted = 0.0;
+  const double n = static_cast<double>(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    total += values[i];
+    weighted += (static_cast<double>(i) + 1.0) * values[i];
+  }
+  if (total <= 0.0) return 0.0;
+  return (2.0 * weighted) / (n * total) - (n + 1.0) / n;
+}
+
+TEST(GiniTest, BucketedSortMatchesStdSortBitwise) {
+  rng::Random random(31);
+  const auto sample = [&random](size_t n, double (*draw)(rng::Random*)) {
+    std::vector<double> values(n);
+    for (double& value : values) value = draw(&random);
+    return values;
+  };
+  std::vector<std::vector<double>> samples = {
+      // A market's running rates: 1,000 values, ~300 of them distinct.
+      sample(1000,
+             [](rng::Random* r) {
+               return static_cast<double>(r->UniformInt(301)) / 300.0;
+             }),
+      // Ties: four distinct values, and one value throughout.
+      sample(500,
+             [](rng::Random* r) {
+               return static_cast<double>(r->UniformInt(4));
+             }),
+      std::vector<double>(200, 0.3),
+      // Zeros of both signs among positives, and alone.
+      sample(300,
+             [](rng::Random* r) {
+               const uint64_t k = r->UniformInt(3);
+               return k == 0 ? -0.0 : k == 1 ? 0.0 : r->UniformDouble();
+             }),
+      sample(100,
+             [](rng::Random* r) { return r->Bernoulli(0.5) ? -0.0 : 0.0; }),
+      // Values a few ulps apart: a narrow range, a large scale.
+      sample(400,
+             [](rng::Random* r) {
+               return 1.0 + static_cast<double>(r->UniformInt(50)) * 0x1p-52;
+             }),
+      // Near DBL_MAX (the sums overflow, the buckets do not), a scale at
+      // which the sums stay finite, and subnormals (whose bucket scale
+      // overflows).
+      sample(300,
+             [](rng::Random* r) {
+               return std::numeric_limits<double>::max() *
+                      r->UniformDouble(0.5, 1.0);
+             }),
+      sample(300,
+             [](rng::Random* r) {
+               return std::numeric_limits<double>::max() * 1e-5 *
+                      r->UniformDouble(0.5, 1.0);
+             }),
+      sample(300,
+             [](rng::Random* r) {
+               return 5e-324 * static_cast<double>(r->UniformInt(1000));
+             }),
+      // Below the bucket threshold, at it, and a single value.
+      sample(63, [](rng::Random* r) { return r->UniformDouble(); }),
+      sample(64, [](rng::Random* r) { return r->UniformDouble(); }),
+      {0.7},
+  };
+  const auto uniform = [](rng::Random* r) { return r->UniformDouble(); };
+  // One far outlier among uniform values, which crowds them into the
+  // first bucket.
+  samples.push_back(sample(1000, uniform));
+  samples.back()[500] = 1e12;
+  // +inf, which takes std::sort.
+  samples.push_back(sample(200, uniform));
+  samples.back()[7] = std::numeric_limits<double>::infinity();
+  for (size_t s = 0; s < samples.size(); ++s) {
+    const double bucketed = stats::GiniCoefficient(samples[s]);
+    const double oracle = StdSortGini(samples[s]);
+    uint64_t bucketed_bits;
+    uint64_t oracle_bits;
+    std::memcpy(&bucketed_bits, &bucketed, sizeof(bucketed));
+    std::memcpy(&oracle_bits, &oracle, sizeof(oracle));
+    EXPECT_EQ(bucketed_bits, oracle_bits)
+        << "sample " << s << ": " << bucketed << " vs " << oracle;
+  }
 }
 
 // --- Matching market -----------------------------------------------------------
@@ -311,6 +403,13 @@ TEST(MatchingMarketTest, AdversarialLotteryWeightsArePinned) {
       {"residue",
        [](size_t i, size_t r) { return i == r % 5 ? 1.0 : 1.5e-16; },
        "b31e441d8fd26878"},
+      // Weights near DBL_MAX / 32: the pool's total stays finite, but u
+      // times the number of kept sums overflows to infinity.
+      {"huge",
+       [](size_t i, size_t r) {
+         return 1e306 * static_cast<double>(size_t{1} << ((i + r) % 3));
+       },
+       "004c67167f97fb61"},
   };
   MatchingMarketOptions options;
   options.num_workers = 40;

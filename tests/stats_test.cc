@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "base/serial.h"
+#include "base/simd_scalar.h"
 #include "rng/random.h"
 #include "stats/adr_accumulator.h"
 #include "stats/aggregate.h"
@@ -551,52 +552,168 @@ TEST(AdrAccumulatorTest, GroupCrossSectionMatchesCrossSectionBitwise) {
   EXPECT_EQ(grouped.bin_count(0, 3, 7), 4);
 }
 
-TEST(AdrAccumulatorTest, BatchedCrossSectionsMatchPerStepFoldBitwise) {
-  // The same inputs as up to four steps' sections of one group layout.
-  // Section j rotates every group's values by j places among its own
-  // slots, so the infinities and the NaN meet each cell's chain in a
-  // different order per step. Without the NaN (-1e308 in its place) the
-  // infinities still make NaNs inside the side-by-side fold; with it, a
-  // foreign NaN sends the run to the one-section fold.
-  for (const double special :
-       {std::numeric_limits<double>::quiet_NaN(), -1e308}) {
-    std::vector<double> values;
-    std::vector<uint8_t> groups;
-    MixedCrossSection(special, &values, &groups);
-    const size_t n = values.size();
-    std::vector<std::vector<double>> sections(4, values);
-    for (size_t g = 0; g < 4; ++g) {
-      std::vector<size_t> slots;
-      for (size_t i = 0; i < n; ++i) {
-        if (groups[i] == g) slots.push_back(i);
-      }
-      for (size_t j = 0; j < 4; ++j) {
-        for (size_t t = 0; t < slots.size(); ++t) {
-          sections[j][slots[t]] = values[slots[(t + j) % slots.size()]];
-        }
-      }
+/// Four steps' sections of one group layout: section j rotates every
+/// group's values by j places among its own slots, so each value meets
+/// its cell's chain at another position in every step.
+std::vector<std::vector<double>> RotatedSections(
+    const std::vector<double>& values, const std::vector<uint8_t>& groups) {
+  std::vector<std::vector<double>> sections(4, values);
+  for (size_t g = 0; g <= 0xff; ++g) {
+    std::vector<size_t> slots;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (groups[i] == g) slots.push_back(i);
     }
-    for (size_t count = 1; count <= 4; ++count) {
-      stats::AdrAccumulator per_step(4, 5, 8, 0.0, 1.0);
-      stats::AdrAccumulator batched(4, 5, 8, 0.0, 1.0);
-      std::vector<double> flat;
-      for (size_t j = 0; j < count; ++j) {
-        flat.insert(flat.end(), sections[j].begin(), sections[j].end());
+    for (size_t j = 0; j < 4; ++j) {
+      for (size_t t = 0; t < slots.size(); ++t) {
+        sections[j][slots[t]] = values[slots[(t + j) % slots.size()]];
       }
-      // Two passes: the second folds onto populated cells.
-      for (int pass = 0; pass < 2; ++pass) {
-        for (size_t j = 0; j < count; ++j) {
-          per_step.AddCrossSection(1 + j, sections[j], groups);
-        }
-        batched.AddCrossSections(1, count, flat, groups);
-      }
-      EXPECT_EQ(AccumulatorBytes(batched), AccumulatorBytes(per_step))
-          << count << " sections, special " << special;
-      EXPECT_EQ(batched.count(1, 2), 0);
-      EXPECT_EQ(batched.count(count, 3), 10);
-      EXPECT_TRUE(std::isnan(batched.stats(count, 3).Mean()));
     }
   }
+  return sections;
+}
+
+/// The first `count` sections end to end, as AddCrossSections takes them.
+std::vector<double> Concatenated(
+    const std::vector<std::vector<double>>& sections, size_t count) {
+  std::vector<double> flat;
+  for (size_t j = 0; j < count; ++j) {
+    flat.insert(flat.end(), sections[j].begin(), sections[j].end());
+  }
+  return flat;
+}
+
+TEST(AdrAccumulatorTest, BatchedCrossSectionsMatchPerStepFoldBitwise) {
+  // The same inputs as up to four steps' sections, so the infinities and
+  // the NaN meet each cell's chain in a different order per step.
+  // Without the NaN (-1e308 in its place) the infinities still make NaNs
+  // inside the side-by-side fold; with it, a foreign NaN sends the runs
+  // to the one-section fold, and a later pass without it folds onto
+  // cells that hold it. Four sections take the AVX2 lane where the CPU
+  // has one, and the scalar fold when the lanes are forced off.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double kSpecials[][2] = {{nan, nan}, {-1e308, -1e308}, {nan, -1e308}};
+  for (const bool force_scalar : {false, true}) {
+    base::SetSimdForceScalarForTesting(force_scalar);
+    for (const auto& specials : kSpecials) {
+      std::vector<std::vector<double>> sections[2];
+      std::vector<uint8_t> groups;
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<double> values;
+        groups.clear();
+        MixedCrossSection(specials[pass], &values, &groups);
+        sections[pass] = RotatedSections(values, groups);
+      }
+      for (size_t count = 1; count <= 4; ++count) {
+        stats::AdrAccumulator per_step(4, 5, 8, 0.0, 1.0);
+        stats::AdrAccumulator batched(4, 5, 8, 0.0, 1.0);
+        // Two passes: the second folds onto populated cells.
+        for (int pass = 0; pass < 2; ++pass) {
+          for (size_t j = 0; j < count; ++j) {
+            per_step.AddCrossSection(1 + j, sections[pass][j], groups);
+          }
+          batched.AddCrossSections(1, count,
+                                   Concatenated(sections[pass], count),
+                                   groups);
+        }
+        EXPECT_EQ(AccumulatorBytes(batched), AccumulatorBytes(per_step))
+            << count << " sections, specials " << specials[0] << ", "
+            << specials[1] << ", scalar " << force_scalar;
+        EXPECT_EQ(batched.count(1, 2), 0);
+        EXPECT_EQ(batched.count(count, 3), 10);
+        EXPECT_TRUE(std::isnan(batched.stats(count, 3).Mean()));
+      }
+    }
+  }
+  base::SetSimdForceScalarForTesting(false);
+}
+
+/// A cross-section of what only a vector replay of the fold could get
+/// wrong, over [lo, hi] in `num_bins` bins. Group 0 holds lo, hi, every
+/// bin edge and its neighbours one ulp away, values out of range,
+/// signed zeros and subnormals, in two runs around group 1's one value;
+/// group 2 holds both infinities and no NaN, so the fold makes its own
+/// NaNs; group 3 holds random values in two runs at the ends; group 4
+/// holds only zeros of both signs, whose min and max keep the sign that
+/// std::min and std::max pick.
+void LaneEdgeCrossSection(double lo, double hi, size_t num_bins,
+                          std::vector<double>* values,
+                          std::vector<uint8_t>* groups) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> edges = {lo - 1.0, hi + 1.0, -0.0,    0.0, 5e-324,
+                               -5e-324,  1e-310,   2.2e-308, lo,  hi};
+  const double width = (hi - lo) / static_cast<double>(num_bins);
+  for (size_t b = 0; b <= num_bins; ++b) {
+    const double edge = lo + static_cast<double>(b) * width;
+    for (const double value :
+         {edge, std::nextafter(edge, -inf), std::nextafter(edge, inf)}) {
+      edges.push_back(value);
+    }
+  }
+  rng::Random random(17);
+  const auto add = [values, groups](double value, uint8_t group) {
+    values->push_back(value);
+    groups->push_back(group);
+  };
+  for (int i = 0; i < 5; ++i) add(random.UniformDouble(lo - 0.5, hi + 0.5), 3);
+  for (size_t i = 0; i < edges.size() / 2; ++i) add(edges[i], 0);
+  add(0.37, 1);
+  for (size_t i = edges.size() / 2; i < edges.size(); ++i) add(edges[i], 0);
+  for (const double value : {0.25, inf, -0.5, -inf, 0.75}) add(value, 2);
+  for (const double zero : {-0.0, 0.0, -0.0, 0.0, 0.0}) add(zero, 4);
+  for (int i = 0; i < 5; ++i) add(random.UniformDouble(lo - 0.5, hi + 0.5), 3);
+}
+
+TEST(AdrAccumulatorTest, BatchedFoldLaneEdgesMatchPerStepFoldBitwise) {
+  // Each cell is populated unevenly first, so the four sections' cells
+  // enter the batch at different counts (the lanes' counts differ). Over
+  // [0, 6e-323] the bin width rounds from 1.5 to 2 subnormal steps, so
+  // hi itself falls in bin 6 of 8, and only clamping to hi puts a value
+  // above it there too.
+  const struct {
+    size_t num_bins;
+    double lo;
+    double hi;
+  } kShapes[] = {
+      {8, 0.0, 1.0}, {1, 0.0, 1.0}, {7, -0.3, 0.7}, {8, 0.0, 6e-323}};
+  for (const auto& shape : kShapes) {
+    std::vector<double> values;
+    std::vector<uint8_t> groups;
+    LaneEdgeCrossSection(shape.lo, shape.hi, shape.num_bins, &values,
+                         &groups);
+    const std::vector<std::vector<double>> sections =
+        RotatedSections(values, groups);
+    for (const bool force_scalar : {false, true}) {
+      base::SetSimdForceScalarForTesting(force_scalar);
+      for (size_t count = 1; count <= 4; ++count) {
+        stats::AdrAccumulator per_step(5, 6, shape.num_bins, shape.lo,
+                                       shape.hi);
+        stats::AdrAccumulator batched(5, 6, shape.num_bins, shape.lo,
+                                      shape.hi);
+        rng::Random random(29);
+        for (size_t j = 0; j < count; ++j) {
+          for (size_t g = 0; g < 5; ++g) {
+            for (size_t c = 0; c < 3 * j + g + 1; ++c) {
+              const double value = g < 4    ? random.UniformDouble(-0.5, 1.5)
+                                   : c % 2 ? 0.0
+                                           : -0.0;
+              per_step.Add(1 + j, g, value);
+              batched.Add(1 + j, g, value);
+            }
+          }
+          per_step.AddCrossSection(1 + j, sections[j], groups);
+        }
+        batched.AddCrossSections(1, count, Concatenated(sections, count),
+                                 groups);
+        EXPECT_EQ(AccumulatorBytes(batched), AccumulatorBytes(per_step))
+            << count << " sections, " << shape.num_bins << " bins over ["
+            << shape.lo << ", " << shape.hi << "], scalar " << force_scalar;
+        EXPECT_EQ(batched.count(count, 1), static_cast<int64_t>(3 * count));
+        EXPECT_TRUE(std::isnan(batched.stats(count, 2).Variance()));
+        EXPECT_EQ(batched.stats(count, 4).Max(), 0.0);
+      }
+    }
+  }
+  base::SetSimdForceScalarForTesting(false);
 }
 
 TEST(AdrAccumulatorTest, CrossSectionBatchFoldsEveryStepOnce) {
