@@ -35,24 +35,18 @@ size_t FirstSumAbove(const double* sums, size_t valid, double u) {
 /// whose sum exceeds u while the sum before it does not, so it is
 /// FirstSumAbove's. The guess is capped in double before its cast: a
 /// product that overflows is infinite, and the cap also holds for NaN.
-/// `balance` gains one when the answer is within one position of the
-/// guess and loses one when a side had to be searched.
-size_t GuessSumAbove(const double* sums, size_t valid, double u,
-                     int64_t* balance) {
+size_t GuessSumAbove(const double* sums, size_t valid, double u) {
   const double guess = u * static_cast<double>(valid) / sums[valid - 1];
   const size_t p = guess < static_cast<double>(valid - 1)
                        ? static_cast<size_t>(guess)
                        : valid - 1;
-  ++*balance;
   if (u < sums[p]) {
     if (p == 0 || !(u < sums[p - 1])) return p;
     if (p == 1 || !(u < sums[p - 2])) return p - 1;
-    *balance -= 2;
     return FirstSumAbove(sums, p - 1, u);
   }
   // u < sums[valid - 1], so p < valid - 1 here.
   if (u < sums[p + 1]) return p + 1;
-  *balance -= 2;
   return p + 2 + FirstSumAbove(sums + p + 2, valid - p - 2, u);
 }
 
@@ -96,10 +90,6 @@ void FillExploreSlots(size_t slots, const std::vector<double>& weights,
   sums_buffer->resize(pool.size());
   double* sums = sums_buffer->data();
   size_t valid = 0;  // sums[0, valid) are the scan's running sums.
-  // Guessing pays while guesses land at least as often as they miss:
-  // always under equal weights (one skill class), rarely once the
-  // classes' weights spread apart, where the plain search is cheaper.
-  int64_t guess_balance = 0;
   for (size_t s = 0; s < slots && !pool.empty(); ++s) {
     if (total <= 0.0) {
       // All remaining weight is zero: the rest of the lottery is uniform.
@@ -109,9 +99,7 @@ void FillExploreSlots(size_t slots, const std::vector<double>& weights,
     const double u = match_rng->UniformDouble() * total;
     size_t pick = pool.size();
     if (valid > 0 && u < sums[valid - 1]) {
-      pick = guess_balance >= 0
-                 ? GuessSumAbove(sums, valid, u, &guess_balance)
-                 : FirstSumAbove(sums, valid, u);
+      pick = GuessSumAbove(sums, valid, u);
     } else {
       double cumulative = valid > 0 ? sums[valid - 1] : 0.0;
       while (pick == pool.size() && valid < pool.size()) {

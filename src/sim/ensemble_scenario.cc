@@ -112,15 +112,16 @@ TrialOutcome EnsembleScenario::RunTrial(const TrialContext& context,
   outcome.group_impact.assign(2, std::vector<double>(steps, 0.0));
 
   rng::Random random(context.trial_seed);
-  stats::CrossSectionBatch cross_sections(impacts, &group_ids);
+  const stats::GroupOrder group_order(group_ids);
+  stats::CrossSectionBatch cross_sections(impacts, &group_order);
   EnsembleRunResult record = RunEnsembleControl(
       options_.kind, options_.ensemble, initial_on, options_.initial_signal,
       &random,
-      [&cross_sections, &outcome, &group_ids,
+      [&cross_sections, &outcome, &group_order,
        &group_counts](const EnsembleStepSnapshot& snapshot) {
         cross_sections.Add(snapshot.step, snapshot.running_average);
         double sums[2] = {0.0, 0.0};
-        stats::AddGroupSums(snapshot.running_average, group_ids, sums);
+        stats::AddGroupSums(snapshot.running_average, group_order, sums);
         for (size_t g = 0; g < 2; ++g) {
           outcome.group_impact[g][snapshot.step] =
               group_counts[g] > 0

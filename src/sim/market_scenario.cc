@@ -151,11 +151,12 @@ TrialOutcome MatchingMarketScenario::RunTrial(const TrialContext& context,
   std::vector<int64_t> group_counts(groups, 0);
   std::vector<double> class_mean(groups, 0.0);
   std::vector<double> class_weight(groups, 0.0);
-  stats::CrossSectionBatch cross_sections(impacts, &group_ids);
+  stats::GroupOrder group_order;
+  stats::CrossSectionBatch cross_sections(impacts, &group_order);
 
   const market::RoundObserver observer =
-      [this, &outcome, &equalizer, &group_ids, &group_counts, &class_mean,
-       &class_weight, &cross_sections,
+      [this, &outcome, &equalizer, &group_ids, &group_order, &group_counts,
+       &class_mean, &class_weight, &cross_sections,
        groups](const market::RoundSnapshot& snapshot,
                market::RoundControls* controls) {
         const size_t n = snapshot.skill.size();
@@ -165,6 +166,7 @@ TrialOutcome MatchingMarketScenario::RunTrial(const TrialContext& context,
             group_ids[i] = static_cast<uint8_t>(SkillClass(snapshot.skill[i]));
             ++group_counts[group_ids[i]];
           }
+          group_order = stats::GroupOrder(group_ids);
         }
         cross_sections.Add(snapshot.round, snapshot.running_match_rate);
 
@@ -172,7 +174,7 @@ TrialOutcome MatchingMarketScenario::RunTrial(const TrialContext& context,
         // overall mean so they stay neutral under the equalizer.
         std::fill(class_mean.begin(), class_mean.end(), 0.0);
         const double overall =
-            stats::AddGroupSums(snapshot.running_match_rate, group_ids,
+            stats::AddGroupSums(snapshot.running_match_rate, group_order,
                                 class_mean.data()) /
             static_cast<double>(n);
         for (size_t g = 0; g < groups; ++g) {

@@ -178,7 +178,8 @@ __attribute__((noinline)) void AdrAccumulator::FoldRuns(size_t cell,
   const size_t last_bin = num_bins_ - 1;
   bool scalar = true;
 #if defined(EQIMPACT_AVX2_LANES)
-  if constexpr (kSections == kMaxSections) {
+  // The lane holds four cells, one per lane.
+  if constexpr (kSections == 4) {
     if (base::UseAvx2Lanes() &&
         FoldLane::Fits(cell_stats, n, last_bin, bin_width)) {
       FoldLane::Fold(cell_stats, cell_bins, values, stride, n, lo, hi,
@@ -415,21 +416,23 @@ bool AdrAccumulator::Deserialize(base::BinaryReader* reader) {
 }
 
 void CrossSectionBatch::Add(size_t k, const std::vector<double>& values) {
-  const size_t n = groups_->size();
+  const size_t n = order_->size();
   EQIMPACT_CHECK_EQ(values.size(), n);
   if (buffered_ == 0) {
     first_step_ = k;
     sections_.resize(AdrAccumulator::kMaxSections * n);
   }
   EQIMPACT_CHECK_EQ(k, first_step_ + buffered_);
-  std::copy(values.begin(), values.end(), sections_.begin() + buffered_ * n);
+  double* section = &sections_[buffered_ * n];
+  const size_t* positions = order_->positions().data();
+  for (size_t t = 0; t < n; ++t) section[t] = values[positions[t]];
   if (++buffered_ == AdrAccumulator::kMaxSections) Flush();
 }
 
 void CrossSectionBatch::Flush() {
   if (buffered_ == 0) return;
-  sections_.resize(buffered_ * groups_->size());
-  target_->AddCrossSections(first_step_, buffered_, sections_, *groups_);
+  sections_.resize(buffered_ * order_->size());
+  target_->AddCrossSections(first_step_, buffered_, sections_, order_->ids());
   buffered_ = 0;
 }
 

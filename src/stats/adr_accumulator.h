@@ -150,15 +150,18 @@ class AdrAccumulator {
 
 /// Feeds an AdrAccumulator the cross-sections of consecutive steps that
 /// share one group layout, AdrAccumulator::kMaxSections steps to an
-/// AddCrossSections call. Until Flush(), up to kMaxSections - 1 steps
-/// wait here, not in the accumulator.
+/// AddCrossSections call. Each step's values are buffered in group
+/// order, so each group is one run of the fold however the layout
+/// interleaves its ids; every cell still folds its values in index
+/// order. Until Flush(), up to kMaxSections - 1 steps wait here, not in
+/// the accumulator.
 class CrossSectionBatch {
  public:
-  /// Folds into `target` by `groups`, which the caller keeps alive, and
-  /// fills before the first Add, while the batch holds steps.
-  CrossSectionBatch(AdrAccumulator* target,
-                    const std::vector<uint8_t>* groups)
-      : target_(target), groups_(groups) {}
+  /// Folds into `target` by the layout `order` sorts, which the caller
+  /// keeps alive, and sets before the first Add, while the batch holds
+  /// steps.
+  CrossSectionBatch(AdrAccumulator* target, const GroupOrder* order)
+      : target_(target), order_(order) {}
 
   /// Buffers step k's cross-section; k follows the last step added.
   void Add(size_t k, const std::vector<double>& values);
@@ -167,7 +170,7 @@ class CrossSectionBatch {
 
  private:
   AdrAccumulator* target_;
-  const std::vector<uint8_t>* groups_;
+  const GroupOrder* order_;
   size_t first_step_ = 0;
   size_t buffered_ = 0;
   std::vector<double> sections_;

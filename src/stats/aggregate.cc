@@ -1,5 +1,7 @@
 #include "stats/aggregate.h"
 
+#include <array>
+
 #include "base/check.h"
 #include "stats/running_stats.h"
 
@@ -36,16 +38,31 @@ std::vector<double> CrossSection(
   return out;
 }
 
+GroupOrder::GroupOrder(const std::vector<uint8_t>& groups)
+    : positions_(groups.size()), ids_(groups.size()) {
+  // A counting sort: starts[g] is group g's first slot, then its next.
+  std::array<size_t, 257> starts{};
+  for (const uint8_t g : groups) ++starts[g + 1];
+  for (size_t g = 1; g < starts.size(); ++g) starts[g] += starts[g - 1];
+  for (size_t i = 0; i < groups.size(); ++i) {
+    const size_t t = starts[groups[i]]++;
+    positions_[t] = i;
+    ids_[t] = groups[i];
+  }
+}
+
 double AddGroupSums(const std::vector<double>& values,
-                    const std::vector<uint8_t>& groups, double* sums) {
-  EQIMPACT_CHECK_EQ(values.size(), groups.size());
+                    const GroupOrder& order, double* sums) {
+  EQIMPACT_CHECK_EQ(values.size(), order.size());
   const size_t n = values.size();
+  const size_t* positions = order.positions().data();
+  const uint8_t* ids = order.ids().data();
   double total = 0.0;
-  for (size_t i = 0, end = 0; i < n; i = end) {
-    const uint8_t g = groups[i];
+  for (size_t t = 0, end = 0; t < n; t = end) {
+    const uint8_t g = ids[t];
     double sum = sums[g];
-    for (end = i; end < n && groups[end] == g; ++end) {
-      sum += values[end];
+    for (end = t; end < n && ids[end] == g; ++end) {
+      sum += values[positions[end]];
       total += values[end];
     }
     sums[g] = sum;

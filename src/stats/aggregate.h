@@ -25,13 +25,34 @@ SeriesEnvelope AggregateEnvelope(
 std::vector<double> CrossSection(
     const std::vector<std::vector<double>>& series, size_t k);
 
+/// The positions of a cross-section sorted stably by group id: each
+/// group's members, in index order, form one run of positions(), and
+/// ids() holds their ids in that order. Built once for a fixed group
+/// layout, it lets every later cross-section be visited one group at a
+/// time however the ids interleave.
+class GroupOrder {
+ public:
+  GroupOrder() = default;
+  explicit GroupOrder(const std::vector<uint8_t>& groups);
+
+  size_t size() const { return positions_.size(); }
+  const std::vector<size_t>& positions() const { return positions_; }
+  /// ids()[t] is groups[positions()[t]].
+  const std::vector<uint8_t>& ids() const { return ids_; }
+
+ private:
+  std::vector<size_t> positions_;
+  std::vector<uint8_t> ids_;
+};
+
 /// Adds every values[i] to sums[groups[i]] and returns the values'
 /// total, with the additions `sums[groups[i]] += values[i]; total +=
-/// values[i];` make for i = 0, 1, ..., bit for bit. Each run of equal
-/// ids adds in a register, so an addition does not wait on the store of
-/// the one before. CHECK-fails on a length mismatch.
+/// values[i];` make for i = 0, 1, ..., bit for bit, where `order` is
+/// GroupOrder(groups). Each group's sum runs in a register, over its
+/// members in index order, beside the total's chain, so no addition
+/// waits on a store. CHECK-fails on a length mismatch.
 double AddGroupSums(const std::vector<double>& values,
-                    const std::vector<uint8_t>& groups, double* sums);
+                    const GroupOrder& order, double* sums);
 
 }  // namespace stats
 }  // namespace eqimpact

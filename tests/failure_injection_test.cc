@@ -98,11 +98,9 @@ TEST(FailureInjectionTest, QuantileOfEmptySampleAborts) {
 
 TEST(FailureInjectionTest, GiniRejectsNegativeValues) {
   EXPECT_DEATH(stats::GiniCoefficient({1.0, -0.5}), "CHECK failed");
-}
-
-TEST(FailureInjectionTest, GiniChecksEveryValueBeforeSorting) {
-  // A NaN would break the sort's ordering and the bucket range, so the
-  // check runs first, here on samples large enough to be bucketed.
+  // A NaN would break the sort's ordering and the bucket range, so every
+  // value is checked before sorting, here in samples large enough to be
+  // bucketed.
   std::vector<double> values(500);
   for (size_t i = 0; i < values.size(); ++i) {
     values[i] = static_cast<double>(i % 17);

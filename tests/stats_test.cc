@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <limits>
 #include <vector>
@@ -198,6 +199,68 @@ TEST(AggregateTest, CrossSectionSelectsColumn) {
   EXPECT_EQ(cross.size(), 2u);
   EXPECT_DOUBLE_EQ(cross[0], 2.0);
   EXPECT_DOUBLE_EQ(cross[1], 4.0);
+}
+
+TEST(AggregateTest, GroupOrderSortsPositionsStablyByGroup) {
+  const stats::GroupOrder order(std::vector<uint8_t>{2, 0, 2, 1, 0, 2, 255});
+  EXPECT_EQ(order.positions(), (std::vector<size_t>{1, 4, 3, 0, 2, 5, 6}));
+  EXPECT_EQ(order.ids(), (std::vector<uint8_t>{0, 0, 1, 2, 2, 2, 255}));
+  EXPECT_EQ(stats::GroupOrder(std::vector<uint8_t>()).size(), 0u);
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(AggregateTest, GroupSumsMatchIndexedAdditionBitwise) {
+  // The oracle is the byte-indexed loop whose additions AddGroupSums
+  // promises to make. Layouts: one group, two runs, runs of random
+  // length, and four groups in random order; values of mixed magnitude,
+  // then with both infinities, whose sum is a NaN; and sums that start
+  // nonzero.
+  rng::Random random(11);
+  std::vector<std::vector<uint8_t>> layouts(4);
+  layouts[0].assign(300, 0);
+  layouts[1].assign(300, 1);
+  std::fill(layouts[1].begin() + 120, layouts[1].end(), 0);
+  while (layouts[2].size() < 300) {
+    const uint8_t g = static_cast<uint8_t>(random.UniformInt(4));
+    const size_t length = 1 + static_cast<size_t>(random.UniformInt(9));
+    layouts[2].insert(layouts[2].end(), length, g);
+  }
+  layouts[2].resize(300);
+  for (size_t i = 0; i < 300; ++i) {
+    layouts[3].push_back(static_cast<uint8_t>(random.UniformInt(4)));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool with_infinities : {false, true}) {
+    std::vector<double> values(300);
+    for (double& value : values) {
+      value = random.UniformDouble() *
+              std::pow(10.0, static_cast<double>(random.UniformInt(30)));
+    }
+    if (with_infinities) {
+      values[7] = inf;
+      values[150] = -inf;
+    }
+    for (const std::vector<uint8_t>& groups : layouts) {
+      double expected[4] = {0.5, -1e20, 0.0, 3.25};
+      double expected_total = 0.0;
+      for (size_t i = 0; i < values.size(); ++i) {
+        expected[groups[i]] += values[i];
+        expected_total += values[i];
+      }
+      double sums[4] = {0.5, -1e20, 0.0, 3.25};
+      const double total =
+          stats::AddGroupSums(values, stats::GroupOrder(groups), sums);
+      EXPECT_EQ(Bits(total), Bits(expected_total));
+      for (size_t g = 0; g < 4; ++g) {
+        EXPECT_EQ(Bits(sums[g]), Bits(expected[g])) << "group " << g;
+      }
+    }
+  }
 }
 
 // --- Parameterized sweeps ---------------------------------------------------
@@ -717,23 +780,28 @@ TEST(AdrAccumulatorTest, BatchedFoldLaneEdgesMatchPerStepFoldBitwise) {
 }
 
 TEST(AdrAccumulatorTest, CrossSectionBatchFoldsEveryStepOnce) {
-  // Seven steps are one full batch of four and a flushed batch of three.
-  std::vector<uint8_t> groups = {0, 0, 1, 0, 1, 1};
-  stats::AdrAccumulator per_step(2, 7, 4);
-  stats::AdrAccumulator batched(2, 7, 4);
-  stats::CrossSectionBatch batch(&batched, &groups);
-  rng::Random random(5);
-  for (size_t k = 0; k < 7; ++k) {
-    std::vector<double> values(groups.size());
-    for (double& value : values) value = random.UniformDouble();
-    per_step.AddCrossSection(k, values, groups);
-    batch.Add(k, values);
+  // Seven steps are one full batch of four and a flushed batch of three,
+  // with the groups in runs and with their ids interleaved.
+  for (const std::vector<uint8_t>& groups :
+       {std::vector<uint8_t>{1, 1, 0, 0, 0, 2},
+        std::vector<uint8_t>{2, 0, 0, 1, 0, 1, 1, 2}}) {
+    stats::AdrAccumulator per_step(3, 7, 4);
+    stats::AdrAccumulator batched(3, 7, 4);
+    const stats::GroupOrder order(groups);
+    stats::CrossSectionBatch batch(&batched, &order);
+    rng::Random random(5);
+    for (size_t k = 0; k < 7; ++k) {
+      std::vector<double> values(groups.size());
+      for (double& value : values) value = random.UniformDouble();
+      per_step.AddCrossSection(k, values, groups);
+      batch.Add(k, values);
+    }
+    EXPECT_EQ(batched.count(4, 0), 0);  // Steps 4 to 6 are still buffered.
+    batch.Flush();
+    EXPECT_EQ(AccumulatorBytes(batched), AccumulatorBytes(per_step));
+    batch.Flush();  // Nothing is left to fold twice.
+    EXPECT_EQ(AccumulatorBytes(batched), AccumulatorBytes(per_step));
   }
-  EXPECT_EQ(batched.count(4, 0), 0);  // Steps 4 to 6 are still buffered.
-  batch.Flush();
-  EXPECT_EQ(AccumulatorBytes(batched), AccumulatorBytes(per_step));
-  batch.Flush();  // Nothing is left to fold twice.
-  EXPECT_EQ(AccumulatorBytes(batched), AccumulatorBytes(per_step));
 }
 
 }  // namespace
