@@ -11,7 +11,8 @@
 #include <vector>
 
 #include "credit/race.h"
-#include "sim/multi_trial.h"
+#include "sim/credit_scenario.h"
+#include "sim/experiment.h"
 #include "sim/text_table.h"
 #include "stats/time_series.h"
 
@@ -27,23 +28,25 @@ int main() {
   std::printf(
       "=== Figure 3: race-wise ADR_s(k), mean +/- std over 5 trials ===\n\n");
 
-  eqimpact::sim::MultiTrialOptions options;
-  options.loop.num_users = 1000;
+  eqimpact::sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 1000;
+  eqimpact::sim::CreditScenario scenario(scenario_options);
+  eqimpact::sim::ExperimentOptions options;
   options.num_trials = 5;
   options.master_seed = 42;
-  eqimpact::sim::MultiTrialResult result = eqimpact::sim::RunMultiTrial(options);
+  eqimpact::sim::ExperimentResult result =
+      eqimpact::sim::RunExperiment(&scenario, options);
 
   eqimpact::sim::TextTable table(
       {"Year", "BLACK mean", "BLACK std", "WHITE mean", "WHITE std",
        "ASIAN mean", "ASIAN std"});
-  for (size_t k = 0; k < result.years.size(); ++k) {
-    std::vector<std::string> row{
-        eqimpact::sim::TextTable::Cell(result.years[k])};
+  for (size_t k = 0; k < result.step_labels.size(); ++k) {
+    std::vector<std::string> row{result.step_labels[k]};
     for (size_t r = 0; r < kNumRaces; ++r) {
       row.push_back(eqimpact::sim::TextTable::Cell(
-          result.race_envelopes[r].mean[k], 4));
+          result.group_envelopes[r].mean[k], 4));
       row.push_back(eqimpact::sim::TextTable::Cell(
-          result.race_envelopes[r].std_dev[k], 4));
+          result.group_envelopes[r].std_dev[k], 4));
     }
     table.AddRow(row);
   }
@@ -53,7 +56,7 @@ int main() {
   std::vector<double> final_levels;
   bool all_in_band = true;
   for (size_t r = 0; r < kNumRaces; ++r) {
-    double level = result.race_envelopes[r].mean.back();
+    double level = result.group_envelopes[r].mean.back();
     final_levels.push_back(level);
     all_in_band = all_in_band && level > 0.0 && level < 0.12;
     std::printf("final ADR %-12s = %.4f\n",
@@ -68,7 +71,7 @@ int main() {
   bool settled = true;
   for (size_t r = 0; r < kNumRaces; ++r) {
     settled = settled && eqimpact::stats::HasSettled(
-                             result.race_envelopes[r].mean, 5, 0.02);
+                             result.group_envelopes[r].mean, 5, 0.02);
   }
   std::printf("shape check: all curves settled over the last 5 years: %s\n",
               settled ? "yes" : "NO");

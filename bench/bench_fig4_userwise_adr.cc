@@ -18,7 +18,8 @@
 #include <vector>
 
 #include "credit/race.h"
-#include "sim/multi_trial.h"
+#include "sim/credit_scenario.h"
+#include "sim/experiment.h"
 #include "sim/text_table.h"
 #include "stats/adr_accumulator.h"
 
@@ -35,14 +36,16 @@ int main() {
       "=== Figure 4: user-wise ADR_i(k) bundle (5 trials x 1000 users) "
       "===\n\n");
 
-  eqimpact::sim::MultiTrialOptions options;
-  options.loop.num_users = 1000;
+  eqimpact::sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 1000;
+  eqimpact::sim::CreditScenario scenario(scenario_options);
+  eqimpact::sim::ExperimentOptions options;
   options.num_trials = 5;
   options.master_seed = 42;
-  options.adr_bins = 256;  // Fine bins: quantile error <= 1/256.
-  eqimpact::sim::MultiTrialResult result =
-      eqimpact::sim::RunMultiTrial(options);
-  const eqimpact::stats::AdrAccumulator& adr = result.pooled_adr;
+  options.impact_bins = 256;  // Fine bins: quantile error <= 1/256.
+  eqimpact::sim::ExperimentResult result =
+      eqimpact::sim::RunExperiment(&scenario, options);
+  const eqimpact::stats::AdrAccumulator& adr = result.pooled_impact;
 
   for (size_t r = 0; r < kNumRaces; ++r) {
     std::printf("%s (%lld trajectories)\n",
@@ -50,8 +53,8 @@ int main() {
                 static_cast<long long>(adr.count(0, r)));
     eqimpact::sim::TextTable table(
         {"Year", "min", "q05", "median", "q95", "max"});
-    for (size_t k = 0; k < result.years.size(); ++k) {
-      table.AddRow({eqimpact::sim::TextTable::Cell(result.years[k]),
+    for (size_t k = 0; k < result.step_labels.size(); ++k) {
+      table.AddRow({result.step_labels[k],
                     eqimpact::sim::TextTable::Cell(
                         adr.ApproxQuantile(k, r, 0.0), 3),
                     eqimpact::sim::TextTable::Cell(
@@ -71,7 +74,7 @@ int main() {
   bool tightens = true;
   bool low_median = true;
   const size_t early = 2;
-  const size_t late = result.years.size() - 1;
+  const size_t late = result.step_labels.size() - 1;
   for (size_t r = 0; r < kNumRaces; ++r) {
     double early_band = adr.ApproxQuantile(early, r, 0.95) -
                         adr.ApproxQuantile(early, r, 0.05);

@@ -17,7 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "sim/multi_trial.h"
+#include "sim/credit_scenario.h"
+#include "sim/experiment.h"
 #include "stats/adr_accumulator.h"
 
 int main() {
@@ -25,14 +26,16 @@ int main() {
       "=== Figure 5: density of ADR_i(k) by year, race-blind ===\n\n");
 
   constexpr size_t kBins = 10;
-  eqimpact::sim::MultiTrialOptions options;
-  options.loop.num_users = 1000;
+  eqimpact::sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 1000;
+  eqimpact::sim::CreditScenario scenario(scenario_options);
+  eqimpact::sim::ExperimentOptions options;
   options.num_trials = 5;
   options.master_seed = 42;
-  options.adr_bins = kBins;
-  eqimpact::sim::MultiTrialResult result =
-      eqimpact::sim::RunMultiTrial(options);
-  const eqimpact::stats::AdrAccumulator& adr = result.pooled_adr;
+  options.impact_bins = kBins;
+  eqimpact::sim::ExperimentResult result =
+      eqimpact::sim::RunExperiment(&scenario, options);
+  const eqimpact::stats::AdrAccumulator& adr = result.pooled_impact;
 
   // Header: bin ranges.
   std::printf("%-6s", "Year");
@@ -44,12 +47,12 @@ int main() {
 
   const std::string shades = " .:-=+*#%@";  // Darker = denser.
   std::vector<double> final_fractions(kBins, 0.0);
-  for (size_t k = 0; k < result.years.size(); ++k) {
-    std::printf("%-6d", result.years[k]);
+  for (size_t k = 0; k < result.step_labels.size(); ++k) {
+    std::printf("%-6s", result.step_labels[k].c_str());
     for (size_t b = 0; b < kBins; ++b) {
       double fraction = adr.StepBinFraction(k, b);
       std::printf(" %9.4f", fraction);
-      if (k + 1 == result.years.size()) final_fractions[b] = fraction;
+      if (k + 1 == result.step_labels.size()) final_fractions[b] = fraction;
     }
     // Compact shade strip mirroring the paper's grey scale.
     std::printf("   ");

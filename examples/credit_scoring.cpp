@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "core/auditors.h"
+#include "credit/credit_loop.h"
 #include "credit/race.h"
-#include "sim/multi_trial.h"
+#include "sim/credit_scenario.h"
+#include "sim/experiment.h"
 #include "sim/text_table.h"
 #include "stats/time_series.h"
 
@@ -25,43 +27,49 @@ int main() {
   std::printf("Closed-loop credit scoring, Section VII protocol\n");
   std::printf("================================================\n\n");
 
-  eqimpact::sim::MultiTrialOptions options;
-  options.loop.num_users = 1000;
+  eqimpact::sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 1000;
+  // The scorecard and the per-user audit below read trial 1's record,
+  // and the audit its raw ADR series, which the streaming default does
+  // not materialize.
+  scenario_options.keep_raw_series = true;
+  eqimpact::sim::CreditScenario scenario(scenario_options);
+  scenario.set_collect_trial_records(true);
+  eqimpact::sim::ExperimentOptions options;
   options.num_trials = 5;
   options.master_seed = 42;
-  // The per-user audit below needs the raw ADR series, which the
-  // streaming default no longer materializes.
-  options.keep_raw_series = true;
-  eqimpact::sim::MultiTrialResult result =
-      eqimpact::sim::RunMultiTrial(options);
+  eqimpact::sim::ExperimentResult result =
+      eqimpact::sim::RunExperiment(&scenario, options);
+  const std::vector<eqimpact::credit::CreditLoopResult> trials =
+      scenario.TakeTrialRecords();
 
   // Race-wise trajectories (Figure 3's data).
   eqimpact::sim::TextTable adr_table(
       {"Year", "BLACK", "WHITE", "ASIAN"});
-  for (size_t k = 0; k < result.years.size(); ++k) {
+  for (size_t k = 0; k < result.step_labels.size(); ++k) {
     adr_table.AddRow(
-        {eqimpact::sim::TextTable::Cell(result.years[k]),
-         eqimpact::sim::TextTable::Cell(result.race_envelopes[0].mean[k], 4),
-         eqimpact::sim::TextTable::Cell(result.race_envelopes[1].mean[k], 4),
-         eqimpact::sim::TextTable::Cell(result.race_envelopes[2].mean[k],
+        {result.step_labels[k],
+         eqimpact::sim::TextTable::Cell(result.group_envelopes[0].mean[k], 4),
+         eqimpact::sim::TextTable::Cell(result.group_envelopes[1].mean[k], 4),
+         eqimpact::sim::TextTable::Cell(result.group_envelopes[2].mean[k],
                                         4)});
   }
   std::printf("Race-wise ADR (mean over trials):\n%s\n",
               adr_table.ToString().c_str());
 
   // The scorecard the first trial ended up with.
-  const auto& cards = result.trials[0].scorecards;
+  const auto& cards = trials[0].scorecards;
   if (!cards.empty()) {
     std::printf("Final scorecard of trial 1 (year %d): "
                 "History %.2f, Income %+.2f, cut-off %.1f\n\n",
                 cards.back().year, cards.back().history_weight,
-                cards.back().income_weight, options.loop.cutoff);
+                cards.back().income_weight, scenario_options.loop.cutoff);
   }
 
   // Equal-impact audit across races (Definition 3 on the race aggregate).
   std::vector<std::vector<double>> race_means;
   for (size_t r = 0; r < kNumRaces; ++r) {
-    race_means.push_back(result.race_envelopes[r].mean);
+    race_means.push_back(result.group_envelopes[r].mean);
   }
   eqimpact::core::EqualImpactCriteria criteria;
   criteria.settle_window = 5;
@@ -83,7 +91,7 @@ int main() {
   // five independent trials (each trial is a fresh cohort).
   std::vector<std::vector<std::vector<double>>> runs;
   for (const auto& trial : result.trials) {
-    runs.push_back(trial.race_adr);
+    runs.push_back(trial.group_impact);
   }
   eqimpact::core::InitialConditionReport independence =
       eqimpact::core::AuditInitialConditionIndependence(runs, 0.03);
@@ -96,7 +104,7 @@ int main() {
   // expected to hold — responses are stochastic — which is exactly the
   // paper's distinction. Show it on the first trial's user ADR series.
   eqimpact::core::EqualTreatmentReport treatment =
-      eqimpact::core::AuditEqualTreatment(result.trials[0].user_adr, 1e-9);
+      eqimpact::core::AuditEqualTreatment(trials[0].user_adr, 1e-9);
   std::printf("\nEqual treatment (constant identical outcomes) on user "
               "series: %s (max gap %.3f)\n",
               treatment.constant_action ? "holds" : "does not hold",

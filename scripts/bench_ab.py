@@ -28,11 +28,22 @@ A pair is dropped from the verdicts when either of its runs exits
 non-zero, prints no result, reports correct=false or fails operations;
 the problem is printed with the run, and the number of dropped pairs
 with the verdicts. Exit code: 0 if no pair was dropped.
+
+After the verdicts the script reports the code layout of the two
+`.bench_build/perfbench/perfbench` binaries it ran, read with `nm -C`:
+the address mod 32 of each hot symbol on each side (the credit engine's
+year, the filter summary, the binned refit, the accumulator's fold, the
+sparse stationary solver and the AVX2 kernels), and how many of the
+`eqimpact::` text symbols both binaries hold moved mod 32. On Intel
+CPUs with the jump-conditional-code erratum a hot loop that moves mod 32
+can shift a reading by several percent with its code untouched, so an
+A/B that moves untouched code is checked against this report first.
 """
 
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -120,6 +131,63 @@ def judge(pairs, better, bound):
     }
 
 
+# Demangled names of the hot functions the layout report follows.
+HOT_SYMBOLS = re.compile(
+    r"CreditScoringLoop::Run\(|AdrFilter::Summarize\(|"
+    r"BinnedDataset::AddRow\(|BinnedDataset::AddCounts\(|"
+    r"LogisticRegression::Fit\(|AdrAccumulator::FoldRuns<|"
+    r"SparseStationaryDistribution\(|Avx2\(")
+NM_TEXT = re.compile(r"^([0-9a-f]+) [tTwW] (.*)$")
+
+
+def text_symbols(binary):
+    """Demangled name -> sorted addresses mod 32 of a binary's text
+    symbols, or None when the binary or nm is missing."""
+    try:
+        run = subprocess.run(["nm", "-C", binary], stdout=subprocess.PIPE,
+                             stderr=subprocess.DEVNULL, text=True)
+    except OSError:
+        return None
+    if run.returncode != 0:
+        return None
+    symbols = {}
+    for line in run.stdout.splitlines():
+        match = NM_TEXT.match(line)
+        if match:
+            symbols.setdefault(match.group(2), []).append(
+                int(match.group(1), 16) % 32)
+    return {name: sorted(mods) for name, mods in symbols.items()}
+
+
+def report_layout(trees):
+    binaries = {side: os.path.join(tree, ".bench_build", "perfbench",
+                                   "perfbench")
+                for side, tree in trees.items()}
+    symbols = {side: text_symbols(binary)
+               for side, binary in binaries.items()}
+    print("\ncode layout (nm -C on each side's %s), address mod 32:" %
+          os.path.join(".bench_build", "perfbench", "perfbench"))
+    if symbols["base"] is None or symbols["head"] is None:
+        print("  no layout: a binary or nm is missing")
+        return
+    hot = {name for side in ("base", "head") for name in symbols[side]
+           if HOT_SYMBOLS.search(name) and "[clone .cold]" not in name
+           and "_M_manager" not in name}
+    print("  %5s %5s  %s" % ("base", "head", "symbol"))
+    for name in sorted(hot):
+        cells = [",".join(str(m) for m in symbols[side][name])
+                 if name in symbols[side] else "-"
+                 for side in ("base", "head")]
+        print("  %5s %5s  %s" % (cells[0], cells[1],
+                                 name.replace("eqimpact::", "")))
+    common = [name for name in symbols["base"]
+              if "eqimpact::" in name and name in symbols["head"]]
+    moved = sum(1 for name in common
+                if symbols["base"][name] != symbols["head"][name])
+    print("  %d of %d common eqimpact:: text symbols moved mod 32" % (
+        moved, len(common)))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="base revision")
@@ -182,6 +250,7 @@ def main():
                           v["head_q3"], 100.0 * v["change"], v["wins"],
                           v["pairs"], "yes" if v["gain"] else "no",
                           v["bound"]), flush=True)
+    report_layout(trees)
     sys.exit(1 if dropped_any else 0)
 
 

@@ -126,7 +126,20 @@ TrialOutcome CreditScenario::RunTrial(const TrialContext& context,
                                    snapshot.race_ids);
           return;
         }
-        group_values.resize(impacts->num_groups());
+        if (group_values.empty()) {
+          // Sized here, on the calling thread, from the trial's race
+          // counts (the same every year), with the one spare slot
+          // AddGroupCrossSection takes: the buffers come from this
+          // thread's malloc arena, not from the pool workers'.
+          std::vector<size_t> members(impacts->num_groups(), 0);
+          for (credit::Race race : snapshot.races) {
+            ++members[static_cast<size_t>(race)];
+          }
+          group_values.resize(members.size());
+          for (size_t g = 0; g < members.size(); ++g) {
+            group_values[g].reserve(members[g] + 1);
+          }
+        }
         runtime::ParallelFor(
             impacts->num_groups(),
             [&](size_t g) {

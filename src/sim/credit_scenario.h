@@ -17,16 +17,19 @@ struct CreditScenarioOptions {
   /// unless the experiment's trial_threads overrides it.
   credit::CreditLoopOptions loop;
   /// Materialize the raw per-user ADR series in each trial's record
-  /// (needed only for per-user series and exact quantiles).
+  /// (CreditLoopResult::user_adr; see set_collect_trial_records), needed
+  /// only for per-user series and exact quantiles. Off, the pooled
+  /// distribution lives only in the experiment's streaming accumulator.
   bool keep_raw_series = false;
 };
 
 /// The paper's Section VII credit-scoring loop as a Scenario: groups are
-/// the protected race classes, steps are the simulated years, and the
-/// streamed impact is every user's average default rate ADR_i(k) — so an
-/// experiment over this scenario is exactly the historical
-/// sim::RunMultiTrial (which is now a thin wrapper over it), bitwise
-/// included.
+/// the protected race classes (the CPS race names in Race enum order),
+/// steps are the simulated years (labelled by calendar year), and the
+/// streamed impact is every user's average default rate ADR_i(k).
+/// RunExperiment over this scenario gives the bits of the original
+/// credit-only multi-trial function, which tests/scenario_test.cc keeps
+/// as its oracle.
 class CreditScenario : public Scenario {
  public:
   explicit CreditScenario(CreditScenarioOptions options = {});
@@ -59,9 +62,10 @@ class CreditScenario : public Scenario {
 
   const CreditScenarioOptions& options() const { return options_; }
 
-  /// Full per-trial credit records, populated (indexed by trial) only
-  /// when collection was requested before the experiment — the
-  /// RunMultiTrial compatibility path.
+  /// Full per-trial credit records (scorecards, race and overall series,
+  /// and the per-user ADR series under keep_raw_series), indexed by
+  /// trial: an experiment collects them only when asked to before it
+  /// starts, and TakeTrialRecords moves them out.
   void set_collect_trial_records(bool collect) {
     collect_trial_records_ = collect;
   }

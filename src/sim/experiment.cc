@@ -30,6 +30,12 @@ using base::SnapshotStatus;
 constexpr uint32_t kExperimentSnapshotMagic = 0x50585145u;  // "EQXP"
 constexpr uint32_t kExperimentSnapshotVersion = 2;
 
+// The most observations a snapshot may hold in one cell, summed over its
+// trials: 2^53, far above a real cohort's units times its trials. Then
+// merging the decoded trials, or folding the resumed one on, overflows
+// no count unless over 2^62 more values are folded.
+constexpr int64_t kMaxDecodedCount = int64_t{1} << 53;
+
 // Binds a snapshot to its job: the scenario and its configuration, the
 // trial count, seed and bins, and the impact shape. Thread counts stay
 // out, because they never move a bit. None for a scenario that cannot
@@ -142,13 +148,25 @@ SnapshotStatus DecodeExperimentSnapshot(const std::vector<uint8_t>& bytes,
     outcome->metrics = reader.ReadDoubleVector();
     return reader.ok() && outcome->metrics.size() == num_metrics;
   };
+  std::vector<int64_t> decoded_counts;  // Per cell, over the trials.
   const auto read_impact = [&](stats::AdrAccumulator* impact) {
-    return impact->Deserialize(&reader) &&
-           impact->num_groups() == num_groups &&
-           impact->num_steps() == num_steps &&
-           impact->num_bins() == options.impact_bins &&
-           impact->lo() == scenario.impact_lo() &&
-           impact->hi() == scenario.impact_hi();
+    if (!impact->Deserialize(&reader) || impact->num_groups() != num_groups ||
+        impact->num_steps() != num_steps ||
+        impact->num_bins() != options.impact_bins ||
+        impact->lo() != scenario.impact_lo() ||
+        impact->hi() != scenario.impact_hi()) {
+      return false;
+    }
+    // Sized by the cells just read; Deserialize refused negative counts.
+    decoded_counts.resize(num_groups * num_steps, 0);
+    for (size_t k = 0; k < num_steps; ++k) {
+      for (size_t g = 0; g < num_groups; ++g) {
+        int64_t& total = decoded_counts[k * num_groups + g];
+        if (impact->count(k, g) > kMaxDecodedCount - total) return false;
+        total += impact->count(k, g);
+      }
+    }
+    return true;
   };
 
   const size_t completed = reader.ReadSize();

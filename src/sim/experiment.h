@@ -132,8 +132,10 @@ struct ExperimentSnapshot {
 /// fingerprint of the scenario, its configuration, the trial count,
 /// seed and bins, and the impact shape — kFingerprint for a scenario
 /// without checkpoint support) or kShape for a body RunExperiment could
-/// not have written. Never aborts, and never allocates more than
-/// `bytes.size()` beyond the trials' own cohort-sized state.
+/// not have written, or one whose cells hold more than 2^53 observations
+/// summed over its trials (so no count overflows on resume). Never
+/// aborts, and never allocates more than `bytes.size()` beyond the
+/// trials' own cohort-sized state.
 base::SnapshotStatus DecodeExperimentSnapshot(
     const std::vector<uint8_t>& bytes, const Scenario& scenario,
     const ExperimentOptions& options, ExperimentSnapshot* snapshot);

@@ -221,44 +221,32 @@ void AdrAccumulator::AddCrossSections(size_t k, size_t num_sections,
   EQIMPACT_CHECK_EQ(sections.size(), num_sections * n);
   EQIMPACT_CHECK_LT(k, num_steps_);
   EQIMPACT_CHECK_LE(num_sections, num_steps_ - k);
-  // Side by side, the sections' chains may pick other operand orders
-  // than the one-section fold. That leaves the bits alone while every
-  // NaN in play is one the fold creates (inf - inf, 0 * inf), since those
-  // all carry the same bits. A NaN among the values or already in a
-  // run's cells need not, so with one anywhere among the values every
-  // run, and with one in a run's cells that run, folds one section at a
-  // time.
-  const bool values_nan =
-      num_sections > 1 && AnyNan(sections.data(), sections.size());
+  // Only kMaxSections sections fold side by side; fewer, which only a
+  // trial's last batch holds, fold one at a time. Side by side, the
+  // sections' chains may pick other operand orders than the one-section
+  // fold. That leaves the bits alone while every NaN in play is one the
+  // fold creates (inf - inf, 0 * inf), since those all carry the same
+  // bits. A NaN among the values or already in a run's cells need not,
+  // so with one anywhere among the values every run, and with one in a
+  // run's cells that run, folds one section at a time.
+  const bool side_by_side = num_sections == kMaxSections &&
+                            !AnyNan(sections.data(), sections.size());
   // One fold per run of consecutive values of one group.
   for (size_t i = 0, end = 0; i < n; i = end) {
     const size_t g = groups[i];
     EQIMPACT_CHECK_LT(g, num_groups_);
     for (end = i + 1; end < n && groups[end] == g;) ++end;
     const size_t cell = k * num_groups_ + g;
-    bool one_at_a_time = values_nan;
-    for (size_t j = 0; j < num_sections && num_sections > 1; ++j) {
+    bool one_at_a_time = !side_by_side;
+    for (size_t j = 0; j < num_sections && side_by_side; ++j) {
       one_at_a_time |= stats_[cell + j * num_groups_].HasNan();
     }
     if (one_at_a_time) {
       for (size_t j = 0; j < num_sections; ++j) {
         FoldRuns<1>(cell + j * num_groups_, &sections[j * n + i], 0, end - i);
       }
-      continue;
-    }
-    switch (num_sections) {
-      case 1:
-        FoldRuns<1>(cell, &sections[i], n, end - i);
-        break;
-      case 2:
-        FoldRuns<2>(cell, &sections[i], n, end - i);
-        break;
-      case 3:
-        FoldRuns<3>(cell, &sections[i], n, end - i);
-        break;
-      default:
-        FoldRuns<4>(cell, &sections[i], n, end - i);
-        break;
+    } else {
+      FoldRuns<kMaxSections>(cell, &sections[i], n, end - i);
     }
   }
 }
@@ -412,7 +400,20 @@ bool AdrAccumulator::Deserialize(base::BinaryReader* reader) {
     if (!cell.Deserialize(reader)) return false;
   }
   bin_counts_ = reader->ReadI64Vector();
-  return reader->ok() && bin_counts_.size() == expected_bins;
+  if (!reader->ok() || bin_counts_.size() != expected_bins) return false;
+  // Every fold and merge leaves a cell's bins non-negative and summing to
+  // its count, so a cell that breaks this was not written by Serialize.
+  // Subtracting keeps the sum from overflowing.
+  for (size_t c = 0; c < num_cells; ++c) {
+    int64_t rest = stats_[c].count();
+    for (size_t b = 0; b < num_bins_; ++b) {
+      const int64_t bin = bin_counts_[c * num_bins_ + b];
+      if (bin < 0 || bin > rest) return false;
+      rest -= bin;
+    }
+    if (rest != 0) return false;
+  }
+  return true;
 }
 
 void CrossSectionBatch::Add(size_t k, const std::vector<double>& values) {

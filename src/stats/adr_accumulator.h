@@ -69,9 +69,10 @@ class AdrAccumulator {
   /// k + 1, ... that share one group layout: sections[j * groups.size()
   /// + i] belongs to group groups[i] at step k + j. Every cell ends
   /// bitwise as num_sections AddCrossSection calls leave it: each cell
-  /// still folds its values in index order, and the steps' cells, whose
-  /// Welford chains are independent, are folded side by side.
-  /// CHECK-fails on a length mismatch or a step past the last.
+  /// still folds its values in index order, and with kMaxSections
+  /// sections the steps' cells, whose Welford chains are independent,
+  /// are folded side by side. CHECK-fails on a length mismatch or a step
+  /// past the last.
   void AddCrossSections(size_t k, size_t num_sections,
                         const std::vector<double>& sections,
                         const std::vector<uint8_t>& groups);
@@ -122,9 +123,10 @@ class AdrAccumulator {
   void Serialize(base::BinaryWriter* writer) const;
   /// Restores state written by Serialize. Returns false (leaving this
   /// accumulator unspecified) on a truncated or inconsistent record,
-  /// including a shape no constructor makes or more cells than the
-  /// record's remaining bytes can hold; it never allocates more than the
-  /// reader has bytes left.
+  /// including a shape no constructor makes, more cells than the
+  /// record's remaining bytes can hold, and a cell with a negative bin
+  /// or with bins that do not sum to its count; it never allocates more
+  /// than the reader has bytes left.
   bool Deserialize(base::BinaryReader* reader);
 
  private:

@@ -468,9 +468,17 @@ TEST_F(CorruptionSweepTest, CraftedBodiesAreShapeErrors) {
                              double value) {
     std::memcpy(bytes->data() + at, &value, 8);
   };
+  const auto get_i64 = [](const std::vector<uint8_t>& bytes, size_t at) {
+    int64_t value;
+    std::memcpy(&value, bytes.data() + at, 8);
+    return value;
+  };
 
   // Trial 0's accumulator claims 2^20 x 2^20 cells.
   ASSERT_EQ(Decode(*file_, &snapshot), SnapshotStatus::kOk);
+  const size_t cells =
+      snapshot.impacts[0].num_groups() * snapshot.impacts[0].num_steps();
+  const int64_t in_flight = snapshot.partial_impact.count(0, 0);
   base::BinaryWriter accumulator;
   snapshot.impacts[0].Serialize(&accumulator);
   const auto found = std::search(file_->begin(), file_->end(),
@@ -484,6 +492,50 @@ TEST_F(CorruptionSweepTest, CraftedBodiesAreShapeErrors) {
   put_u64(&huge, at + 6 * 8, uint64_t{1} << 40);  // Cells.
   Reseal(&huge, 0, huge.size());
   EXPECT_EQ(Decode(huge, &snapshot), SnapshotStatus::kShape);
+
+  // Trial 0's first cell (year 0, the first race): its count follows the
+  // six shape words and the cell count, its bins every cell and the bin
+  // vector's length.
+  const size_t count_at = at + 7 * 8;
+  const size_t bins_at = at + 8 * 8 + 40 * cells;
+  const int64_t count = get_i64(*file_, count_at);
+  const int64_t bin0 = get_i64(*file_, bins_at);
+  const int64_t bin1 = get_i64(*file_, bins_at + 8);
+  // Sets the cell's count and raises its first bin with it.
+  const auto recount = [&](int64_t new_count) {
+    std::vector<uint8_t> bytes = *file_;
+    put_u64(&bytes, count_at, static_cast<uint64_t>(new_count));
+    const int64_t raised_bin = bin0 + (new_count - count);
+    put_u64(&bytes, bins_at, static_cast<uint64_t>(raised_bin));
+    Reseal(&bytes, 0, bytes.size());
+    return bytes;
+  };
+
+  // A count its bins do not sum to.
+  std::vector<uint8_t> unbinned = *file_;
+  put_u64(&unbinned, count_at, static_cast<uint64_t>(count + 1));
+  Reseal(&unbinned, 0, unbinned.size());
+  EXPECT_EQ(Decode(unbinned, &snapshot), SnapshotStatus::kShape);
+
+  // A negative bin, with the next bin keeping the sum.
+  std::vector<uint8_t> negative = *file_;
+  put_u64(&negative, bins_at, static_cast<uint64_t>(int64_t{-1}));
+  put_u64(&negative, bins_at + 8, static_cast<uint64_t>(bin1 + bin0 + 1));
+  Reseal(&negative, 0, negative.size());
+  EXPECT_EQ(Decode(negative, &snapshot), SnapshotStatus::kShape);
+
+  // A crafted count its bins sum to: the merge after the trials would
+  // overflow it.
+  EXPECT_EQ(Decode(recount(INT64_MAX), &snapshot), SnapshotStatus::kShape);
+
+  // The bound is 2^53 observations per cell over the snapshot's trials,
+  // the in-flight one included: exactly 2^53 decodes and runs to the end.
+  constexpr int64_t kBound = int64_t{1} << 53;
+  EXPECT_EQ(Decode(recount(kBound - in_flight + 1), &snapshot),
+            SnapshotStatus::kShape);
+  ASSERT_EQ(Decode(recount(kBound - in_flight), &snapshot),
+            SnapshotStatus::kOk);
+  Resume(snapshot);
 
   const size_t blob = BlobBegin();
   // A race id of 7.

@@ -41,10 +41,10 @@
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "sim/certify.h"
+#include "sim/credit_scenario.h"
 #include "sim/ensemble_control.h"
 #include "sim/experiment.h"
 #include "sim/market_scenario.h"
-#include "sim/multi_trial.h"
 #include "sim/scenario_registry.h"
 #include "stats/adr_accumulator.h"
 
@@ -60,23 +60,26 @@ std::string Hex(uint64_t digest) {
   return text;
 }
 
-TEST(GoldenTest, MultiTrialCreditWithRawSeries) {
-  sim::MultiTrialOptions options;
+TEST(GoldenTest, CreditExperimentWithRawSeries) {
+  sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 200;
+  scenario_options.keep_raw_series = true;
+  sim::CreditScenario scenario(scenario_options);
+  scenario.set_collect_trial_records(true);
+  sim::ExperimentOptions options;
   options.num_trials = 32;
-  options.loop.num_users = 200;
   options.master_seed = 42;
-  options.keep_raw_series = true;
-  const sim::MultiTrialResult result = sim::RunMultiTrial(options);
+  const sim::ExperimentResult result = sim::RunExperiment(&scenario, options);
 
   Fnv1a digest;
-  for (const auto& trial : result.trials) {
+  for (const auto& trial : scenario.TakeTrialRecords()) {
     for (const auto& series : trial.user_adr) digest.MixSeries(series);
     digest.MixSeries(trial.overall_adr);
   }
-  for (const auto& envelope : result.race_envelopes) {
+  for (const auto& envelope : result.group_envelopes) {
     digest.MixSeries(envelope.mean);
   }
-  sim::MixAccumulator(&digest, result.pooled_adr);
+  sim::MixAccumulator(&digest, result.pooled_impact);
   EXPECT_EQ(Hex(digest.hash()), "d40179be9736744f");
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,14 +18,28 @@
 #include "markov/affine_ifs.h"
 #include "markov/affine_map.h"
 #include "rng/random.h"
+#include "sim/credit_scenario.h"
 #include "sim/ensemble_control.h"
-#include "sim/multi_trial.h"
+#include "sim/experiment.h"
+#include "stats/aggregate.h"
 #include "stats/time_series.h"
 
 namespace eqimpact {
 namespace {
 
 using credit::Race;
+
+// The race-wise envelopes of `num_trials` trials of 1000 users.
+std::vector<stats::SeriesEnvelope> RaceEnvelopes(size_t num_trials,
+                                                 uint64_t master_seed) {
+  sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 1000;
+  sim::CreditScenario scenario(scenario_options);
+  sim::ExperimentOptions options;
+  options.num_trials = num_trials;
+  options.master_seed = master_seed;
+  return sim::RunExperiment(&scenario, options).group_envelopes;
+}
 
 // The credit loop's user-wise ADR series audited for equal impact — the
 // paper's claim is that the series "are dwindling to a similar level".
@@ -58,15 +73,11 @@ TEST(PipelineTest, CreditLoopUserAdrsConvergeTowardsCoincidence) {
 TEST(PipelineTest, RaceWiseAdrsCoincideInTheLongRun) {
   // Definition 4 with race as the (protected) class: the race-wise ADR
   // limits must coincide even though race never enters the scorecard.
-  sim::MultiTrialOptions options;
-  options.loop.num_users = 1000;
-  options.num_trials = 3;
-  options.master_seed = 77;
-  sim::MultiTrialResult result = sim::RunMultiTrial(options);
+  const std::vector<stats::SeriesEnvelope> envelopes = RaceEnvelopes(3, 77);
 
   std::vector<double> final_race_adrs;
   for (size_t r = 0; r < credit::kNumRaces; ++r) {
-    final_race_adrs.push_back(result.race_envelopes[r].mean.back());
+    final_race_adrs.push_back(envelopes[r].mean.back());
   }
   EXPECT_LT(stats::CoincidenceGap(final_race_adrs), 0.05)
       << "race-wise ADR limits must be within a few percent of each other";
@@ -76,13 +87,9 @@ TEST(PipelineTest, RaceWiseAdrsDeclineFromWarmupPeak) {
   // Figure 3's shape: after the warm-up (approve-all) years, retraining
   // suppresses defaults, so the final ADR is below the early peak for
   // every race.
-  sim::MultiTrialOptions options;
-  options.loop.num_users = 1000;
-  options.num_trials = 3;
-  options.master_seed = 78;
-  sim::MultiTrialResult result = sim::RunMultiTrial(options);
+  const std::vector<stats::SeriesEnvelope> envelopes = RaceEnvelopes(3, 78);
   for (size_t r = 0; r < credit::kNumRaces; ++r) {
-    const std::vector<double>& mean = result.race_envelopes[r].mean;
+    const std::vector<double>& mean = envelopes[r].mean;
     double peak = *std::max_element(mean.begin(), mean.begin() + 5);
     EXPECT_LE(mean.back(), peak + 1e-9)
         << RaceName(static_cast<Race>(r));

@@ -1,6 +1,6 @@
 // Unit tests for the runtime layer: thread pool, parallel_for, seed
-// sequence, and the parallel-vs-sequential determinism contract of
-// sim::RunMultiTrial.
+// sequence, and the parallel-vs-sequential determinism contract of the
+// credit trials sim::RunExperiment runs.
 
 #include <atomic>
 #include <cstdint>
@@ -16,9 +16,9 @@
 #include "runtime/parallel_for.h"
 #include "runtime/seed_sequence.h"
 #include "runtime/thread_pool.h"
+#include "sim/credit_scenario.h"
 #include "sim/ensemble_control.h"
-#include "sim/multi_trial.h"
-#include "stats/adr_accumulator.h"
+#include "sim/experiment.h"
 
 namespace eqimpact {
 namespace {
@@ -249,65 +249,6 @@ TEST(SeedSequenceTest, ChildOpensNestedNamespace) {
   EXPECT_NE(child.Seed(0), seeds.Seed(0));
 }
 
-// Bitwise equality of two streaming accumulators, cell by cell.
-void ExpectAccumulatorsEqual(const stats::AdrAccumulator& a,
-                             const stats::AdrAccumulator& b) {
-  ASSERT_EQ(a.num_groups(), b.num_groups());
-  ASSERT_EQ(a.num_steps(), b.num_steps());
-  ASSERT_EQ(a.num_bins(), b.num_bins());
-  for (size_t k = 0; k < a.num_steps(); ++k) {
-    for (size_t g = 0; g < a.num_groups(); ++g) {
-      EXPECT_EQ(a.count(k, g), b.count(k, g));
-      EXPECT_EQ(a.stats(k, g).Mean(), b.stats(k, g).Mean());
-      EXPECT_EQ(a.stats(k, g).Variance(), b.stats(k, g).Variance());
-      for (size_t bin = 0; bin < a.num_bins(); ++bin) {
-        EXPECT_EQ(a.bin_count(k, g, bin), b.bin_count(k, g, bin));
-      }
-    }
-  }
-}
-
-// The headline determinism contract: RunMultiTrial produces bitwise-
-// identical results at every thread count. Small cohorts keep this fast.
-TEST(MultiTrialParallelTest, BitwiseIdenticalAcrossThreadCounts) {
-  sim::MultiTrialOptions options;
-  options.num_trials = 6;
-  options.loop.num_users = 40;
-  options.master_seed = 42;
-  options.keep_raw_series = true;
-
-  options.num_threads = 1;
-  sim::MultiTrialResult sequential = RunMultiTrial(options);
-
-  for (size_t threads : {2u, 8u}) {
-    options.num_threads = threads;
-    sim::MultiTrialResult parallel = RunMultiTrial(options);
-
-    ASSERT_EQ(parallel.trials.size(), sequential.trials.size());
-    EXPECT_EQ(parallel.years, sequential.years);
-    EXPECT_EQ(parallel.pooled_races, sequential.pooled_races);
-    EXPECT_EQ(parallel.pooled_user_adr, sequential.pooled_user_adr);
-    for (size_t t = 0; t < sequential.trials.size(); ++t) {
-      EXPECT_EQ(parallel.trials[t].user_adr, sequential.trials[t].user_adr)
-          << "trial " << t << " threads " << threads;
-      EXPECT_EQ(parallel.trials[t].race_adr, sequential.trials[t].race_adr);
-      EXPECT_EQ(parallel.trials[t].overall_adr,
-                sequential.trials[t].overall_adr);
-    }
-    ASSERT_EQ(parallel.race_envelopes.size(),
-              sequential.race_envelopes.size());
-    for (size_t r = 0; r < sequential.race_envelopes.size(); ++r) {
-      EXPECT_EQ(parallel.race_envelopes[r].mean,
-                sequential.race_envelopes[r].mean);
-      EXPECT_EQ(parallel.race_envelopes[r].std_dev,
-                sequential.race_envelopes[r].std_dev);
-    }
-    // The streaming pool merges per-trial accumulators in slot order, so
-    // it is bitwise-stable too.
-    ExpectAccumulatorsEqual(parallel.pooled_adr, sequential.pooled_adr);
-  }
-}
-
 // The within-trial contract: the credit engine's chunked passes give the
 // same trial at 1, 2 and 8 intra-trial threads. A small chunk size makes
 // the 500-user cohort span 8 chunks so multi-chunk scheduling is
@@ -345,23 +286,31 @@ TEST(MultiTrialParallelTest, WithinTrialBitwiseIdenticalAcrossThreadCounts) {
 // Trial-level and within-trial parallelism compose without breaking the
 // contract: 2 trial workers x 2 intra-trial workers equals sequential.
 TEST(MultiTrialParallelTest, NestedParallelismStaysDeterministic) {
-  sim::MultiTrialOptions options;
-  options.num_trials = 3;
-  options.loop.num_users = 300;
-  options.loop.users_per_chunk = 64;
-  options.master_seed = 5;
-  options.keep_raw_series = true;
-
-  options.num_threads = 1;
-  options.loop.num_threads = 1;
-  sim::MultiTrialResult sequential = RunMultiTrial(options);
-
-  options.num_threads = 2;
-  options.loop.num_threads = 2;
-  sim::MultiTrialResult nested = RunMultiTrial(options);
-
-  EXPECT_EQ(nested.pooled_user_adr, sequential.pooled_user_adr);
-  ExpectAccumulatorsEqual(nested.pooled_adr, sequential.pooled_adr);
+  const auto run = [](size_t threads,
+                      std::vector<credit::CreditLoopResult>* records) {
+    sim::CreditScenarioOptions scenario_options;
+    scenario_options.loop.num_users = 300;
+    scenario_options.loop.users_per_chunk = 64;
+    scenario_options.loop.num_threads = threads;
+    scenario_options.keep_raw_series = true;
+    sim::CreditScenario scenario(scenario_options);
+    scenario.set_collect_trial_records(true);
+    sim::ExperimentOptions options;
+    options.num_trials = 3;
+    options.master_seed = 5;
+    options.num_threads = threads;
+    const uint64_t digest =
+        sim::ExperimentDigest(sim::RunExperiment(&scenario, options));
+    *records = scenario.TakeTrialRecords();
+    return digest;
+  };
+  std::vector<credit::CreditLoopResult> sequential, nested;
+  const uint64_t reference = run(1, &sequential);
+  EXPECT_EQ(run(2, &nested), reference);
+  ASSERT_EQ(nested.size(), sequential.size());
+  for (size_t t = 0; t < sequential.size(); ++t) {
+    EXPECT_EQ(nested[t].user_adr, sequential[t].user_adr) << "trial " << t;
+  }
 }
 
 TEST(EnsembleStudyTest, BitwiseIdenticalAcrossThreadCounts) {

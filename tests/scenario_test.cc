@@ -1,6 +1,6 @@
 // Tests of the generic scenario/experiment/sweep API: bitwise
-// equivalence of the CreditScenario path with the historical
-// RunMultiTrial implementation, market/ensemble multi-trial determinism
+// equivalence of RunExperiment over a CreditScenario with the original
+// credit-only multi-trial function, market/ensemble multi-trial determinism
 // at 1/2/8 trial threads, sweep-grid reproducibility, registry
 // round-trips, and the equalizer-intervention sweep reproducing the
 // paper's qualitative market result.
@@ -22,7 +22,6 @@
 #include "sim/ensemble_scenario.h"
 #include "sim/experiment.h"
 #include "sim/market_scenario.h"
-#include "sim/multi_trial.h"
 #include "sim/scenario_registry.h"
 #include "sim/sweep.h"
 #include "stats/adr_accumulator.h"
@@ -33,34 +32,42 @@ namespace {
 
 // --- CreditScenario: bitwise regression vs the pre-scenario driver ----------
 
-/// The historical RunMultiTrial body (PR 2/3 implementation, verbatim
-/// semantics): credit-specific, sequential. The scenario-based wrapper
-/// must reproduce it bit for bit — this is the credit-digest-unchanged
+/// What the original credit-only multi-trial function returned.
+struct LegacyResult {
+  std::vector<credit::CreditLoopResult> trials;
+  std::vector<stats::SeriesEnvelope> race_envelopes;
+  stats::AdrAccumulator pooled_adr;
+};
+
+/// The original credit-only multi-trial function's body, verbatim
+/// semantics: credit-specific and sequential. RunExperiment over a
+/// CreditScenario must reproduce it bit for bit — this is the
 /// regression guard for the credit digests pinned in golden_test.
-sim::MultiTrialResult LegacyRunMultiTrial(
-    const sim::MultiTrialOptions& options) {
-  sim::MultiTrialResult result;
-  const size_t num_years = static_cast<size_t>(options.loop.last_year -
-                                               options.loop.first_year) +
-                           1;
+LegacyResult LegacyCreditTrials(
+    const sim::CreditScenarioOptions& scenario_options,
+    const sim::ExperimentOptions& options) {
+  LegacyResult result;
+  const credit::CreditLoopOptions& loop = scenario_options.loop;
+  const size_t num_years =
+      static_cast<size_t>(loop.last_year - loop.first_year) + 1;
   result.trials.resize(options.num_trials);
   std::vector<stats::AdrAccumulator> trial_adr(
       options.num_trials,
-      stats::AdrAccumulator(credit::kNumRaces, num_years, options.adr_bins));
+      stats::AdrAccumulator(credit::kNumRaces, num_years,
+                            options.impact_bins));
   const runtime::SeedSequence seeds(options.master_seed);
   for (size_t t = 0; t < options.num_trials; ++t) {
-    credit::CreditLoopOptions loop_options = options.loop;
+    credit::CreditLoopOptions loop_options = loop;
     loop_options.seed = seeds.Seed(t);
-    loop_options.keep_user_adr = options.keep_raw_series;
-    credit::CreditScoringLoop loop(loop_options);
+    loop_options.keep_user_adr = scenario_options.keep_raw_series;
+    credit::CreditScoringLoop trial_loop(loop_options);
     stats::AdrAccumulator& adr = trial_adr[t];
     result.trials[t] =
-        loop.Run([&adr](const credit::YearSnapshot& snapshot) {
+        trial_loop.Run([&adr](const credit::YearSnapshot& snapshot) {
           adr.AddCrossSection(snapshot.step, snapshot.user_adr,
                               snapshot.race_ids);
         });
   }
-  result.years = result.trials[0].years;
   for (stats::AdrAccumulator& adr : trial_adr) {
     result.pooled_adr.Merge(adr);
   }
@@ -91,34 +98,44 @@ void ExpectAccumulatorsBitwiseEqual(const stats::AdrAccumulator& a,
   }
 }
 
-void ExpectWrapperMatchesLegacy(const sim::MultiTrialOptions& options) {
-  sim::MultiTrialResult legacy = LegacyRunMultiTrial(options);
-  sim::MultiTrialResult wrapped = sim::RunMultiTrial(options);
+void ExpectExperimentMatchesLegacy(
+    const sim::CreditScenarioOptions& scenario_options,
+    const sim::ExperimentOptions& options) {
+  const LegacyResult legacy = LegacyCreditTrials(scenario_options, options);
+  sim::CreditScenario scenario(scenario_options);
+  scenario.set_collect_trial_records(true);
+  const sim::ExperimentResult result = sim::RunExperiment(&scenario, options);
+  const std::vector<credit::CreditLoopResult> trials =
+      scenario.TakeTrialRecords();
 
-  ASSERT_EQ(legacy.trials.size(), wrapped.trials.size());
+  ASSERT_EQ(legacy.trials.size(), trials.size());
   for (size_t t = 0; t < legacy.trials.size(); ++t) {
-    EXPECT_EQ(legacy.trials[t].user_adr, wrapped.trials[t].user_adr);
-    EXPECT_EQ(legacy.trials[t].race_adr, wrapped.trials[t].race_adr);
-    EXPECT_EQ(legacy.trials[t].overall_adr, wrapped.trials[t].overall_adr);
-    EXPECT_EQ(legacy.trials[t].race_approval,
-              wrapped.trials[t].race_approval);
+    EXPECT_EQ(legacy.trials[t].user_adr, trials[t].user_adr);
+    EXPECT_EQ(legacy.trials[t].race_adr, trials[t].race_adr);
+    EXPECT_EQ(legacy.trials[t].overall_adr, trials[t].overall_adr);
+    EXPECT_EQ(legacy.trials[t].race_approval, trials[t].race_approval);
   }
-  ASSERT_EQ(legacy.race_envelopes.size(), wrapped.race_envelopes.size());
+  ASSERT_EQ(legacy.race_envelopes.size(), result.group_envelopes.size());
   for (size_t r = 0; r < legacy.race_envelopes.size(); ++r) {
-    EXPECT_EQ(legacy.race_envelopes[r].mean, wrapped.race_envelopes[r].mean);
+    EXPECT_EQ(legacy.race_envelopes[r].mean, result.group_envelopes[r].mean);
     EXPECT_EQ(legacy.race_envelopes[r].std_dev,
-              wrapped.race_envelopes[r].std_dev);
+              result.group_envelopes[r].std_dev);
   }
-  ExpectAccumulatorsBitwiseEqual(legacy.pooled_adr, wrapped.pooled_adr);
+  ExpectAccumulatorsBitwiseEqual(legacy.pooled_adr, result.pooled_impact);
 }
 
-TEST(CreditScenarioTest, WrapperMatchesLegacyImplementationBitwise) {
-  sim::MultiTrialOptions options;
-  options.loop.num_users = 120;
+sim::ExperimentOptions LegacyComparisonOptions() {
+  sim::ExperimentOptions options;
   options.num_trials = 3;
   options.master_seed = 17;
-  options.keep_raw_series = true;
-  ExpectWrapperMatchesLegacy(options);
+  return options;
+}
+
+TEST(CreditScenarioTest, ExperimentMatchesLegacyBitwise) {
+  sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 120;
+  scenario_options.keep_raw_series = true;
+  ExpectExperimentMatchesLegacy(scenario_options, LegacyComparisonOptions());
 }
 
 // 16 chunks on 4 loop threads: the engine's parallel pass-2 tail and the
@@ -132,13 +149,10 @@ sim::CreditScenarioOptions MultiChunkCreditOptions() {
   return options;
 }
 
-TEST(CreditScenarioTest, WrapperMatchesLegacyImplementationBitwiseMultiChunk) {
-  sim::MultiTrialOptions options;
-  options.loop = MultiChunkCreditOptions().loop;
-  options.num_trials = 3;
-  options.master_seed = 17;
-  options.keep_raw_series = true;
-  ExpectWrapperMatchesLegacy(options);
+TEST(CreditScenarioTest, ExperimentMatchesLegacyBitwiseMultiChunk) {
+  sim::CreditScenarioOptions scenario_options = MultiChunkCreditOptions();
+  scenario_options.keep_raw_series = true;
+  ExpectExperimentMatchesLegacy(scenario_options, LegacyComparisonOptions());
 }
 
 TEST(CreditScenarioTest, MultiChunkParallelDigestIsPinned) {
@@ -160,10 +174,12 @@ TEST(CreditScenarioTest, MultiChunkParallelDigestIsPinned) {
 }
 
 TEST(CreditScenarioTest, SurfacesGroupLabels) {
-  sim::MultiTrialOptions options;
-  options.loop.num_users = 60;
+  sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 60;
+  sim::CreditScenario scenario(scenario_options);
+  sim::ExperimentOptions options;
   options.num_trials = 2;
-  sim::MultiTrialResult result = sim::RunMultiTrial(options);
+  sim::ExperimentResult result = sim::RunExperiment(&scenario, options);
   ASSERT_EQ(result.group_labels.size(), credit::kNumRaces);
   for (size_t r = 0; r < credit::kNumRaces; ++r) {
     EXPECT_EQ(result.group_labels[r],

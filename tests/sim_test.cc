@@ -1,12 +1,17 @@
-// Unit tests for the sim module: multi-trial aggregation, the
-// ensemble-control (loss of ergodicity) experiments, and text tables.
+// Unit tests for the sim module: multi-trial aggregation of the credit
+// scenario, the ensemble-control (loss of ergodicity) experiments, and
+// text tables.
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "credit/credit_loop.h"
+#include "credit/race.h"
+#include "sim/credit_scenario.h"
 #include "sim/ensemble_control.h"
-#include "sim/multi_trial.h"
+#include "sim/experiment.h"
 #include "sim/text_table.h"
 #include "stats/adr_accumulator.h"
 #include "stats/aggregate.h"
@@ -17,59 +22,78 @@
 namespace eqimpact {
 namespace {
 
-sim::MultiTrialOptions SmallMultiTrial() {
-  sim::MultiTrialOptions options;
-  options.loop.num_users = 100;
+// Three trials of 100 users through RunExperiment, with the trials'
+// credit records.
+struct SmallCreditRun {
+  sim::ExperimentResult result;
+  std::vector<credit::CreditLoopResult> trials;
+};
+
+SmallCreditRun RunSmallCredit(bool keep_raw_series, size_t impact_bins = 64) {
+  sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 100;
+  scenario_options.keep_raw_series = keep_raw_series;
+  sim::CreditScenario scenario(scenario_options);
+  scenario.set_collect_trial_records(true);
+  sim::ExperimentOptions options;
   options.num_trials = 3;
   options.master_seed = 9;
-  return options;
+  options.impact_bins = impact_bins;
+  SmallCreditRun run;
+  run.result = sim::RunExperiment(&scenario, options);
+  run.trials = scenario.TakeTrialRecords();
+  return run;
 }
 
 TEST(MultiTrialTest, ShapesAndStreamingPool) {
-  sim::MultiTrialResult result = sim::RunMultiTrial(SmallMultiTrial());
+  const SmallCreditRun run = RunSmallCredit(false);
+  const sim::ExperimentResult& result = run.result;
   EXPECT_EQ(result.trials.size(), 3u);
-  EXPECT_EQ(result.years.size(), 19u);
-  EXPECT_EQ(result.race_envelopes.size(), credit::kNumRaces);
-  EXPECT_EQ(result.race_envelopes[0].mean.size(), 19u);
+  EXPECT_EQ(run.trials.size(), 3u);
+  EXPECT_EQ(result.step_labels.size(), 19u);
+  EXPECT_EQ(result.group_envelopes.size(), credit::kNumRaces);
+  EXPECT_EQ(result.group_envelopes[0].mean.size(), 19u);
   // By default no raw per-user series is materialized anywhere — the
   // pooled distribution lives in the streaming accumulator only.
-  EXPECT_TRUE(result.pooled_user_adr.empty());
-  EXPECT_TRUE(result.pooled_races.empty());
-  for (const auto& trial : result.trials) {
+  for (const auto& trial : run.trials) {
     EXPECT_TRUE(trial.user_adr.empty());
   }
-  ASSERT_FALSE(result.pooled_adr.empty());
-  EXPECT_EQ(result.pooled_adr.num_steps(), 19u);
-  EXPECT_EQ(result.pooled_adr.num_groups(), credit::kNumRaces);
+  ASSERT_FALSE(result.pooled_impact.empty());
+  EXPECT_EQ(result.pooled_impact.num_steps(), 19u);
+  EXPECT_EQ(result.pooled_impact.num_groups(), credit::kNumRaces);
   for (size_t k = 0; k < 19; ++k) {
-    EXPECT_EQ(result.pooled_adr.StepCount(k), 300);  // 3 trials x 100.
+    EXPECT_EQ(result.pooled_impact.StepCount(k), 300);  // 3 trials x 100.
   }
 }
 
 TEST(MultiTrialTest, KeepRawSeriesOptInPoolsEverySeries) {
-  sim::MultiTrialOptions options = SmallMultiTrial();
-  options.keep_raw_series = true;
-  sim::MultiTrialResult result = sim::RunMultiTrial(options);
-  EXPECT_EQ(result.pooled_user_adr.size(), 300u);  // 3 trials x 100 users.
-  EXPECT_EQ(result.pooled_races.size(), 300u);
-  EXPECT_EQ(result.trials[0].user_adr.size(), 100u);
+  const SmallCreditRun run = RunSmallCredit(true);
+  for (const auto& trial : run.trials) {
+    EXPECT_EQ(trial.user_adr.size(), 100u);
+    EXPECT_EQ(trial.races.size(), 100u);
+  }
 }
 
 TEST(MultiTrialTest, AccumulatorMatchesRawPooledSeries) {
   // The streaming accumulator must agree with the raw Figures 4/5 pool:
   // same per-(race, year) counts, moments, extremes, and bin fractions.
-  sim::MultiTrialOptions options = SmallMultiTrial();
-  options.keep_raw_series = true;
-  options.adr_bins = 10;
-  sim::MultiTrialResult result = sim::RunMultiTrial(options);
-  const stats::AdrAccumulator& adr = result.pooled_adr;
+  const SmallCreditRun run = RunSmallCredit(true, 10);
+  const stats::AdrAccumulator& adr = run.result.pooled_impact;
+  std::vector<std::vector<double>> pooled_user_adr;
+  std::vector<credit::Race> pooled_races;
+  for (const credit::CreditLoopResult& trial : run.trials) {
+    pooled_user_adr.insert(pooled_user_adr.end(), trial.user_adr.begin(),
+                           trial.user_adr.end());
+    pooled_races.insert(pooled_races.end(), trial.races.begin(),
+                        trial.races.end());
+  }
 
-  for (size_t k = 0; k < result.years.size(); ++k) {
+  for (size_t k = 0; k < run.result.step_labels.size(); ++k) {
     for (size_t r = 0; r < credit::kNumRaces; ++r) {
       stats::RunningStats reference;
-      for (size_t i = 0; i < result.pooled_user_adr.size(); ++i) {
-        if (result.pooled_races[i] == static_cast<credit::Race>(r)) {
-          reference.Add(result.pooled_user_adr[i][k]);
+      for (size_t i = 0; i < pooled_user_adr.size(); ++i) {
+        if (pooled_races[i] == static_cast<credit::Race>(r)) {
+          reference.Add(pooled_user_adr[i][k]);
         }
       }
       EXPECT_EQ(adr.count(k, r), reference.count());
@@ -83,7 +107,7 @@ TEST(MultiTrialTest, AccumulatorMatchesRawPooledSeries) {
     }
     // Race-blind density row vs a histogram over the raw cross-section.
     stats::Histogram histogram(0.0, 1.0, 10);
-    histogram.AddAll(stats::CrossSection(result.pooled_user_adr, k));
+    histogram.AddAll(stats::CrossSection(pooled_user_adr, k));
     for (size_t b = 0; b < 10; ++b) {
       EXPECT_EQ(adr.StepBinCount(k, b), histogram.count(b));
       EXPECT_DOUBLE_EQ(adr.StepBinFraction(k, b), histogram.Fraction(b));
@@ -92,34 +116,24 @@ TEST(MultiTrialTest, AccumulatorMatchesRawPooledSeries) {
 }
 
 TEST(MultiTrialTest, TrialsUseDistinctSeeds) {
-  sim::MultiTrialOptions options = SmallMultiTrial();
-  options.keep_raw_series = true;
-  sim::MultiTrialResult result = sim::RunMultiTrial(options);
-  EXPECT_NE(result.trials[0].user_adr, result.trials[1].user_adr);
-  EXPECT_NE(result.trials[1].user_adr, result.trials[2].user_adr);
+  const SmallCreditRun run = RunSmallCredit(true);
+  EXPECT_NE(run.trials[0].user_adr, run.trials[1].user_adr);
+  EXPECT_NE(run.trials[1].user_adr, run.trials[2].user_adr);
 }
 
 TEST(MultiTrialTest, EnvelopeMeanLiesWithinTrialRange) {
-  sim::MultiTrialResult result = sim::RunMultiTrial(SmallMultiTrial());
+  const sim::ExperimentResult result = RunSmallCredit(false).result;
   for (size_t r = 0; r < credit::kNumRaces; ++r) {
-    for (size_t k = 0; k < result.years.size(); ++k) {
-      double lo = result.trials[0].race_adr[r][k];
+    for (size_t k = 0; k < result.step_labels.size(); ++k) {
+      double lo = result.trials[0].group_impact[r][k];
       double hi = lo;
       for (const auto& trial : result.trials) {
-        lo = std::min(lo, trial.race_adr[r][k]);
-        hi = std::max(hi, trial.race_adr[r][k]);
+        lo = std::min(lo, trial.group_impact[r][k]);
+        hi = std::max(hi, trial.group_impact[r][k]);
       }
-      EXPECT_GE(result.race_envelopes[r].mean[k], lo - 1e-12);
-      EXPECT_LE(result.race_envelopes[r].mean[k], hi + 1e-12);
+      EXPECT_GE(result.group_envelopes[r].mean[k], lo - 1e-12);
+      EXPECT_LE(result.group_envelopes[r].mean[k], hi + 1e-12);
     }
-  }
-}
-
-TEST(MultiTrialTest, DeterministicInMasterSeed) {
-  sim::MultiTrialResult a = sim::RunMultiTrial(SmallMultiTrial());
-  sim::MultiTrialResult b = sim::RunMultiTrial(SmallMultiTrial());
-  for (size_t t = 0; t < a.trials.size(); ++t) {
-    EXPECT_EQ(a.trials[t].user_adr, b.trials[t].user_adr);
   }
 }
 
