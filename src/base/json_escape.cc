@@ -1,5 +1,6 @@
 #include "base/json_escape.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace eqimpact {
@@ -29,6 +30,13 @@ std::string JsonEscape(const std::string& text) {
     }
   }
   return out;
+}
+
+std::string JsonNumber(double value, int significant_digits) {
+  if (!std::isfinite(value)) return "null";
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.*g", significant_digits, value);
+  return buffer;
 }
 
 }  // namespace base

@@ -69,7 +69,6 @@ SpectralCertificate CertifyIfsSpectral(
   linalg::SparseSolverOptions solver;
   solver.max_iterations = options.max_iterations;
   solver.tolerance = options.tolerance;
-  solver.product.num_threads = options.num_threads;
   linalg::SparseStationaryResult stationary = op.StationarySolve(solver);
   certificate.irreducible = stationary.irreducible;
   certificate.terminal_classes = stationary.terminal_classes;

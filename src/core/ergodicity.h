@@ -63,8 +63,9 @@ struct SpectralCertificateOptions {
   double tolerance = 1e-13;
   /// Krylov dimension for the subdominant-eigenvalue Arnoldi projection.
   size_t arnoldi_subspace = 32;
-  /// Threads for the Ulam build and solver matvecs (results are
-  /// bitwise-identical at any value; see linalg/sparse_matrix.h).
+  /// Threads for the Ulam build and the Arnoldi matvecs (results are
+  /// bitwise-identical at any value; see linalg/sparse_matrix.h). The
+  /// stationary solve runs on the calling thread.
   size_t num_threads = 1;
 };
 

@@ -110,15 +110,19 @@ Matrix operator*(double scalar, Matrix m) {
 }
 
 Matrix operator*(const Matrix& lhs, const Matrix& rhs) {
-  EQIMPACT_CHECK_EQ(lhs.cols(), rhs.rows());
-  Matrix out(lhs.rows(), rhs.cols());
-  for (size_t r = 0; r < lhs.rows(); ++r) {
-    for (size_t k = 0; k < lhs.cols(); ++k) {
-      double lv = lhs(r, k);
+  EQIMPACT_CHECK_EQ(lhs.cols_, rhs.rows_);
+  Matrix out(lhs.rows_, rhs.cols_);
+  const size_t inner = lhs.cols_;
+  const size_t cols = rhs.cols_;
+  // Raw rows, in the r-k-c order of out(r, c) += lhs(r, k) * rhs(k, c).
+  for (size_t r = 0; r < lhs.rows_; ++r) {
+    const double* lhs_row = lhs.data_.data() + r * inner;
+    double* out_row = out.data_.data() + r * cols;
+    for (size_t k = 0; k < inner; ++k) {
+      const double lv = lhs_row[k];
       if (lv == 0.0) continue;
-      for (size_t c = 0; c < rhs.cols(); ++c) {
-        out(r, c) += lv * rhs(k, c);
-      }
+      const double* rhs_row = rhs.data_.data() + k * cols;
+      for (size_t c = 0; c < cols; ++c) out_row[c] += lv * rhs_row[c];
     }
   }
   return out;

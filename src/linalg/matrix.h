@@ -65,6 +65,10 @@ class Matrix {
   bool IsRowStochastic(double tolerance = 1e-9) const;
 
  private:
+  // The dense product indexes raw rows (SpectralRadius squares a 32 x 32
+  // matrix up to 48 times per certificate).
+  friend Matrix operator*(const Matrix& lhs, const Matrix& rhs);
+
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<double> data_;

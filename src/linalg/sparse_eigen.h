@@ -25,7 +25,9 @@ struct SparseSolverOptions {
   int max_iterations = 100000;
   /// L1 step-delta convergence threshold.
   double tolerance = 1e-13;
-  /// Threading/chunking for the matvecs inside the solver.
+  /// The stationary solver ignores it: its loop runs on the calling
+  /// thread. Kept because perfbench's certify replay times the adjoint
+  /// matvec, SparseMatrix::Multiply, under the same options.
   SparseProductOptions product;
 };
 
@@ -60,13 +62,22 @@ struct SparseStationaryResult {
 /// pi P = pi. Uniqueness is certified structurally first: unless the
 /// support pattern has exactly one terminal class, returns nullopt.
 ///
-/// Each iteration makes three passes over two buffers that swap roles, so
-/// the solver allocates nothing inside the loop: a row pass over the
-/// materialised adjoint, next[r] = (x[r] + sum_k (P^T)[r][k] x[k]) / 2,
-/// split into options.product's chunks and run on its threads or pool
-/// (every row owns its output, so the pass is bitwise-identical at every
-/// thread count); the sum of next, in index order; and next divided by
-/// that sum, with the step's L1 delta accumulated in index order. The
+/// Each iteration is one pass over a private copy of the adjoint P^T,
+/// built once per solve in slices of four rows: the leading entries of a
+/// slice's rows sit side by side (int32 columns, so n <= INT32_MAX), and
+/// the rest of each row and the last n mod 4 rows are scalar tails. The
+/// pass writes iterate k + 1 row by row, next[r] = (x[r] + sum_k
+/// (P^T)[r][k] x[k]) / 2, each row adding its entries in CSR order from
+/// +0.0 and then itself to the running sum of next, in row order. Ahead
+/// of the rows, by each row's highest column read (a prefix maximum), the
+/// same pass divides iterate k by its sum and adds the step's L1 delta,
+/// in index order. Two buffers swap roles, so the solver allocates
+/// nothing inside the loop, and the row pass computed after the
+/// converged iterate is discarded. With base::UseAvx2Lanes() the rows of
+/// a slice run one per lane of an AVX2 register; otherwise a scalar lane
+/// runs the same slices with four accumulators. Both perform the same
+/// floating-point operations in the same order as the plain CSR loop (row
+/// pass, sum, divide-and-delta), so every path gives the same bits. The
 /// loop is sum/divide-only (no libm), so converged iterates are
 /// bit-reproducible across machines.
 SparseStationaryResult SparseStationaryDistribution(

@@ -44,8 +44,8 @@ struct SparseUlamOptions {
 class SparseUlamOperator {
  public:
   /// Discretises `ifs` (1-d, constant probabilities) on [lo, hi] with
-  /// `num_cells` cells. Also materialises the adjoint (transpose) used by
-  /// Propagate and the stationary solver.
+  /// `num_cells` cells. Also materialises the adjoint (transpose) that
+  /// Propagate uses; the stationary solver builds its own sliced copy.
   SparseUlamOperator(const AffineIfs& ifs, double lo, double hi,
                      size_t num_cells, const SparseUlamOptions& options = {});
 

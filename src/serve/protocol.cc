@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "base/fnv1a.h"
 
@@ -16,6 +17,12 @@ namespace {
 /// The bound of every count and seed in the grammar: integers up to it
 /// are exact in a double, so they survive the JSON encoding.
 constexpr double kMaxCount = 1e15;
+
+/// The bound as every count message spells it: decimal digits, the only
+/// form the count flags accept.
+std::string MaxCountDigits() {
+  return std::to_string(static_cast<uint64_t>(kMaxCount));
+}
 
 /// Shared guard for count-like request fields: a non-negative integral
 /// JSON number that fits a size_t without precision loss.
@@ -48,18 +55,19 @@ bool ReadSpecFields(const JsonValue& request, bool require_scenario,
   }
   if (!ReadCount(request.Find("trials"), &spec->num_trials,
                  /*allow_zero=*/false)) {
-    *message = "'trials' must be a positive integer <= 1e15";
+    *message = "'trials' must be a positive integer <= " + MaxCountDigits();
     return false;
   }
   size_t seed = spec->master_seed;
   if (!ReadCount(request.Find("seed"), &seed, /*allow_zero=*/true)) {
-    *message = "'seed' must be a non-negative integer <= 1e15";
+    *message =
+        "'seed' must be a non-negative integer <= " + MaxCountDigits();
     return false;
   }
   spec->master_seed = static_cast<uint64_t>(seed);
   if (!ReadCount(request.Find("bins"), &spec->impact_bins,
                  /*allow_zero=*/false)) {
-    *message = "'bins' must be a positive integer <= 1e15";
+    *message = "'bins' must be a positive integer <= " + MaxCountDigits();
     return false;
   }
   if (!ReadCount(request.Find("threads"), &spec->num_threads,
@@ -70,7 +78,8 @@ bool ReadSpecFields(const JsonValue& request, bool require_scenario,
                  /*allow_zero=*/true)) {
     *message =
         "'threads'/'trial_threads'/'point_threads' must be non-negative "
-        "integers <= 1e15";
+        "integers <= " +
+        MaxCountDigits();
     return false;
   }
   if (const JsonValue* set = request.Find("set")) {
@@ -252,7 +261,8 @@ bool ParseJobFlags(const std::vector<std::string>& args, JobSpec* spec,
     if (count != std::end(kCountFlags)) {
       size_t value = 0;
       if (!ParseCountFlag(arg.substr(std::strlen(count->first)), &value)) {
-        *message = "bad " + arg + " (want a non-negative integer <= 1e15)";
+        *message = "bad " + arg + " (want a non-negative integer <= " +
+                   MaxCountDigits() + ")";
         return false;
       }
       request.Set(count->second, JsonValue::Number(static_cast<double>(value)));

@@ -16,7 +16,8 @@ namespace {
 /// format string the pre-refactor CLI printed, so the rendered document
 /// is byte-identical to the historical output. Every string it prints
 /// inside quotes goes through base::JsonEscape first, which leaves a
-/// plain string's bytes as they are.
+/// plain string's bytes as they are, and every double through Number,
+/// which leaves a finite value's bytes as they are.
 #if defined(__GNUC__)
 __attribute__((format(printf, 2, 3)))
 #endif
@@ -39,6 +40,10 @@ void Appendf(std::string* out, const char* format, ...) {
   va_end(args);
 }
 
+/// A double as the documents print it: %.9g, or null when it is not
+/// finite (a NaN a resumed checkpoint carried into a trial's series).
+std::string Number(double value) { return base::JsonNumber(value, 9); }
+
 void AppendStringArray(std::string* out,
                        const std::vector<std::string>& values) {
   out->push_back('[');
@@ -52,9 +57,12 @@ void AppendStringArray(std::string* out,
 void AppendSummary(std::string* out,
                    const sim::EqualImpactSummary& summary,
                    const char* indent) {
-  Appendf(out, "%s\"group_gap\": %.9g,\n", indent, summary.group_gap);
-  Appendf(out, "%s\"pooled_std\": %.9g,\n", indent, summary.pooled_std);
-  Appendf(out, "%s\"pooled_mean\": %.9g", indent, summary.pooled_mean);
+  Appendf(out, "%s\"group_gap\": %s,\n", indent,
+          Number(summary.group_gap).c_str());
+  Appendf(out, "%s\"pooled_std\": %s,\n", indent,
+          Number(summary.pooled_std).c_str());
+  Appendf(out, "%s\"pooled_mean\": %s", indent,
+          Number(summary.pooled_mean).c_str());
 }
 
 void AppendHeader(std::string* out, const RenderHeader& header,
@@ -109,15 +117,16 @@ std::string RenderExperimentJson(const sim::ExperimentResult& result,
   out.append("  \"final_group_mean\": [");
   const size_t last = result.step_labels.size() - 1;
   for (size_t g = 0; g < result.group_envelopes.size(); ++g) {
-    Appendf(&out, "%.9g%s", result.group_envelopes[g].mean[last],
+    Appendf(&out, "%s%s", Number(result.group_envelopes[g].mean[last]).c_str(),
             g + 1 < result.group_envelopes.size() ? ", " : "");
   }
   out.append("],\n");
   out.append("  \"metrics\": {\n");
   for (size_t m = 0; m < result.metric_names.size(); ++m) {
-    Appendf(&out, "    \"%s\": {\"mean\": %.9g, \"std\": %.9g}%s\n",
+    Appendf(&out, "    \"%s\": {\"mean\": %s, \"std\": %s}%s\n",
             base::JsonEscape(result.metric_names[m]).c_str(),
-            result.metric_stats[m].Mean(), result.metric_stats[m].StdDev(),
+            Number(result.metric_stats[m].Mean()).c_str(),
+            Number(result.metric_stats[m].StdDev()).c_str(),
             m + 1 < result.metric_names.size() ? "," : "");
   }
   out.append("  },\n");
@@ -148,12 +157,12 @@ std::string RenderSweepJson(const sim::SweepResult& result,
     const sim::SweepPoint& point = result.points[p];
     out.append("    {\"values\": [");
     for (size_t v = 0; v < point.values.size(); ++v) {
-      Appendf(&out, "%.9g%s", point.values[v],
+      Appendf(&out, "%s%s", Number(point.values[v]).c_str(),
               v + 1 < point.values.size() ? ", " : "");
     }
     out.append("], \"metric_means\": [");
     for (size_t m = 0; m < point.metric_means.size(); ++m) {
-      Appendf(&out, "%.9g%s", point.metric_means[m],
+      Appendf(&out, "%s%s", Number(point.metric_means[m]).c_str(),
               m + 1 < point.metric_means.size() ? ", " : "");
     }
     out.append("],\n");

@@ -1,7 +1,6 @@
 #include "sim/certify.h"
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -13,14 +12,9 @@ namespace eqimpact {
 namespace sim {
 namespace {
 
-std::string JsonNumber(double value) {
-  // Non-finite values are not JSON; the only field that can produce one
-  // (an infinite mixing bound) renders as null.
-  if (!std::isfinite(value)) return "null";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
+// Every double renders with 17 significant digits, so it round-trips; a
+// non-finite one (an infinite mixing bound) renders as null.
+std::string JsonNumber(double value) { return base::JsonNumber(value, 17); }
 
 void AppendCertificateJson(const ScenarioCertificate& certificate,
                            std::string* out) {

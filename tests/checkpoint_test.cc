@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 #include <utility>
@@ -24,6 +26,8 @@
 
 #include "base/fnv1a.h"
 #include "base/serial.h"
+#include "serve/json.h"
+#include "serve/render_json.h"
 #include "sim/credit_scenario.h"
 #include "sim/experiment.h"
 
@@ -556,6 +560,53 @@ TEST_F(CorruptionSweepTest, CraftedBodiesAreShapeErrors) {
              get_double(*file_, blob + kOfferWeights) + 1.0);
   ResealBoth(&defaults);
   EXPECT_EQ(Decode(defaults, &snapshot), SnapshotStatus::kShape);
+}
+
+TEST_F(CorruptionSweepTest, ANanInACompletedSeriesRendersAsNull) {
+  // Trial 0's first group series ends in a NaN. The decoder checks the
+  // series' lengths, not their values, so the snapshot resumes; the
+  // document must still be JSON, the NaN rendered as null.
+  sim::ExperimentSnapshot snapshot;
+  ASSERT_EQ(Decode(*file_, &snapshot), SnapshotStatus::kOk);
+  const std::vector<double>& series = snapshot.trials[0].group_impact[0];
+  base::BinaryWriter encoded;
+  encoded.WriteDoubleVector(series);
+  const auto found =
+      std::search(file_->begin(), file_->end(), encoded.buffer().begin(),
+                  encoded.buffer().end());
+  ASSERT_NE(found, file_->end());
+  std::vector<uint8_t> bytes = *file_;
+  const size_t last = static_cast<size_t>(found - file_->begin()) +
+                      encoded.buffer().size() - 8;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(bytes.data() + last, &nan, 8);
+  Reseal(&bytes, 0, bytes.size());
+  ASSERT_EQ(Decode(bytes, &snapshot), SnapshotStatus::kOk);
+  ASSERT_TRUE(std::isnan(snapshot.trials[0].group_impact[0].back()));
+
+  sim::CreditScenario scenario(ScenarioOptions());
+  sim::ExperimentOptions options = Options();
+  options.resume = &snapshot;
+  const sim::ExperimentResult result = sim::RunExperiment(&scenario, options);
+  serve::RenderHeader header;
+  header.num_trials = options.num_trials;
+  header.master_seed = options.master_seed;
+  header.provenance_json = serve::RenderProvenance(
+      /*force_scalar=*/false, /*num_shards=*/0, /*checkpoint_path=*/"",
+      /*resume=*/true, /*extra_json=*/"");
+  const std::string document = serve::RenderExperimentJson(result, header);
+  serve::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(serve::ParseJson(document, &parsed, &error))
+      << error << "\n" << document;
+  const serve::JsonValue* means = parsed.Find("final_group_mean");
+  ASSERT_TRUE(means != nullptr && means->is_array());
+  EXPECT_TRUE(means->items()[0].is_null());
+  EXPECT_TRUE(means->items()[1].is_number());
+  const serve::JsonValue* summary = parsed.Find("summary");
+  ASSERT_NE(summary, nullptr);
+  ASSERT_NE(summary->Find("group_gap"), nullptr);
+  EXPECT_TRUE(summary->Find("group_gap")->is_null());
 }
 
 }  // namespace

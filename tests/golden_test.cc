@@ -427,28 +427,43 @@ TEST(GoldenTest, SparseUlamInvariantMeasures) {
 }
 
 TEST(GoldenTest, CertificateDocuments) {
-  // The whole --certify document at 512 cells, not just its measures:
-  // solver iterations, invariant means, subdominant moduli, gaps and
-  // mixing bounds are all rendered %.17g. The second document is the
-  // uncertified negative case, the ensemble under integral hysteresis.
-  sim::ScenarioCertifyOptions options;
-  options.spectral.num_cells = 512;
-  const auto document_digest =
-      [&options](const std::vector<sim::ScenarioCertificate>& certificates) {
-        const std::string document = sim::RenderScenarioCertificatesJson(
-            certificates, "\"provenance\": {}", options);
-        Fnv1a digest;
-        digest.MixBytes(reinterpret_cast<const uint8_t*>(document.data()),
-                        document.size());
-        return Hex(digest.hash());
-      };
-  EXPECT_EQ(document_digest(sim::CertifyRegisteredScenarios(options)),
-            "d268d1215dfe3824");
-  const std::unique_ptr<sim::Scenario> hysteresis =
-      sim::CreateScenario("ensemble");
-  ASSERT_TRUE(hysteresis->SetParameter("controller", 1.0));
-  EXPECT_EQ(document_digest({sim::CertifyScenario(*hysteresis, options)}),
-            "7a39ddc442d9f4e0");
+  // The whole --certify document, not just its measures: solver
+  // iterations, invariant means, subdominant moduli, gaps and mixing
+  // bounds are all rendered %.17g. The second document of each size is
+  // the uncertified negative case, the ensemble under integral
+  // hysteresis. 1,001 and 2,003 cells are not multiples of four, so the
+  // stationary solver's last rows run outside its four-row slices.
+  const struct {
+    size_t cells;
+    const char* registered;
+    const char* hysteresis;
+  } kSizes[] = {
+      {512, "d268d1215dfe3824", "7a39ddc442d9f4e0"},
+      {1001, "e58e181fa7f8e7d3", "0262bc8542431cf3"},
+      {2003, "2683952806a87810", "b22e8ce2e0f6ac7d"},
+  };
+  for (const auto& size : kSizes) {
+    sim::ScenarioCertifyOptions options;
+    options.spectral.num_cells = size.cells;
+    const auto document_digest =
+        [&options](const std::vector<sim::ScenarioCertificate>& certificates) {
+          const std::string document = sim::RenderScenarioCertificatesJson(
+              certificates, "\"provenance\": {}", options);
+          Fnv1a digest;
+          digest.MixBytes(reinterpret_cast<const uint8_t*>(document.data()),
+                          document.size());
+          return Hex(digest.hash());
+        };
+    EXPECT_EQ(document_digest(sim::CertifyRegisteredScenarios(options)),
+              size.registered)
+        << size.cells << " cells";
+    const std::unique_ptr<sim::Scenario> hysteresis =
+        sim::CreateScenario("ensemble");
+    ASSERT_TRUE(hysteresis->SetParameter("controller", 1.0));
+    EXPECT_EQ(document_digest({sim::CertifyScenario(*hysteresis, options)}),
+              size.hysteresis)
+        << size.cells << " cells";
+  }
 }
 
 TEST(GoldenTest, KernelScalarReferences) {

@@ -6,12 +6,15 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/check.h"
 #include "base/fnv1a.h"
+#include "base/simd_scalar.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/solve.h"
@@ -627,15 +630,12 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
-/// Runs both solvers and both references on `transition` under `product`
-/// and checks every result field bit for bit. The Arnoldi pass takes the
-/// stationary distribution, or the uniform vector when there is none, so
-/// a reducible chain still drives the deflated loop. Returns the reference
-/// stationary result, for the caller to check the case is the one meant.
-linalg::SparseStationaryResult ExpectMatchesReference(
-    const SparseMatrix& transition, const SparseProductOptions& product) {
-  linalg::SparseSolverOptions solver;
-  solver.product = product;
+/// Checks the stationary solver against the reference under `solver`,
+/// bit for bit: measure, iterations, `converged`, `irreducible` and
+/// `terminal_classes`. Returns the reference result.
+linalg::SparseStationaryResult ExpectStationaryMatchesReference(
+    const SparseMatrix& transition,
+    const linalg::SparseSolverOptions& solver) {
   const linalg::SparseStationaryResult expected =
       ReferenceStationaryDistribution(transition, solver);
   const linalg::SparseStationaryResult actual =
@@ -646,13 +646,26 @@ linalg::SparseStationaryResult ExpectMatchesReference(
   EXPECT_EQ(actual.terminal_classes, expected.terminal_classes);
   EXPECT_EQ(actual.distribution.has_value(),
             expected.distribution.has_value());
+  if (actual.distribution && expected.distribution) {
+    EXPECT_TRUE(BitwiseEqual(*actual.distribution, *expected.distribution));
+  }
+  return expected;
+}
+
+/// Runs both solvers and both references on `transition` under `product`
+/// and checks every result field bit for bit. The Arnoldi pass takes the
+/// stationary distribution, or the uniform vector when there is none, so
+/// a reducible chain still drives the deflated loop. Returns the reference
+/// stationary result, for the caller to check the case is the one meant.
+linalg::SparseStationaryResult ExpectMatchesReference(
+    const SparseMatrix& transition, const SparseProductOptions& product) {
+  linalg::SparseSolverOptions solver;
+  solver.product = product;
+  const linalg::SparseStationaryResult expected =
+      ExpectStationaryMatchesReference(transition, solver);
   const size_t n = transition.rows();
   Vector stationary(n, 1.0 / static_cast<double>(n));
-  if (expected.distribution) {
-    EXPECT_TRUE(actual.distribution &&
-                BitwiseEqual(*actual.distribution, *expected.distribution));
-    stationary = *expected.distribution;
-  }
+  if (expected.distribution) stationary = *expected.distribution;
 
   linalg::SubdominantOptions arnoldi;
   arnoldi.product = product;
@@ -738,6 +751,121 @@ TEST(SparseEigenTest, RawLoopsMatchReferenceOnPeriodicAndTwoSinkChains) {
                      {0.0, 0.0, 1.0, 0.0}};
   EXPECT_EQ(ExpectMatchesReference(FromDense(sinks), {}).terminal_classes,
             2u);
+}
+
+/// A chain on n states: each steps to its ring successor and to `extra`
+/// random states (repeats coalesce), at random weights. The ring keeps it
+/// irreducible and gives the adjoint's row 0 the column n - 1, so the
+/// solver's look-ahead reaches the last state at its first slice; the
+/// random steps give the adjoint's rows different lengths inside a slice.
+SparseMatrix RingWithRandomSteps(size_t n, size_t extra, uint64_t seed) {
+  rng::Random random(seed);
+  SparseMatrix::Builder builder(n, n);
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<size_t> targets = {(r + 1) % n};
+    for (size_t k = 0; k < extra; ++k) {
+      targets.push_back(random.UniformInt(n));
+    }
+    std::vector<double> weights;
+    double total = 0.0;
+    for (size_t k = 0; k < targets.size(); ++k) {
+      weights.push_back(random.UniformDouble(0.05, 1.0));
+      total += weights.back();
+    }
+    for (size_t k = 0; k < targets.size(); ++k) {
+      builder.Add(r, targets[k], weights[k] / total);
+    }
+  }
+  return builder.Build();
+}
+
+TEST(SparseEigenTest, SlicedLoopMatchesReferenceInBothLanes) {
+  // The solver runs its adjoint in slices of four rows; these chains put
+  // whole slices, tail rows past the last slice, uneven rows inside a
+  // slice, an empty adjoint row, a look-ahead that reaches the last state
+  // at once and one that lags a slice behind, a periodic chain and two
+  // sinks through both lanes: to convergence, cut off after one and two
+  // iterations, and under a tolerance the first step meets.
+  std::vector<std::pair<std::string, SparseMatrix>> chains;
+  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{7}}) {
+    chains.emplace_back("n = " + std::to_string(n),
+                        RingWithRandomSteps(n, 2, 50 + n));
+  }
+  chains.emplace_back("uneven rows", RingWithRandomSteps(41, 5, 43));
+  {
+    // Each state below 7 steps four ahead, so rows 0-3 read nothing and
+    // rows 4-6 only states of the slice before them: only its own rows
+    // make the first slice normalise its part of the iterate. States
+    // 7-10 form the one recurrent class.
+    rng::Random random(59);
+    Matrix shift(11, 11);
+    for (size_t r = 0; r < 7; ++r) shift(r, r + 4) = 1.0;
+    for (size_t r = 7; r < 11; ++r) {
+      double total = 0.0;
+      for (size_t c = 7; c < 11; ++c) {
+        shift(r, c) = random.UniformDouble(0.05, 1.0);
+        total += shift(r, c);
+      }
+      for (size_t c = 7; c < 11; ++c) shift(r, c) /= total;
+    }
+    chains.emplace_back("shift by four", FromDense(shift));
+  }
+  {
+    // No state steps into state 0: the adjoint's row 0 is empty.
+    Matrix transient = RingWithRandomSteps(9, 3, 47).ToDense();
+    for (size_t r = 0; r < 9; ++r) {
+      const double into_zero = transient(r, 0);
+      transient(r, 0) = 0.0;
+      transient(r, 1 + r % 8) += into_zero;
+    }
+    chains.emplace_back("transient", FromDense(transient));
+  }
+  {
+    // Period 2: states 0-2 step only to 3-6 and back, at uneven weights.
+    rng::Random random(53);
+    Matrix bipartite(7, 7);
+    for (size_t r = 0; r < 7; ++r) {
+      const size_t begin = r < 3 ? 3 : 0;
+      const size_t end = r < 3 ? 7 : 3;
+      double total = 0.0;
+      for (size_t c = begin; c < end; ++c) {
+        bipartite(r, c) = random.UniformDouble(0.05, 1.0);
+        total += bipartite(r, c);
+      }
+      for (size_t c = begin; c < end; ++c) bipartite(r, c) /= total;
+    }
+    chains.emplace_back("periodic", FromDense(bipartite));
+  }
+  chains.emplace_back("two sinks", FromDense(Matrix{{0.0, 1.0, 0.0, 0.0},
+                                                    {1.0, 0.0, 0.0, 0.0},
+                                                    {0.0, 0.0, 0.0, 1.0},
+                                                    {0.0, 0.0, 1.0, 0.0}}));
+  for (const bool force_scalar : {false, true}) {
+    base::SetSimdForceScalarForTesting(force_scalar);
+    for (const auto& chain : chains) {
+      SCOPED_TRACE(testing::Message()
+                   << chain.first << (force_scalar ? ", scalar" : ", lane"));
+      const linalg::SparseStationaryResult solved =
+          ExpectStationaryMatchesReference(chain.second, {});
+      EXPECT_EQ(solved.converged, chain.first != "two sinks");
+      for (const int cap : {1, 2}) {
+        linalg::SparseSolverOptions solver;
+        solver.max_iterations = cap;
+        const linalg::SparseStationaryResult cut =
+            ExpectStationaryMatchesReference(chain.second, solver);
+        if (chain.second.rows() >= 5) {
+          EXPECT_FALSE(cut.converged) << cap;
+        }
+      }
+      // A tolerance every step meets: the first iteration converges.
+      linalg::SparseSolverOptions loose;
+      loose.tolerance = 2.0;
+      const linalg::SparseStationaryResult first =
+          ExpectStationaryMatchesReference(chain.second, loose);
+      EXPECT_EQ(first.iterations, chain.first == "two sinks" ? 0 : 1);
+    }
+  }
+  base::SetSimdForceScalarForTesting(false);
 }
 
 TEST(SparseEigenTest, RawLoopsMatchReferenceOnCreditSurrogate) {

@@ -314,6 +314,31 @@ TEST(ServeProtocol, BothCodecsRejectTheSameSpecs) {
   }
 }
 
+TEST(ServeProtocol, CountRefusalsSpellTheBoundAsTheFlagsTakeIt) {
+  // The count flags take decimal digits only, so a refusal that named
+  // the bound as 1e15 named a spelling the same flags refuse.
+  const struct {
+    const char* flag;
+    const char* message;
+  } cases[] = {
+      {"--trials=1e3",
+       "bad --trials=1e3 (want a non-negative integer <= 1000000000000000)"},
+      {"--trials=0", "'trials' must be a positive integer <= 1000000000000000"},
+  };
+  for (const auto& test_case : cases) {
+    JobSpec spec;
+    std::string error;
+    EXPECT_FALSE(eqimpact::serve::ParseJobFlags({test_case.flag}, &spec,
+                                                nullptr, &error));
+    EXPECT_EQ(error, test_case.message);
+  }
+  // The bound as the messages spell it is a count the flags take.
+  size_t count = 0;
+  EXPECT_TRUE(eqimpact::serve::ParseCountFlag("1000000000000000", &count));
+  EXPECT_EQ(count, size_t{1000000000000000});
+  EXPECT_FALSE(eqimpact::serve::ParseCountFlag("1000000000000001", &count));
+}
+
 TEST(ServeProtocol, FlagCodecHandsBackTheBinarysOwnFlags) {
   const std::vector<std::string> args = {"--resume", "--scenario=credit",
                                          "--set", "a=1", "--checkpoint=ck.bin",
