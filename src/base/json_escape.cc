@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "base/check.h"
+
 namespace eqimpact {
 namespace base {
 
@@ -32,11 +34,17 @@ std::string JsonEscape(const std::string& text) {
   return out;
 }
 
-std::string JsonNumber(double value, int significant_digits) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*g", significant_digits, value);
-  return buffer;
+void AppendJsonNumber(std::string* out, double value,
+                      int significant_digits) {
+  EQIMPACT_CHECK(significant_digits >= 1 && significant_digits <= 17);
+  if (!std::isfinite(value)) {
+    out->append("null");
+    return;
+  }
+  char buffer[32];
+  const int length = std::snprintf(buffer, sizeof(buffer), "%.*g",
+                                   significant_digits, value);
+  out->append(buffer, static_cast<size_t>(length));
 }
 
 }  // namespace base

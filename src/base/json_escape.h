@@ -13,12 +13,14 @@ namespace base {
 /// document (sim/certify.cc) call it.
 std::string JsonEscape(const std::string& text);
 
-/// `value` as a JSON number: printf's %.*g with `significant_digits`
-/// digits, or null when the value is not finite (NaN and the infinities
-/// are not JSON). The library's one number renderer: the run_experiment
-/// documents (serve/render_json.cc, 9 digits) and the --certify document
-/// (sim/certify.cc, 17) write every double through it.
-std::string JsonNumber(double value, int significant_digits);
+/// Appends `value` to `out` as a JSON number: printf's %.*g with
+/// `significant_digits` (1 to 17) digits, or null when the value is not
+/// finite (NaN and the infinities are not JSON). The library's one
+/// number renderer: the run_experiment documents (serve/render_json.cc,
+/// 9 digits) and the --certify document (sim/certify.cc, 17) write every
+/// double through it.
+void AppendJsonNumber(std::string* out, double value,
+                      int significant_digits);
 
 }  // namespace base
 }  // namespace eqimpact

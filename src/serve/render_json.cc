@@ -16,8 +16,8 @@ namespace {
 /// format string the pre-refactor CLI printed, so the rendered document
 /// is byte-identical to the historical output. Every string it prints
 /// inside quotes goes through base::JsonEscape first, which leaves a
-/// plain string's bytes as they are, and every double through Number,
-/// which leaves a finite value's bytes as they are.
+/// plain string's bytes as they are; every double goes through
+/// AppendNumber instead, which writes a finite value as %.9g did.
 #if defined(__GNUC__)
 __attribute__((format(printf, 2, 3)))
 #endif
@@ -40,9 +40,19 @@ void Appendf(std::string* out, const char* format, ...) {
   va_end(args);
 }
 
-/// A double as the documents print it: %.9g, or null when it is not
-/// finite (a NaN a resumed checkpoint carried into a trial's series).
-std::string Number(double value) { return base::JsonNumber(value, 9); }
+/// Appends a double as the documents print it: %.9g, or null when it is
+/// not finite (a NaN a resumed checkpoint carried into a trial's series).
+void AppendNumber(std::string* out, double value) {
+  base::AppendJsonNumber(out, value, 9);
+}
+
+/// Appends `values` as comma-separated numbers.
+void AppendNumbers(std::string* out, const std::vector<double>& values) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out->append(", ");
+    AppendNumber(out, values[i]);
+  }
+}
 
 void AppendStringArray(std::string* out,
                        const std::vector<std::string>& values) {
@@ -57,12 +67,12 @@ void AppendStringArray(std::string* out,
 void AppendSummary(std::string* out,
                    const sim::EqualImpactSummary& summary,
                    const char* indent) {
-  Appendf(out, "%s\"group_gap\": %s,\n", indent,
-          Number(summary.group_gap).c_str());
-  Appendf(out, "%s\"pooled_std\": %s,\n", indent,
-          Number(summary.pooled_std).c_str());
-  Appendf(out, "%s\"pooled_mean\": %s", indent,
-          Number(summary.pooled_mean).c_str());
+  Appendf(out, "%s\"group_gap\": ", indent);
+  AppendNumber(out, summary.group_gap);
+  Appendf(out, ",\n%s\"pooled_std\": ", indent);
+  AppendNumber(out, summary.pooled_std);
+  Appendf(out, ",\n%s\"pooled_mean\": ", indent);
+  AppendNumber(out, summary.pooled_mean);
 }
 
 void AppendHeader(std::string* out, const RenderHeader& header,
@@ -117,17 +127,18 @@ std::string RenderExperimentJson(const sim::ExperimentResult& result,
   out.append("  \"final_group_mean\": [");
   const size_t last = result.step_labels.size() - 1;
   for (size_t g = 0; g < result.group_envelopes.size(); ++g) {
-    Appendf(&out, "%s%s", Number(result.group_envelopes[g].mean[last]).c_str(),
-            g + 1 < result.group_envelopes.size() ? ", " : "");
+    if (g > 0) out.append(", ");
+    AppendNumber(&out, result.group_envelopes[g].mean[last]);
   }
   out.append("],\n");
   out.append("  \"metrics\": {\n");
   for (size_t m = 0; m < result.metric_names.size(); ++m) {
-    Appendf(&out, "    \"%s\": {\"mean\": %s, \"std\": %s}%s\n",
-            base::JsonEscape(result.metric_names[m]).c_str(),
-            Number(result.metric_stats[m].Mean()).c_str(),
-            Number(result.metric_stats[m].StdDev()).c_str(),
-            m + 1 < result.metric_names.size() ? "," : "");
+    Appendf(&out, "    \"%s\": {\"mean\": ",
+            base::JsonEscape(result.metric_names[m]).c_str());
+    AppendNumber(&out, result.metric_stats[m].Mean());
+    out.append(", \"std\": ");
+    AppendNumber(&out, result.metric_stats[m].StdDev());
+    out.append(m + 1 < result.metric_names.size() ? "},\n" : "}\n");
   }
   out.append("  },\n");
   out.append("  \"summary\": {\n");
@@ -156,15 +167,9 @@ std::string RenderSweepJson(const sim::SweepResult& result,
   for (size_t p = 0; p < result.points.size(); ++p) {
     const sim::SweepPoint& point = result.points[p];
     out.append("    {\"values\": [");
-    for (size_t v = 0; v < point.values.size(); ++v) {
-      Appendf(&out, "%s%s", Number(point.values[v]).c_str(),
-              v + 1 < point.values.size() ? ", " : "");
-    }
+    AppendNumbers(&out, point.values);
     out.append("], \"metric_means\": [");
-    for (size_t m = 0; m < point.metric_means.size(); ++m) {
-      Appendf(&out, "%s%s", Number(point.metric_means[m]).c_str(),
-              m + 1 < point.metric_means.size() ? ", " : "");
-    }
+    AppendNumbers(&out, point.metric_means);
     out.append("],\n");
     AppendSummary(&out, point.summary, "     ");
     Appendf(&out, ",\n     \"digest\": \"%016llx\"}%s\n",

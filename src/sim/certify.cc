@@ -14,7 +14,11 @@ namespace {
 
 // Every double renders with 17 significant digits, so it round-trips; a
 // non-finite one (an infinite mixing bound) renders as null.
-std::string JsonNumber(double value) { return base::JsonNumber(value, 17); }
+std::string JsonNumber(double value) {
+  std::string out;
+  base::AppendJsonNumber(&out, value, 17);
+  return out;
+}
 
 void AppendCertificateJson(const ScenarioCertificate& certificate,
                            std::string* out) {
