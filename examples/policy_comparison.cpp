@@ -58,7 +58,7 @@ PolicyOutcome RunPolicy(const credit::LendingPolicy& policy,
 
   credit::IncomeModel income_model;
   credit::Population population(kUsers, &race_rng);
-  credit::AdrFilter filter(population.races());
+  credit::AdrFilter filter(kUsers);
   std::vector<bool> ever_defaulted(kUsers, false);
   // Incomes are resampled yearly (the paper's protocol), so class
   // statistics are pooled per decision: the class is the income code at
@@ -100,9 +100,15 @@ PolicyOutcome RunPolicy(const credit::LendingPolicy& policy,
       applications[0] > 0 ? approvals[0] / applications[0] : 0.0;
   outcome.approval_high =
       applications[1] > 0 ? approvals[1] / applications[1] : 0.0;
+  // Mean ADR per race, each race's sum taken in user order.
+  std::vector<double> race_sum(credit::kNumRaces, 0.0);
+  for (size_t i = 0; i < kUsers; ++i) {
+    race_sum[population.race_ids()[i]] += filter.UserAdr(i);
+  }
   for (size_t r = 0; r < credit::kNumRaces; ++r) {
+    const size_t members = population.CountRace(static_cast<credit::Race>(r));
     outcome.race_adr.push_back(
-        filter.RaceAdr(static_cast<credit::Race>(r)));
+        members == 0 ? 0.0 : race_sum[r] / static_cast<double>(members));
   }
   return outcome;
 }

@@ -32,8 +32,9 @@ with the verdicts. Exit code: 0 if no pair was dropped.
 After the verdicts the script reports the code layout of the two
 `.bench_build/perfbench/perfbench` binaries it ran, read with `nm -C`:
 the address mod 32 of each hot symbol on each side (the credit engine's
-year, the filter summary, the binned refit, the accumulator's fold, the
-sparse stationary solver and the AVX2 kernels), and how many of the
+year, its chunk pass and in-order stages, the binned refit, the
+accumulator's fold, the sparse stationary solver and the AVX2 kernels),
+and how many of the
 `eqimpact::` text symbols both binaries hold moved mod 32. On Intel
 CPUs with the jump-conditional-code erratum a hot loop that moves mod 32
 can shift a reading by several percent with its code untouched, so an
@@ -133,11 +134,25 @@ def judge(pairs, better, bound):
 
 # Demangled names of the hot functions the layout report follows.
 HOT_SYMBOLS = re.compile(
-    r"CreditScoringLoop::Run\(|AdrFilter::Summarize\(|"
+    r"CreditScoringLoop::Run\(|StepYear\(|ForEachChunk\(|"
+    r"ChunkStages::Done\(|AdrAccumulator::AddRun\(|"
     r"BinnedDataset::AddRow\(|BinnedDataset::AddCounts\(|"
     r"LogisticRegression::Fit\(|AdrAccumulator::FoldRuns<|"
     r"SparseStationaryDistribution\(|Avx2\(")
 NM_TEXT = re.compile(r"^([0-9a-f]+) [tTwW] (.*)$")
+# The chunk pass and the stages are lambdas called through std::function.
+HANDLER = re.compile(r"std::_Function_handler<.*?, (eqimpact::.*)>::_M_invoke\(")
+
+
+def short_name(name):
+    """A hot symbol as the report prints it: a std::function handler as
+    its lambda, without namespaces or StepYear's parameter list."""
+    match = HANDLER.match(name)
+    if match:
+        name = match.group(1)
+    name = name.replace("(anonymous namespace)::", "").replace(
+        "eqimpact::", "")
+    return re.sub(r"StepYear\(.*?\)::", "StepYear()::", name)
 
 
 def text_symbols(binary):
@@ -178,8 +193,7 @@ def report_layout(trees):
         cells = [",".join(str(m) for m in symbols[side][name])
                  if name in symbols[side] else "-"
                  for side in ("base", "head")]
-        print("  %5s %5s  %s" % (cells[0], cells[1],
-                                 name.replace("eqimpact::", "")))
+        print("  %5s %5s  %s" % (cells[0], cells[1], short_name(name)))
     common = [name for name in symbols["base"]
               if "eqimpact::" in name and name in symbols["head"]]
     moved = sum(1 for name in common

@@ -1,14 +1,12 @@
 #ifndef EQIMPACT_CREDIT_ADR_FILTER_H_
 #define EQIMPACT_CREDIT_ADR_FILTER_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "base/check.h"
-#include "credit/race.h"
 
 namespace eqimpact {
 namespace credit {
@@ -19,8 +17,9 @@ namespace credit {
 /// A *default* is a mortgage offered but not repaid: y_i(k) = 0 given
 /// pi(k, i) = 1. For user i,
 ///   ADR_i(k) = (#defaults of i up to k) / (#offers to i up to k),
-/// and 0 before the first offer. The race-wise rate ADR_s(k) is the mean
-/// of ADR_i(k) over users of race s.
+/// and 0 before the first offer. The race-wise rate ADR_s(k), the mean
+/// of ADR_i(k) over users of race s, is the credit engine's to compute
+/// (it folds it inside its yearly pass); the filter knows no races.
 ///
 /// Storage is structure-of-arrays (parallel weight/count vectors); the
 /// per-user `Update`/`UserAdr` pair is inline and touches only user i's
@@ -32,18 +31,17 @@ namespace credit {
 /// (the accumulating average corresponds to forgetting_factor = 1).
 class AdrFilter {
  public:
-  /// Filter over `num_users` users with the given races (used for the
-  /// race-wise aggregates). `forgetting_factor` in (0, 1]; 1 reproduces
-  /// the paper's accumulating average exactly.
-  AdrFilter(std::vector<Race> races, double forgetting_factor = 1.0);
+  /// Filter over `num_users` users (at least one). `forgetting_factor`
+  /// in (0, 1]; 1 reproduces the paper's accumulating average exactly.
+  explicit AdrFilter(size_t num_users, double forgetting_factor = 1.0);
 
-  size_t num_users() const { return races_.size(); }
+  size_t num_users() const { return offer_weight_.size(); }
 
   /// Records the outcome of user `i` at the current step: whether a
   /// mortgage was offered and whether it was repaid. Non-offers leave the
   /// user's ADR unchanged (no repayment event takes place).
   void Update(size_t i, bool offered, bool repaid) {
-    EQIMPACT_CHECK_LT(i, races_.size());
+    EQIMPACT_CHECK_LT(i, offer_weight_.size());
     if (!offered) return;
     offer_weight_[i] = forgetting_factor_ * offer_weight_[i] + 1.0;
     default_weight_[i] =
@@ -53,7 +51,7 @@ class AdrFilter {
 
   /// ADR_i after all updates so far (0 before any offer).
   double UserAdr(size_t i) const {
-    EQIMPACT_CHECK_LT(i, races_.size());
+    EQIMPACT_CHECK_LT(i, offer_weight_.size());
     if (offer_weight_[i] <= 0.0) return 0.0;
     return default_weight_[i] / offer_weight_[i];
   }
@@ -67,26 +65,13 @@ class AdrFilter {
   /// and default counts), which is what lets the credit engine index its
   /// dense (offers, defaults) -> history-group table off them.
   double UserOfferWeight(size_t i) const {
-    EQIMPACT_CHECK_LT(i, races_.size());
+    EQIMPACT_CHECK_LT(i, offer_weight_.size());
     return offer_weight_[i];
   }
   double UserDefaultWeight(size_t i) const {
-    EQIMPACT_CHECK_LT(i, races_.size());
+    EQIMPACT_CHECK_LT(i, offer_weight_.size());
     return default_weight_[i];
   }
-
-  /// Mean of UserAdr over the users of `race`; 0 if the race is absent.
-  double RaceAdr(Race race) const;
-
-  /// Every per-year aggregate of the loop in one pass over the users.
-  struct Summary {
-    /// Mean of UserAdr per race, indexed by Race enum value (0 for an
-    /// absent race).
-    std::array<double, kNumRaces> race_adr;
-    /// Mean of UserAdr over all users.
-    double overall_adr = 0.0;
-  };
-  Summary Summarize() const;
 
   /// Writes UserAdr(i) for every i in [begin, end) into
   /// out[0..end - begin) through the vectorized guarded-ratio kernel —
@@ -99,7 +84,7 @@ class AdrFilter {
   std::vector<double> UserAdrSnapshot() const;
 
   /// Raw per-user state arrays — the checkpoint layer's serialization
-  /// view (index-aligned with races()).
+  /// view.
   const std::vector<double>& offer_weights() const { return offer_weight_; }
   const std::vector<double>& default_weights() const {
     return default_weight_;
@@ -112,23 +97,21 @@ class AdrFilter {
   void RestoreState(std::vector<double> offer_weight,
                     std::vector<double> default_weight,
                     std::vector<int64_t> offer_count) {
-    EQIMPACT_CHECK_EQ(offer_weight.size(), races_.size());
-    EQIMPACT_CHECK_EQ(default_weight.size(), races_.size());
-    EQIMPACT_CHECK_EQ(offer_count.size(), races_.size());
+    EQIMPACT_CHECK_EQ(offer_weight.size(), offer_weight_.size());
+    EQIMPACT_CHECK_EQ(default_weight.size(), offer_weight_.size());
+    EQIMPACT_CHECK_EQ(offer_count.size(), offer_weight_.size());
     offer_weight_ = std::move(offer_weight);
     default_weight_ = std::move(default_weight);
     offer_count_ = std::move(offer_count);
   }
 
  private:
-  std::vector<Race> races_;
   double forgetting_factor_;
   // With forgetting factor 1 these are plain counters; otherwise they are
   // exponentially weighted sums (weight and weighted default count).
   std::vector<double> offer_weight_;
   std::vector<double> default_weight_;
   std::vector<int64_t> offer_count_;
-  size_t race_counts_[kNumRaces] = {0, 0, 0};
 };
 
 }  // namespace credit

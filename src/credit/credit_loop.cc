@@ -17,6 +17,7 @@
 #include "ml/binned_dataset.h"
 #include "ml/scorecard.h"
 #include "rng/random.h"
+#include "runtime/chunk_stages.h"
 #include "runtime/kernels.h"
 #include "runtime/parallel_for.h"
 #include "runtime/seed_sequence.h"
@@ -90,13 +91,14 @@ inline size_t DenseSlot(uint32_t offers, uint32_t defaults, uint32_t code) {
 // slower than handing out single chunks, four per worker matched it.
 constexpr size_t kShardsPerWorker = 4;
 
-// Scratch of the kernel passes, index-aligned within the chunk being
+// Scratch of the kernel pass, index-aligned within the chunk being
 // run. Owned by a shard (a few per worker) rather than by a chunk, and
 // kept across years, so steady-state years run the vector kernels over
 // warm buffers without a single allocation.
 struct ChunkScratch {
-  std::vector<double> income_uniforms;  // 2 pre-drawn draws per user.
-  std::vector<double> adr;              // Trailing ADR features.
+  std::vector<double> income_uniforms;     // 2 pre-drawn draws per user.
+  std::vector<double> repayment_uniforms;  // 1 pre-drawn draw per user.
+  std::vector<double> adr;  // Trailing ADR features, then updated ADRs.
   std::vector<double> code;             // Income codes.
   std::vector<unsigned char> approved;  // Score-test outcomes.
   std::vector<uint32_t> indices;        // Approved users' chunk offsets.
@@ -229,7 +231,7 @@ struct TrialState {
 TrialState::TrialState(const CreditLoopOptions& options, Population cohort,
                        const ml::LogisticRegressionOptions& trainer_options)
     : population(std::move(cohort)),
-      filter(population.races(), options.forgetting_factor),
+      filter(population.size(), options.forgetting_factor),
       history(2, HistoryOptions(options)),
       trainer(trainer_options) {
   const size_t num_years = NumYears(options);
@@ -400,46 +402,58 @@ base::SnapshotStatus DecodeTrialState(
 
 // What Run builds once and keeps across years: the dispatch and its
 // pool, the shard plan, per-chunk yields, per-shard kernel scratch, the
-// year's draws and ADR snapshot, and the dense fold's slot rows and
-// cache. None of it is checkpointed; a resumed trial rebuilds it from
-// the options, so a snapshot never depends on the thread count.
+// year's ADR snapshot and race-grouped ADRs, and the dense fold's slot
+// rows and cache. None of it is checkpointed; a resumed trial rebuilds
+// it from the options and the cohort, so a snapshot never depends on
+// the thread count.
 struct Workspace {
   using ChunkBody = std::function<void(size_t, size_t, size_t, size_t)>;
 
   Workspace(const CreditLoopOptions& options, bool observed);
 
-  // Runs chunk_body(shard, chunk, begin, end) over every chunk: the
-  // population is cut into kShardsPerWorker shards per worker of whole,
-  // contiguous chunks, and each shard is one ParallelFor iteration
-  // walking its chunks in order. Every thread count executes exactly the
-  // same chunk bodies on exactly the same (chunk, begin, end) triples —
-  // sharding regroups execution, never the work. A shard runs on one
-  // worker at a time, so it picks the kernel scratch, never an output.
-  void ForEachChunk(const ChunkBody& chunk_body) const {
+  // Lays the race-grouped ADR buffer out for `race_ids`: chunk c's
+  // users, race 0's first, then race 1's, ..., each in user order.
+  void GroupByRace(const std::vector<uint8_t>& race_ids);
+
+  // Runs chunk_body(shard, chunk, begin, end) over every chunk, then
+  // stages->Done(chunk): the population is cut into kShardsPerWorker
+  // shards per worker of whole, contiguous chunks, and each shard is one
+  // ParallelFor iteration walking its chunks in order. Every thread
+  // count executes exactly the same chunk bodies on exactly the same
+  // (chunk, begin, end) triples — sharding regroups execution, never
+  // the work. A shard runs on one worker at a time, so it picks the
+  // kernel scratch, never an output.
+  void ForEachChunk(const ChunkBody& chunk_body,
+                    runtime::ChunkStages* stages) const {
     runtime::ParallelFor(
         plan.num_shards(),
         [&](size_t s) {
           const runtime::ShardRange& shard = plan.shards[s];
           for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
-            const size_t begin = c * chunk_size;
-            const size_t end = std::min(begin + chunk_size, num_users);
-            chunk_body(s, c, begin, end);
+            chunk_body(s, c, ChunkBegin(c), ChunkEnd(c));
+            stages->Done(c);
           }
         },
         dispatch);
+  }
+
+  size_t ChunkBegin(size_t c) const { return c * chunk_size; }
+  size_t ChunkEnd(size_t c) const {
+    return std::min(ChunkBegin(c) + chunk_size, num_users);
   }
 
   const CreditLoopOptions& options;
   const size_t num_users;
   const size_t num_years;
   const size_t chunk_size;
+  const size_t num_chunks;
   const runtime::SeedSequence income_streams;
   const runtime::SeedSequence repayment_streams;
   const IncomeModel income_model;
   const RepaymentModel repayment;
   const std::vector<ml::ScorecardFactor> factor_templates;
   // Within-trial dispatch: one persistent pool for the whole trial (the
-  // per-year passes are far too fine-grained to spawn threads per call).
+  // per-year pass is far too fine-grained to spawn threads per call).
   runtime::ParallelForOptions dispatch;
   std::unique_ptr<runtime::ThreadPool> pool;
   runtime::ShardPlan plan;
@@ -452,12 +466,16 @@ struct Workspace {
   std::vector<double> slot_rows;
   std::vector<uint32_t> dense_groups;
   // Reused per-year buffers. The snapshot (every user's post-update
-  // ADR) is written chunk by chunk in pass 2, only when someone reads it.
-  std::vector<double> uniforms;
+  // ADR) is written chunk by chunk, only when someone reads it.
   std::vector<ChunkYield> yields;
   std::vector<ChunkScratch> scratches;
   const bool snapshot_users;
   std::vector<double> adr_snapshot;
+  // With options.impacts: the post-update ADRs grouped by race within
+  // each chunk; race r's run of chunk c starts at race_starts[(kNumRaces
+  // + 1) * c + r] and ends where race r + 1's starts.
+  std::vector<double> by_race;
+  std::vector<size_t> race_starts;
 };
 
 Workspace::Workspace(const CreditLoopOptions& options, bool observed)
@@ -465,6 +483,7 @@ Workspace::Workspace(const CreditLoopOptions& options, bool observed)
       num_users(options.num_users),
       num_years(NumYears(options)),
       chunk_size(options.users_per_chunk),
+      num_chunks(runtime::NumChunks(num_users, chunk_size)),
       income_streams(runtime::SeedSequence(options.seed).Child(kIncomeStream)),
       repayment_streams(
           runtime::SeedSequence(options.seed).Child(kRepaymentStream)),
@@ -475,9 +494,8 @@ Workspace::Workspace(const CreditLoopOptions& options, bool observed)
   // A caller-owned pool (options.pool) replaces the engine's own, so
   // sequential multi-trial drivers amortize one pool across trials; the
   // worker count never affects the output. A one-chunk trial runs
-  // everything inline on this thread, even when handed a pool, and so
-  // does every observer that fans out over YearSnapshot::dispatch.
-  const size_t num_chunks = runtime::NumChunks(num_users, chunk_size);
+  // everything inline on this thread, its stages too, even when handed
+  // a pool.
   dispatch.num_threads = 1;
   if (num_chunks > 1 && options.pool != nullptr) {
     dispatch.pool = options.pool;
@@ -512,7 +530,6 @@ Workspace::Workspace(const CreditLoopOptions& options, bool observed)
   }
   dense_groups.assign(dense_slots, ml::BinnedDataset::kNoSlotGroup);
 
-  uniforms.resize(num_users);
   yields.resize(num_chunks);
   if (dense_fold) {
     for (ChunkYield& yield : yields) yield.counts = ml::SlotCounts(dense_slots);
@@ -521,8 +538,22 @@ Workspace::Workspace(const CreditLoopOptions& options, bool observed)
   adr_snapshot.resize(snapshot_users ? num_users : 0);
 }
 
-// Simulates year years_completed of `state` on `workspace` and hands the
-// observer its cross-section.
+void Workspace::GroupByRace(const std::vector<uint8_t>& race_ids) {
+  by_race.resize(num_users);
+  race_starts.assign((kNumRaces + 1) * num_chunks, 0);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    size_t* starts = &race_starts[(kNumRaces + 1) * c];
+    for (size_t i = ChunkBegin(c); i < ChunkEnd(c); ++i) {
+      ++starts[race_ids[i] + 1];
+    }
+    starts[0] = ChunkBegin(c);
+    for (size_t r = 0; r < kNumRaces; ++r) starts[r + 1] += starts[r];
+  }
+}
+
+// Simulates year years_completed of `state` on `workspace`, folding its
+// cross-section into options.impacts when set, and hands the observer
+// its cross-section.
 void StepYear(TrialState* state, Workspace* workspace,
               const YearObserver& observer) {
   const CreditLoopOptions& options = workspace->options;
@@ -535,45 +566,19 @@ void StepYear(TrialState* state, Workspace* workspace,
   const RepaymentModel& repayment = workspace->repayment;
   const std::vector<uint8_t>& race_ids = population.race_ids();
   const std::vector<double>& incomes = population.incomes();
-  std::vector<double>& uniforms = workspace->uniforms;
   std::vector<ChunkYield>& yields = workspace->yields;
   std::vector<ChunkScratch>& scratches = workspace->scratches;
   std::vector<double>& adr_snapshot = workspace->adr_snapshot;
   const bool dense_fold = workspace->dense_fold;
   const bool snapshot_users = workspace->snapshot_users;
+  stats::AdrAccumulator* const impacts = options.impacts;
   result.years.push_back(year);
-
-  // Pass 1 — pre-draw: resample every income for this year and draw one
-  // repayment uniform per user, chunk by chunk. Each chunk owns RNG
-  // streams derived from (stream root, year, chunk index), so the
-  // filled arrays depend only on (seed, users_per_chunk), never on
-  // which worker ran the chunk. Drawing the uniform unconditionally
-  // (the legacy path drew only for approved users with positive
-  // repayment probability) is what decouples the draws from the
-  // decisions and makes the scoring sweep embarrassingly parallel.
-  // Every draw goes through the generator's multi-stream batch fill
-  // (bit-for-bit the sequential stream): one FillUniformDouble for the
-  // chunk's 2-per-user income draws, transformed by the year sampler,
-  // and one for its repayment uniforms.
-  const YearIncomeSampler sampler(workspace->income_model, year);
-  const runtime::SeedSequence income_year = workspace->income_streams.Child(k);
-  const runtime::SeedSequence repayment_year =
-      workspace->repayment_streams.Child(k);
-  workspace->ForEachChunk([&](size_t s, size_t c, size_t begin, size_t end) {
-    rng::Random income_rng(income_year.Seed(c));
-    rng::Random repayment_rng(repayment_year.Seed(c));
-    ChunkScratch& scratch = scratches[s];
-    const size_t count = end - begin;
-    scratch.income_uniforms.resize(2 * count);
-    income_rng.FillUniformDouble(scratch.income_uniforms.data(), 2 * count);
-    population.ResampleIncomesFromUniforms(sampler, begin, end,
-                                           scratch.income_uniforms.data());
-    repayment_rng.FillUniformDouble(&uniforms[begin], count);
-  });
 
   // Retrain the AI system once the warm-up has produced data. If the
   // fit is impossible (single-class history) or fails, the previous
   // scorecard — or the warm-up policy if none exists — stays in force.
+  // The fit reads only the history of earlier years, so it runs before
+  // the year's pass.
   if (k >= options.warmup_steps && history.HasBothClasses()) {
     ml::FitResult fit = state->trainer.Fit(history);
     if (fit.success) {
@@ -586,6 +591,7 @@ void StepYear(TrialState* state, Workspace* workspace,
       card.intercept = state->trainer.intercept();
     }
   }
+  if (!options.accumulate_history) history.Clear();
 
   // The year's policy, reduced to scalars: during warm-up (or before
   // the first successful fit) everyone is approved; afterwards the
@@ -605,26 +611,89 @@ void StepYear(TrialState* state, Workspace* workspace,
       use_scorecard ? state->scorecard->factor(1).score : 0.0;
   score_params.cutoff = options.cutoff;
 
-  // Pass 2 — scoring sweep: decide, act, filter. Each user touches only
-  // their own filter slots, each chunk writes only its own yield and
-  // snapshot range, and the kernel scratch belongs to the shard running
-  // the chunk, so chunks run concurrently; the pre-drawn uniform makes
-  // the repayment action a pure function of (income, uniform). The
-  // per-user work is staged through the vector kernels: trailing ADRs
-  // and the code/score/cut-off test sweep branch-free over the SoA
-  // arrays (ScoreSweep replicates Scorecard::Score's evaluation order,
-  // pinned to ScorecardPolicy::Decide by
-  // CreditLoopTest.InlineApprovalRuleMatchesScorecardPolicy; NaN
-  // scores decline, like the legacy !(score > cutoff) test), approved
-  // incomes are compacted so the expensive normal CDF runs only for
-  // them, and a final scalar loop applies the repayment action and
-  // filter update in user order. The chunk then writes its users'
-  // post-update ADRs into the year's snapshot.
-  workspace->ForEachChunk([&](size_t s, size_t c, size_t begin, size_t end) {
-    ChunkYield& yield = yields[c];
+  // The stages, chains in user order that take each chunk once it is
+  // done. Stage 0 folds the chunk's tally into the grouped history in
+  // chunk order, so group indices, and with them the fit's order, are
+  // the same at every thread count, and adds the chunk's offers and
+  // ADRs to the year's sums in user order. Each race's register adds
+  // +0.0 for other races' users, which moves no bit: every ADR is >= +0,
+  // so no sum is ever -0.0. One stage per race folds its run of the
+  // chunk into cell (k, race).
+  std::array<size_t, kNumRaces> race_offers = {0, 0, 0};
+  std::array<double, kNumRaces> race_sum = {0.0, 0.0, 0.0};
+  double overall_sum = 0.0;
+  std::vector<runtime::ChunkStages::Stage> stages;
+  stages.push_back([&](size_t c) {
+    const ChunkYield& yield = yields[c];
+    for (size_t r = 0; r < kNumRaces; ++r) {
+      race_offers[r] += yield.race_offers[r];
+    }
+    if (dense_fold) {
+      history.AddCounts(yield.counts, workspace->slot_rows.data(),
+                        &workspace->dense_groups);
+    } else {
+      history.AddBatch(yield.rows.data(), yield.labels.data(),
+                       yield.labels.size());
+    }
+    static_assert(kNumRaces == 3);
+    // Locals, so that the chains stay in registers.
+    auto [sum0, sum1, sum2] = race_sum;
+    double overall = overall_sum;
+    for (size_t i = workspace->ChunkBegin(c); i < workspace->ChunkEnd(c);
+         ++i) {
+      const double adr = filter.UserAdr(i);
+      sum0 += race_ids[i] == 0 ? adr : 0.0;
+      sum1 += race_ids[i] == 1 ? adr : 0.0;
+      sum2 += race_ids[i] == 2 ? adr : 0.0;
+      overall += adr;
+    }
+    race_sum = {sum0, sum1, sum2};
+    overall_sum = overall;
+  });
+  for (size_t r = 0; impacts != nullptr && r < kNumRaces; ++r) {
+    stages.push_back([workspace, impacts, k, r](size_t c) {
+      const size_t* starts = &workspace->race_starts[(kNumRaces + 1) * c];
+      impacts->AddRun(k, r, workspace->by_race.data() + starts[r],
+                      starts[r + 1] - starts[r]);
+    });
+  }
+  runtime::ChunkStages chunk_stages(workspace->num_chunks, std::move(stages));
+
+  // The pass. Each chunk first resamples its users' incomes and draws
+  // one repayment uniform per user, unconditionally (which decouples the
+  // draws from the decisions), through the generator's batch fill from
+  // streams derived from (stream root, year, chunk index): the draws
+  // depend on (seed, users_per_chunk), never on the worker. Then it
+  // decides, acts and filters. Each user touches only their own filter
+  // slots, each chunk writes only its own yield, snapshot and race
+  // ranges, and the scratch belongs to the shard running the chunk, so
+  // chunks run concurrently. Trailing ADRs and the code/score/cut-off
+  // test sweep branch-free over the SoA arrays (ScoreSweep replicates
+  // Scorecard::Score's evaluation order, pinned to
+  // ScorecardPolicy::Decide by
+  // CreditLoopTest.InlineApprovalRuleMatchesScorecardPolicy; NaN scores
+  // decline), approved incomes are compacted so the normal CDF runs
+  // only for them, and a scalar loop applies the repayment action and
+  // filter update in user order. Last, the chunk writes its users'
+  // post-update ADRs into the snapshot and, race by race, into by_race.
+  const YearIncomeSampler sampler(workspace->income_model, year);
+  const runtime::SeedSequence income_year = workspace->income_streams.Child(k);
+  const runtime::SeedSequence repayment_year =
+      workspace->repayment_streams.Child(k);
+  const auto chunk_body = [&](size_t s, size_t c, size_t begin, size_t end) {
     ChunkScratch& scratch = scratches[s];
+    ChunkYield& yield = yields[c];
     yield.Clear();
     const size_t count = end - begin;
+    rng::Random income_rng(income_year.Seed(c));
+    rng::Random repayment_rng(repayment_year.Seed(c));
+    scratch.income_uniforms.resize(2 * count);
+    income_rng.FillUniformDouble(scratch.income_uniforms.data(), 2 * count);
+    population.ResampleIncomesFromUniforms(sampler, begin, end,
+                                           scratch.income_uniforms.data());
+    scratch.repayment_uniforms.resize(count);
+    repayment_rng.FillUniformDouble(scratch.repayment_uniforms.data(), count);
+
     scratch.adr.resize(count);
     scratch.code.resize(count);
     scratch.indices.resize(count);
@@ -661,7 +730,7 @@ void StepYear(TrialState* state, Workspace* workspace,
       const size_t j = scratch.indices[t];
       const size_t i = begin + j;
       const double p = scratch.probability[t];
-      const bool repaid = p > 0.0 && uniforms[i] < p;
+      const bool repaid = p > 0.0 && scratch.repayment_uniforms[j] < p;
       if (dense_fold) {
         // Tally under the pre-update integer counters whose guarded
         // ratio is exactly scratch.adr[j].
@@ -678,50 +747,44 @@ void StepYear(TrialState* state, Workspace* workspace,
       filter.Update(i, true, repaid);
       ++yield.race_offers[race_ids[i]];
     }
-    if (snapshot_users) {
-      filter.AdrInto(begin, end, &adr_snapshot[begin]);
-      if (options.keep_user_adr) {
-        for (size_t i = begin; i < end; ++i) {
-          result.user_adr[i].push_back(adr_snapshot[i]);
-        }
+    if (!snapshot_users && impacts == nullptr) return;
+    double* const updated =
+        snapshot_users ? &adr_snapshot[begin] : scratch.adr.data();
+    filter.AdrInto(begin, end, updated);
+    if (options.keep_user_adr) {
+      for (size_t i = begin; i < end; ++i) {
+        result.user_adr[i].push_back(adr_snapshot[i]);
       }
     }
-  });
-
-  // Merge the chunk yields in chunk (= user) order, folding this
-  // year's observations into the grouped history. The fold order is the
-  // trial order (chunk 0, 1, ...), so group indices — and with them the
-  // fit's accumulation order — are identical at every thread count.
-  std::array<size_t, kNumRaces> race_offers = {0, 0, 0};
-  if (!options.accumulate_history) history.Clear();
-  for (const ChunkYield& yield : yields) {
-    for (size_t r = 0; r < kNumRaces; ++r) {
-      race_offers[r] += yield.race_offers[r];
+    if (impacts != nullptr) {
+      const size_t* starts = &workspace->race_starts[(kNumRaces + 1) * c];
+      double* next[kNumRaces];
+      for (size_t r = 0; r < kNumRaces; ++r) {
+        next[r] = workspace->by_race.data() + starts[r];
+      }
+      for (size_t j = 0; j < count; ++j) {
+        *next[race_ids[begin + j]]++ = updated[j];
+      }
     }
-    if (dense_fold) {
-      history.AddCounts(yield.counts, workspace->slot_rows.data(),
-                        &workspace->dense_groups);
-    } else {
-      history.AddBatch(yield.rows.data(), yield.labels.data(),
-                       yield.labels.size());
-    }
-  }
+  };
+  workspace->ForEachChunk(chunk_body, &chunk_stages);
 
-  // Record the year's aggregates — one fused pass over the filter.
-  const AdrFilter::Summary summary = filter.Summarize();
+  // Record the year's aggregates from the stages' sums, as the filter's
+  // per-race and overall means.
   for (size_t r = 0; r < kNumRaces; ++r) {
-    result.race_adr[r].push_back(summary.race_adr[r]);
     const size_t members = population.CountRace(static_cast<Race>(r));
+    result.race_adr[r].push_back(
+        members == 0 ? 0.0 : race_sum[r] / static_cast<double>(members));
     result.race_approval[r].push_back(
         members == 0 ? 0.0
                      : static_cast<double>(race_offers[r]) /
                            static_cast<double>(members));
   }
-  result.overall_adr.push_back(summary.overall_adr);
+  result.overall_adr.push_back(overall_sum /
+                               static_cast<double>(population.size()));
 
   if (observer) {
-    observer(YearSnapshot{k, year, adr_snapshot, result.races, race_ids,
-                          workspace->dispatch});
+    observer(YearSnapshot{k, year, adr_snapshot, result.races, race_ids});
   }
   state->years_completed = k + 1;
 }
@@ -765,6 +828,11 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
     EQIMPACT_CHECK(DecodeTrialState(options_, *options_.resume_state,
                                     trainer_options, &state) ==
                    base::SnapshotStatus::kOk);
+  }
+  if (options_.impacts != nullptr) {
+    EQIMPACT_CHECK_EQ(options_.impacts->num_groups(), kNumRaces);
+    EQIMPACT_CHECK_EQ(options_.impacts->num_steps(), workspace.num_years);
+    workspace.GroupByRace(state->population.race_ids());
   }
   while (state->years_completed < workspace.num_years) {
     StepYear(&*state, &workspace, observer);

@@ -12,6 +12,7 @@
 #include "credit/repayment_model.h"
 #include "ml/logistic_regression.h"
 #include "runtime/parallel_for.h"
+#include "stats/adr_accumulator.h"
 
 namespace eqimpact {
 namespace credit {
@@ -108,11 +109,17 @@ struct CreditLoopOptions {
   /// one-chunk trial runs inline and leaves it idle.
   runtime::ThreadPool* pool = nullptr;
   /// Record the full per-user ADR series in the result (the raw material
-  /// of Figures 4/5). Disable for very large cohorts and consume the
-  /// per-year cross-sections through the Run(observer) overload instead:
-  /// the engine then holds O(num_users) state, not
-  /// O(num_users x num_years).
+  /// of Figures 4/5). Disable for very large cohorts and stream the
+  /// per-year cross-sections into `impacts` instead: the engine then
+  /// holds O(num_users) state, not O(num_users x num_years).
   bool keep_user_adr = true;
+
+  /// When set, year k's ADRs are folded into cells (k, race) inside the
+  /// year's pass, one in-order fold per race (a runtime::ChunkStages
+  /// stage), bitwise as an observer's AddCrossSection(step, user_adr,
+  /// race_ids) would. Shaped kNumRaces groups by one step per year; not
+  /// owned. A resumed run folds on from what it holds.
+  stats::AdrAccumulator* impacts = nullptr;
 
   /// When set, the engine serializes its full state after every
   /// simulated year and hands the snapshot to this sink (from the
@@ -163,8 +170,8 @@ struct CreditLoopResult {
 };
 
 /// One simulated year's cross-section, handed to a YearObserver after the
-/// year's filter update. References stay valid only for the duration of
-/// the callback.
+/// year's pass. References stay valid only for the duration of the
+/// callback.
 struct YearSnapshot {
   /// Year index k (0-based) and calendar year.
   size_t step = 0;
@@ -175,19 +182,11 @@ struct YearSnapshot {
   /// dense ids (for group-indexed consumers like stats::AdrAccumulator).
   const std::vector<Race>& races;
   const std::vector<uint8_t>& race_ids;
-  /// The engine's within-trial dispatch, idle for the duration of the
-  /// callback: an observer may fan its own work out over it (as
-  /// sim::CreditScenario's group-parallel accumulator fill does) and
-  /// must be done with it when it returns. One thread and no pool
-  /// whenever the trial is a single chunk (num_users <= users_per_chunk),
-  /// so small trials never dispatch.
-  const runtime::ParallelForOptions& dispatch;
 };
 
-/// Streaming consumer of per-year cross-sections — the memory-bounded
-/// alternative to CreditLoopResult::user_adr (e.g. a
-/// stats::AdrAccumulator fill). Called once per year, on the thread that
-/// called Run.
+/// Consumer of per-year cross-sections, called once per year after the
+/// year's pass, on the thread that called Run (CreditLoopOptions::impacts
+/// folds inside the pass instead).
 using YearObserver = std::function<void(const YearSnapshot&)>;
 
 /// The paper's credit-scoring closed loop (Figure 1 instantiated for
@@ -199,19 +198,22 @@ using YearObserver = std::function<void(const YearSnapshot&)>;
 /// input — closing the loop.
 ///
 /// The implementation is a batch structure-of-arrays engine: each year
-/// runs two chunked passes over contiguous arrays (incomes + pre-drawn
-/// repayment uniforms, then a branch-light decide/act/filter sweep with
-/// the scorecard weights hoisted into scalars). Chunks carry RNG
-/// sub-streams derived from (stream, year, chunk index), so the passes
-/// parallelise over options().num_threads workers with output
-/// bitwise-identical to the sequential run. The second pass also leaves
-/// each chunk's refit examples as a tally and its users' post-update
-/// ADRs in the year's snapshot, so what stays serial per year is the
-/// chunk-ordered fold of the tallies, the refit, the per-race summary
-/// and the observer. Each chunk owns its outputs (yield, snapshot
-/// range). The passes walk the chunks shard by shard, four shards of
-/// whole chunks per worker, and the kernel scratch belongs to a shard,
-/// so its memory scales with the worker count, not the cohort.
+/// refits the scorecard, then runs one chunked pass over contiguous
+/// arrays. Each chunk draws its users' incomes and repayment uniforms,
+/// then runs a branch-light decide/act/filter sweep with the scorecard
+/// weights hoisted into scalars. Chunks carry RNG sub-streams derived
+/// from (stream, year, chunk index), so the pass parallelises over
+/// options().num_threads workers with output bitwise-identical to the
+/// sequential run. Each chunk also leaves its refit examples as a tally
+/// and, when `impacts` is set, its users' post-update ADRs grouped by
+/// race. What must follow user order runs inside the pass as
+/// runtime::ChunkStages stages, which take the chunks in chunk order as
+/// they finish: one folds the tallies into the history and sums the
+/// per-race offers and ADRs, and one per race folds that race's ADRs
+/// into the accumulator. Each chunk owns its outputs (yield, snapshot
+/// and race ranges). The pass walks the chunks shard by shard, four
+/// shards of whole chunks per worker, and the kernel scratch belongs to
+/// a shard, so its memory scales with the worker count, not the cohort.
 ///
 /// A trial is a value: Run builds its per-trial workspace (pool, shard
 /// plan, scratch, buffers) once, takes the trial state fresh or decoded

@@ -2,6 +2,7 @@
 #define EQIMPACT_CREDIT_RACE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace eqimpact {
@@ -12,7 +13,7 @@ namespace credit {
 ///
 /// Race is the *protected attribute* of the case study: the lender never
 /// sees it, the auditors condition on it.
-enum class Race {
+enum class Race : uint8_t {
   kBlackAlone = 0,
   kWhiteAlone = 1,
   kAsianAlone = 2,
@@ -20,6 +21,8 @@ enum class Race {
 
 /// Number of race categories.
 inline constexpr size_t kNumRaces = 3;
+// A cohort holds a race per user, in more than one copy: a byte each.
+static_assert(sizeof(Race) == 1);
 
 /// CPS label of a race ("BLACK ALONE", ...).
 std::string RaceName(Race race);

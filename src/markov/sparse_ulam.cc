@@ -140,8 +140,7 @@ SparseUlamOperator::SparseUlamOperator(const AffineIfs& ifs, double lo,
     : lo_(lo),
       hi_(hi),
       cell_width_((hi - lo) / static_cast<double>(num_cells)),
-      transition_(BuildSparseUlamMatrix(ifs, lo, hi, num_cells, options)),
-      adjoint_(transition_.Transposed()) {}
+      transition_(BuildSparseUlamMatrix(ifs, lo, hi, num_cells, options)) {}
 
 double SparseUlamOperator::CellCenter(size_t i) const {
   EQIMPACT_CHECK_LT(i, num_cells());
@@ -152,9 +151,10 @@ linalg::Vector SparseUlamOperator::Propagate(
     const linalg::Vector& cell_measure, unsigned steps,
     const linalg::SparseProductOptions& product) const {
   EQIMPACT_CHECK_EQ(cell_measure.size(), num_cells());
+  const linalg::SparseMatrix transposed = adjoint();
   linalg::Vector measure = cell_measure;
   for (unsigned s = 0; s < steps; ++s) {
-    measure = adjoint_.Multiply(measure, product);
+    measure = transposed.Multiply(measure, product);
   }
   return measure;
 }

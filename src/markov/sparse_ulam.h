@@ -44,8 +44,8 @@ struct SparseUlamOptions {
 class SparseUlamOperator {
  public:
   /// Discretises `ifs` (1-d, constant probabilities) on [lo, hi] with
-  /// `num_cells` cells. Also materialises the adjoint (transpose) that
-  /// Propagate uses; the stationary solver builds its own sliced copy.
+  /// `num_cells` cells. Only T is stored: Propagate transposes it once
+  /// per call, and the stationary solver builds its own sliced copy.
   SparseUlamOperator(const AffineIfs& ifs, double lo, double hi,
                      size_t num_cells, const SparseUlamOptions& options = {});
 
@@ -62,8 +62,8 @@ class SparseUlamOperator {
 
   /// T^T with each row's entries in ascending source-cell order — the
   /// order that makes the gather product bitwise-equal to the dense
-  /// MultiplyLeft scatter.
-  const linalg::SparseMatrix& adjoint() const { return adjoint_; }
+  /// MultiplyLeft scatter. Built on each call.
+  linalg::SparseMatrix adjoint() const { return transition_.Transposed(); }
 
   /// nu (P*)^k: pushes a measure over cells through k steps. Bitwise
   /// identical to the dense MarkovChain::Propagate at any thread count.
@@ -86,7 +86,6 @@ class SparseUlamOperator {
   double hi_;
   double cell_width_;
   linalg::SparseMatrix transition_;
-  linalg::SparseMatrix adjoint_;
 };
 
 }  // namespace markov

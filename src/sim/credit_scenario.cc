@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "credit/race.h"
-#include "runtime/parallel_for.h"
 #include "sim/text_table.h"
 
 namespace eqimpact {
@@ -112,44 +111,12 @@ void CreditScenario::BeginExperiment(size_t num_trials) {
 
 TrialOutcome CreditScenario::RunTrial(const TrialContext& context,
                                       stats::AdrAccumulator* impacts) {
-  credit::CreditScoringLoop loop(TrialLoopOptions(options_, context));
-  // The yearly cross-section fills one accumulator cell per group; with
-  // the engine's workers idle during the callback, the groups fill in
-  // parallel, each from its own compacted values (kept across years).
-  // Cell (k, g) sees the same values in the same order either way, so the
-  // accumulator's bits do not depend on the path.
-  std::vector<std::vector<double>> group_values;
-  credit::CreditLoopResult record = loop.Run(
-      [impacts, &group_values](const credit::YearSnapshot& snapshot) {
-        if (runtime::EffectiveNumThreads(snapshot.dispatch) == 1) {
-          impacts->AddCrossSection(snapshot.step, snapshot.user_adr,
-                                   snapshot.race_ids);
-          return;
-        }
-        if (group_values.empty()) {
-          // Sized here, on the calling thread, from the trial's race
-          // counts (the same every year), with the one spare slot
-          // AddGroupCrossSection takes: the buffers come from this
-          // thread's malloc arena, not from the pool workers'.
-          std::vector<size_t> members(impacts->num_groups(), 0);
-          for (credit::Race race : snapshot.races) {
-            ++members[static_cast<size_t>(race)];
-          }
-          group_values.resize(members.size());
-          for (size_t g = 0; g < members.size(); ++g) {
-            group_values[g].reserve(members[g] + 1);
-          }
-        }
-        runtime::ParallelFor(
-            impacts->num_groups(),
-            [&](size_t g) {
-              impacts->AddGroupCrossSection(snapshot.step, g,
-                                            snapshot.user_adr,
-                                            snapshot.race_ids,
-                                            &group_values[g]);
-            },
-            snapshot.dispatch);
-      });
+  // The engine folds each year's cross-section into the trial's
+  // accumulator inside its pass, one cell per race.
+  credit::CreditLoopOptions loop_options = TrialLoopOptions(options_, context);
+  loop_options.impacts = impacts;
+  credit::CreditLoopResult record =
+      credit::CreditScoringLoop(loop_options).Run();
 
   TrialOutcome outcome;
   outcome.group_impact = record.race_adr;

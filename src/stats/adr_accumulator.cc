@@ -155,12 +155,12 @@ struct FoldLane {
 #endif  // EQIMPACT_AVX2_LANES
 
 // Out of line, so that every one-section fold (AddCrossSection's runs,
-// AddGroupCrossSection's compacted group) runs the same instructions:
-// when two NaNs meet in an addition, the result's sign follows the
-// operand order the compiler picked, which two inlined copies of the
-// loop need not share. The moments fold into local copies that stay in
-// registers; with several sections, the steps' chains, each waiting on
-// its own last division, overlap.
+// AddRun's) runs the same instructions: when two NaNs meet in an
+// addition, the result's sign follows the operand order the compiler
+// picked, which two inlined copies of the loop need not share. The
+// moments fold into local copies that stay in registers; with several
+// sections, the steps' chains, each waiting on its own last division,
+// overlap.
 template <size_t kSections>
 __attribute__((noinline)) void AdrAccumulator::FoldRuns(size_t cell,
                                                         const double* values,
@@ -251,33 +251,9 @@ void AdrAccumulator::AddCrossSections(size_t k, size_t num_sections,
   }
 }
 
-void AdrAccumulator::AddGroupCrossSection(size_t k, size_t g,
-                                          const std::vector<double>& values,
-                                          const std::vector<uint8_t>& groups,
-                                          std::vector<double>* scratch) {
-  EQIMPACT_CHECK_EQ(values.size(), groups.size());
-  const size_t cell = CellIndex(k, g);
-  const size_t n = values.size();
-  const uint8_t* ids = groups.data();
-  // Byte compares keep the counting loop vectorizable.
-  const uint8_t id = static_cast<uint8_t>(g);
-  size_t members = 0;
-  uint8_t top = 0;
-  for (size_t i = 0; i < n; ++i) {
-    members += ids[i] == id;
-    top = std::max(top, ids[i]);
-  }
-  EQIMPACT_CHECK(n == 0 || top < num_groups_);
-  if (g > 0xff) return;  // Group ids are bytes: no members.
-  // Branch-free compaction: every value is written, and the cursor only
-  // moves past group g's, so the buffer needs one spare slot.
-  scratch->resize(members + 1);
-  double* compacted = scratch->data();
-  for (size_t i = 0, m = 0; i < n && members > 0; ++i) {
-    compacted[m] = values[i];
-    m += ids[i] == id;
-  }
-  FoldRuns<1>(cell, compacted, 0, members);
+void AdrAccumulator::AddRun(size_t k, size_t g, const double* values,
+                            size_t n) {
+  FoldRuns<1>(CellIndex(k, g), values, 0, n);
 }
 
 void AdrAccumulator::Merge(const AdrAccumulator& other) {

@@ -77,17 +77,13 @@ class AdrAccumulator {
                         const std::vector<double>& sections,
                         const std::vector<uint8_t>& groups);
 
-  /// Group `g`'s share of AddCrossSection(k, values, groups): compacts
-  /// the values[i] with groups[i] == g, in index order, into `scratch`
-  /// (which keeps its capacity for the next call) and folds them into
-  /// cell (k, g) through the same fold loop AddCrossSection runs, so the
-  /// cell's moments, min/max and bins end bitwise as AddCrossSection
-  /// leaves them. Only cell (k, g) is written, so calls for distinct
-  /// groups may run concurrently: the group-parallel cross-section.
-  void AddGroupCrossSection(size_t k, size_t g,
-                            const std::vector<double>& values,
-                            const std::vector<uint8_t>& groups,
-                            std::vector<double>* scratch);
+  /// Folds values[0, n) in order into cell (k, g) through the fold loop
+  /// AddCrossSection runs on each run of one group. A cell fed its
+  /// group's values of a cross-section in index order, in runs of any
+  /// length, ends bitwise as AddCrossSection leaves it. Only cell (k, g)
+  /// is written, so runs into distinct cells may fold concurrently: the
+  /// credit engine folds each race's run as a stage of its chunk pass.
+  void AddRun(size_t k, size_t g, const double* values, size_t n);
 
   /// Merges `other` into this accumulator. CHECK-fails unless the shapes
   /// (groups, steps, bins, range) match. Merge order affects the

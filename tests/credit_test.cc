@@ -1,6 +1,7 @@
 // Unit tests for the credit module: income model, repayment behaviour,
 // ADR filter, lending policies, population, and the full closed loop.
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
@@ -19,7 +20,6 @@
 #include "credit/repayment_model.h"
 #include "rng/normal.h"
 #include "rng/random.h"
-#include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 
 namespace eqimpact {
@@ -273,13 +273,13 @@ TEST(RepaymentModelTest, SimulationFrequencyMatchesProbability) {
 // --- ADR filter (paper equation (12)) ---------------------------------------
 
 TEST(AdrFilterTest, StartsAtZero) {
-  credit::AdrFilter filter({Race::kWhiteAlone, Race::kBlackAlone});
+  credit::AdrFilter filter(2);
   EXPECT_DOUBLE_EQ(filter.UserAdr(0), 0.0);
   EXPECT_EQ(filter.UserOffers(0), 0);
 }
 
 TEST(AdrFilterTest, CountsDefaultsOverOffers) {
-  credit::AdrFilter filter({Race::kWhiteAlone});
+  credit::AdrFilter filter(1);
   filter.Update(0, true, true);    // Offer, repaid.
   filter.Update(0, true, false);   // Offer, default.
   filter.Update(0, false, false);  // No offer: ignored.
@@ -289,40 +289,19 @@ TEST(AdrFilterTest, CountsDefaultsOverOffers) {
 }
 
 TEST(AdrFilterTest, DenialFreezesAdr) {
-  credit::AdrFilter filter({Race::kWhiteAlone});
+  credit::AdrFilter filter(1);
   filter.Update(0, true, false);
   double before = filter.UserAdr(0);
   for (int k = 0; k < 10; ++k) filter.Update(0, false, false);
   EXPECT_DOUBLE_EQ(filter.UserAdr(0), before);
 }
 
-TEST(AdrFilterTest, RaceAggregateAveragesMembers) {
-  credit::AdrFilter filter(
-      {Race::kWhiteAlone, Race::kWhiteAlone, Race::kBlackAlone});
-  filter.Update(0, true, false);  // White user ADR 1.
-  filter.Update(1, true, true);   // White user ADR 0.
-  filter.Update(2, true, false);  // Black user ADR 1.
-  EXPECT_DOUBLE_EQ(filter.RaceAdr(Race::kWhiteAlone), 0.5);
-  EXPECT_DOUBLE_EQ(filter.RaceAdr(Race::kBlackAlone), 1.0);
-  EXPECT_DOUBLE_EQ(filter.RaceAdr(Race::kAsianAlone), 0.0);  // Absent race.
-  EXPECT_NEAR(filter.Summarize().overall_adr, 2.0 / 3.0, 1e-12);
-}
-
-TEST(AdrFilterTest, RaceAggregateIgnoresOfferCounts) {
-  credit::AdrFilter filter({Race::kWhiteAlone, Race::kWhiteAlone});
-  // User 0: 1 offer, 1 default. User 1: 3 offers, 0 defaults. The race
-  // rate is the mean of the users' rates, not defaults over offers.
-  filter.Update(0, true, false);
-  for (int k = 0; k < 3; ++k) filter.Update(1, true, true);
-  EXPECT_DOUBLE_EQ(filter.RaceAdr(Race::kWhiteAlone), 0.5);
-}
-
 TEST(AdrFilterTest, ForgettingFactorDiscountsOldDefaults) {
-  credit::AdrFilter forgetting({Race::kWhiteAlone}, 0.5);
+  credit::AdrFilter forgetting(1, 0.5);
   forgetting.Update(0, true, false);  // Old default.
   forgetting.Update(0, true, true);
   forgetting.Update(0, true, true);
-  credit::AdrFilter accumulating({Race::kWhiteAlone}, 1.0);
+  credit::AdrFilter accumulating(1, 1.0);
   accumulating.Update(0, true, false);
   accumulating.Update(0, true, true);
   accumulating.Update(0, true, true);
@@ -331,7 +310,7 @@ TEST(AdrFilterTest, ForgettingFactorDiscountsOldDefaults) {
 }
 
 TEST(AdrFilterTest, SnapshotMatchesPerUserQueries) {
-  credit::AdrFilter filter({Race::kWhiteAlone, Race::kBlackAlone});
+  credit::AdrFilter filter(2);
   filter.Update(0, true, false);
   filter.Update(1, true, true);
   auto snapshot = filter.UserAdrSnapshot();
@@ -405,18 +384,17 @@ TEST(PopulationTest, RebuildFromRaceIdsReproducesCohort) {
 TEST(AdrFilterTest, RestoreStateReproducesUserAdrBitwise) {
   // Round-trip the raw per-user arrays through a fresh filter (the
   // checkpoint resume path) and check every derived quantity — ADR
-  // ratios, offer counts, race aggregates — is bitwise-preserved and
-  // that further updates continue identically on both filters.
+  // ratios and offer counts — is bitwise-preserved and that further
+  // updates continue identically on both filters.
   rng::Random random(305);
-  credit::Population population(300, &random);
-  credit::AdrFilter original(population.races());
+  credit::AdrFilter original(300);
   for (size_t i = 0; i < original.num_users(); ++i) {
     for (int k = 0; k < 5; ++k) {
       original.Update(i, random.Bernoulli(0.6), random.Bernoulli(0.8));
     }
   }
 
-  credit::AdrFilter restored(population.races());
+  credit::AdrFilter restored(300);
   restored.RestoreState(original.offer_weights(), original.default_weights(),
                         original.offer_counts());
 
@@ -426,10 +404,6 @@ TEST(AdrFilterTest, RestoreStateReproducesUserAdrBitwise) {
     EXPECT_EQ(restored.UserOfferWeight(i), original.UserOfferWeight(i));
     EXPECT_EQ(restored.UserDefaultWeight(i), original.UserDefaultWeight(i));
   }
-  const credit::AdrFilter::Summary sum_orig = original.Summarize();
-  const credit::AdrFilter::Summary sum_rest = restored.Summarize();
-  EXPECT_EQ(sum_rest.overall_adr, sum_orig.overall_adr);
-  EXPECT_EQ(sum_rest.race_adr, sum_orig.race_adr);
 
   rng::Random tail(306);
   for (size_t i = 0; i < original.num_users(); ++i) {
@@ -612,6 +586,46 @@ TEST(CreditLoopTest, StreamingModeKeepsNoPerUserSeries) {
   EXPECT_EQ(streaming.races, full.races);
 }
 
+TEST(CreditLoopTest, RaceAndOverallSeriesAreMeansOfUserAdrs) {
+  // ADR_s(k) is the mean of ADR_i(k) over the users of race s, summed in
+  // user order, and the overall series the mean over everyone: the
+  // engine's stage sums must give those bits at every chunk layout and
+  // thread count. A race's rate is the mean of its users' rates, not
+  // its defaults over its offers, so users with many offers weigh no
+  // more than users with one.
+  for (const size_t chunk : {size_t{64}, size_t{4096}}) {
+    for (const size_t threads : {size_t{1}, size_t{3}}) {
+      credit::CreditLoopOptions options = SmallLoopOptions(17);
+      options.num_users = 1000;
+      options.users_per_chunk = chunk;
+      options.num_threads = threads;
+      const credit::CreditLoopResult result =
+          credit::CreditScoringLoop(options).Run();
+      for (size_t k = 0; k < result.years.size(); ++k) {
+        std::array<double, credit::kNumRaces> race_sum = {0.0, 0.0, 0.0};
+        std::array<size_t, credit::kNumRaces> members = {0, 0, 0};
+        double overall_sum = 0.0;
+        for (size_t i = 0; i < options.num_users; ++i) {
+          const size_t r = static_cast<size_t>(result.races[i]);
+          race_sum[r] += result.user_adr[i][k];
+          ++members[r];
+          overall_sum += result.user_adr[i][k];
+        }
+        for (size_t r = 0; r < credit::kNumRaces; ++r) {
+          const double mean =
+              members[r] == 0
+                  ? 0.0
+                  : race_sum[r] / static_cast<double>(members[r]);
+          EXPECT_EQ(result.race_adr[r][k], mean)
+              << "chunk=" << chunk << " threads=" << threads << " k=" << k;
+        }
+        EXPECT_EQ(result.overall_adr[k],
+                  overall_sum / static_cast<double>(options.num_users));
+      }
+    }
+  }
+}
+
 TEST(CreditLoopTest, YearObserverSeesEveryCrossSection) {
   // The observer receives exactly the per-year columns of user_adr, so a
   // streaming consumer loses nothing against the materialized series.
@@ -665,10 +679,10 @@ TEST(CreditLoopTest, DenseTallyFoldMatchesHashedFoldCheckpointBytes) {
   EXPECT_TRUE(checkpoints(true, 3) == hashed);
 }
 
-TEST(CreditLoopTest, ObserverRunsOnCallerWithIdleDispatch) {
-  // The observer is called once per year on the calling thread. It gets
-  // the engine's dispatch, which is sequential for a one-chunk trial even
-  // when the caller hands the engine a pool.
+TEST(CreditLoopTest, ObserverRunsOnCallingThreadOncePerYear) {
+  // The observer is called once per year, after the year's pass, on the
+  // calling thread, whether the trial is one chunk (run inline) or
+  // several on a caller's pool.
   runtime::ThreadPool pool(3);
   for (const size_t users : {size_t{200}, size_t{1000}}) {
     credit::CreditLoopOptions options = SmallLoopOptions(16);
@@ -681,12 +695,7 @@ TEST(CreditLoopTest, ObserverRunsOnCallerWithIdleDispatch) {
     credit::CreditScoringLoop(options).Run(
         [&](const credit::YearSnapshot& snapshot) {
           EXPECT_EQ(std::this_thread::get_id(), caller);
-          if (users <= options.users_per_chunk) {
-            EXPECT_EQ(snapshot.dispatch.pool, nullptr);
-            EXPECT_EQ(runtime::EffectiveNumThreads(snapshot.dispatch), 1u);
-          } else {
-            EXPECT_EQ(snapshot.dispatch.pool, &pool);
-          }
+          EXPECT_EQ(snapshot.step, calls);
           ++calls;
         });
     EXPECT_EQ(calls, 19u);

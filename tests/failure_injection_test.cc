@@ -123,7 +123,7 @@ TEST(FailureInjectionTest, RepaymentModelRejectsNonPositiveIncome) {
 }
 
 TEST(FailureInjectionTest, AdrFilterUserIndexOutOfRangeAborts) {
-  credit::AdrFilter filter({credit::Race::kWhiteAlone});
+  credit::AdrFilter filter(1);
   EXPECT_DEATH(filter.Update(1, true, true), "CHECK failed");
   EXPECT_DEATH(filter.UserAdr(7), "CHECK failed");
 }
@@ -139,9 +139,9 @@ TEST(FailureInjectionTest, MarketWithoutRatingPriorAborts) {
 }
 
 TEST(FailureInjectionTest, ForgettingFactorOutOfRangeAborts) {
-  EXPECT_DEATH(credit::AdrFilter({credit::Race::kWhiteAlone}, 0.0),
+  EXPECT_DEATH(credit::AdrFilter(1, 0.0),
                "CHECK failed");
-  EXPECT_DEATH(credit::AdrFilter({credit::Race::kWhiteAlone}, 1.5),
+  EXPECT_DEATH(credit::AdrFilter(1, 1.5),
                "CHECK failed");
 }
 

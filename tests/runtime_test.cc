@@ -1,18 +1,20 @@
-// Unit tests for the runtime layer: thread pool, parallel_for, seed
-// sequence, and the parallel-vs-sequential determinism contract of the
-// credit trials sim::RunExperiment runs.
+// Unit tests for the runtime layer: thread pool, parallel_for, chunk
+// stages, seed sequence, and the parallel-vs-sequential determinism
+// contract of the credit trials sim::RunExperiment runs.
 
 #include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "credit/credit_loop.h"
 #include "rng/random.h"
+#include "runtime/chunk_stages.h"
 #include "runtime/parallel_for.h"
 #include "runtime/seed_sequence.h"
 #include "runtime/thread_pool.h"
@@ -225,6 +227,82 @@ TEST(ParallelForChunksTest, OrderedReductionIsThreadCountInvariant) {
   const double sequential = reduce(1);
   EXPECT_EQ(reduce(2), sequential);   // Bitwise, not approximate.
   EXPECT_EQ(reduce(8), sequential);
+}
+
+TEST(ChunkStagesTest, EveryStageTakesEveryChunkOnceInChunkOrder) {
+  // Chunks finish in a shuffled order, each after a different amount of
+  // work; three stages must each take chunk 0, 1, 2, ... exactly once,
+  // never two at a time, and only after the chunk's own write.
+  constexpr size_t kChunks = 97;
+  constexpr size_t kStages = 3;
+  std::vector<size_t> finish_order(kChunks);
+  std::iota(finish_order.begin(), finish_order.end(), size_t{0});
+  rng::Random(5).Shuffle(&finish_order);
+  for (const size_t workers : {1u, 2u, 3u, 8u}) {
+    std::vector<size_t> produced(kChunks, 0);
+    std::vector<std::vector<size_t>> taken(kStages);
+    std::vector<std::atomic<int>> running(kStages);
+    std::atomic<bool> overlapped(false);
+    std::vector<runtime::ChunkStages::Stage> stages;
+    for (size_t s = 0; s < kStages; ++s) {
+      stages.push_back([&, s](size_t c) {
+        if (running[s].fetch_add(1) != 0) overlapped = true;
+        EXPECT_EQ(produced[c], c + 1);
+        taken[s].push_back(c);
+        if (running[s].fetch_sub(1) != 1) overlapped = true;
+      });
+    }
+    runtime::ChunkStages chunk_stages(kChunks, std::move(stages));
+    runtime::ParallelForOptions options;
+    options.num_threads = workers;
+    runtime::ParallelFor(
+        kChunks,
+        [&](size_t i) {
+          const size_t c = finish_order[i];
+          volatile double spin = 0.0;
+          for (size_t j = 0; j < 200 * (c % 7); ++j) spin = spin + 1.0;
+          produced[c] = c + 1;
+          chunk_stages.Done(c);
+        },
+        options);
+    EXPECT_FALSE(overlapped) << "workers=" << workers;
+    std::vector<size_t> in_order(kChunks);
+    std::iota(in_order.begin(), in_order.end(), size_t{0});
+    for (size_t s = 0; s < kStages; ++s) {
+      EXPECT_EQ(taken[s], in_order)
+          << "workers=" << workers << " stage=" << s;
+    }
+  }
+}
+
+TEST(ChunkStagesTest, HolderTakesAChunkDoneWhileItHeldTheStage) {
+  // Thread A finishes chunk 0 and holds the stage; chunk 1 is marked done
+  // while A is inside it, so that Done call returns without running the
+  // stage, and A's re-check after releasing it must take chunk 1.
+  std::atomic<bool> entered(false), release(false);
+  std::vector<size_t> taken;
+  std::vector<std::thread::id> takers;
+  std::vector<runtime::ChunkStages::Stage> stages;
+  stages.push_back([&](size_t c) {
+    taken.push_back(c);
+    takers.push_back(std::this_thread::get_id());
+    if (c != 0) return;
+    entered = true;
+    while (!release) std::this_thread::yield();
+  });
+  runtime::ChunkStages chunk_stages(2, std::move(stages));
+  std::thread::id holder;
+  std::thread a([&] {
+    holder = std::this_thread::get_id();
+    chunk_stages.Done(0);
+  });
+  while (!entered) std::this_thread::yield();
+  chunk_stages.Done(1);
+  release = true;
+  a.join();
+  ASSERT_EQ(taken, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(takers[0], holder);
+  EXPECT_EQ(takers[1], holder);
 }
 
 TEST(SeedSequenceTest, MatchesDeriveSeedConvention) {

@@ -100,8 +100,7 @@ void ExpectAccumulatorsBitwiseEqual(const stats::AdrAccumulator& a,
 
 void ExpectExperimentMatchesLegacy(
     const sim::CreditScenarioOptions& scenario_options,
-    const sim::ExperimentOptions& options) {
-  const LegacyResult legacy = LegacyCreditTrials(scenario_options, options);
+    const sim::ExperimentOptions& options, const LegacyResult& legacy) {
   sim::CreditScenario scenario(scenario_options);
   scenario.set_collect_trial_records(true);
   const sim::ExperimentResult result = sim::RunExperiment(&scenario, options);
@@ -124,23 +123,42 @@ void ExpectExperimentMatchesLegacy(
   ExpectAccumulatorsBitwiseEqual(legacy.pooled_adr, result.pooled_impact);
 }
 
-sim::ExperimentOptions LegacyComparisonOptions() {
-  sim::ExperimentOptions options;
-  options.num_trials = 3;
-  options.master_seed = 17;
-  return options;
-}
-
 TEST(CreditScenarioTest, ExperimentMatchesLegacyBitwise) {
-  sim::CreditScenarioOptions scenario_options;
-  scenario_options.loop.num_users = 120;
-  scenario_options.keep_raw_series = true;
-  ExpectExperimentMatchesLegacy(scenario_options, LegacyComparisonOptions());
+  // The engine's staged pass (the history fold, the race sums and one
+  // accumulator fold per race, each taking the chunks in chunk order as
+  // they finish) against the legacy driver's sequential AddCrossSection
+  // observer: 17 uneven chunks and one chunk (stages inline), the dense
+  // fold (forgetting factor 1, accumulated history) and the hashed one,
+  // on 1 to 8 within-trial threads.
+  for (const size_t chunk : {size_t{61}, size_t{4096}}) {
+    for (const double forgetting : {1.0, 0.9}) {
+      for (const bool accumulate : {true, false}) {
+        sim::CreditScenarioOptions scenario_options;
+        scenario_options.loop.num_users = 1000;
+        scenario_options.loop.users_per_chunk = chunk;
+        scenario_options.loop.forgetting_factor = forgetting;
+        scenario_options.loop.accumulate_history = accumulate;
+        scenario_options.keep_raw_series = true;
+        sim::ExperimentOptions options;
+        options.num_trials = 3;
+        options.master_seed = 17;
+        options.num_threads = 1;
+        const LegacyResult legacy =
+            LegacyCreditTrials(scenario_options, options);
+        for (const size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "chunk=" << chunk << " forgetting=" << forgetting
+                       << " accumulate=" << accumulate
+                       << " threads=" << threads);
+          options.trial_threads = threads;
+          ExpectExperimentMatchesLegacy(scenario_options, options, legacy);
+        }
+      }
+    }
+  }
 }
 
-// 16 chunks on 4 loop threads: the engine's parallel pass-2 tail and the
-// scenario's group-parallel accumulator fill, against the legacy driver's
-// sequential AddCrossSection observer.
+// 16 chunks on 4 loop threads.
 sim::CreditScenarioOptions MultiChunkCreditOptions() {
   sim::CreditScenarioOptions options;
   options.loop.num_users = 1000;
@@ -149,10 +167,43 @@ sim::CreditScenarioOptions MultiChunkCreditOptions() {
   return options;
 }
 
-TEST(CreditScenarioTest, ExperimentMatchesLegacyBitwiseMultiChunk) {
-  sim::CreditScenarioOptions scenario_options = MultiChunkCreditOptions();
-  scenario_options.keep_raw_series = true;
-  ExpectExperimentMatchesLegacy(scenario_options, LegacyComparisonOptions());
+TEST(CreditScenarioTest, StagedTrialResumesBitwiseAtAnotherThreadCount) {
+  // A 16-chunk trial checkpointed at 3 threads after year 7 and resumed
+  // at 2 from that snapshot, with the accumulator as it stood then,
+  // ends bitwise as the uninterrupted run: record and accumulator.
+  credit::CreditLoopOptions options = MultiChunkCreditOptions().loop;
+  options.seed = 23;
+  options.num_threads = 3;
+  options.keep_user_adr = false;
+  const size_t num_years = 19;
+  stats::AdrAccumulator reference_impacts(credit::kNumRaces, num_years, 20);
+  options.impacts = &reference_impacts;
+  const credit::CreditLoopResult reference =
+      credit::CreditScoringLoop(options).Run();
+
+  stats::AdrAccumulator impacts(credit::kNumRaces, num_years, 20);
+  stats::AdrAccumulator resumed_impacts;
+  std::vector<uint8_t> snapshot;
+  options.impacts = &impacts;
+  options.checkpoint_sink = [&](size_t years_completed,
+                                const std::vector<uint8_t>& state) {
+    if (years_completed != 7) return;
+    snapshot = state;
+    resumed_impacts = impacts;
+  };
+  credit::CreditScoringLoop(options).Run();
+  ASSERT_FALSE(snapshot.empty());
+
+  options.checkpoint_sink = nullptr;
+  options.num_threads = 2;
+  options.resume_state = &snapshot;
+  options.impacts = &resumed_impacts;
+  const credit::CreditLoopResult resumed =
+      credit::CreditScoringLoop(options).Run();
+  EXPECT_EQ(resumed.race_adr, reference.race_adr);
+  EXPECT_EQ(resumed.race_approval, reference.race_approval);
+  EXPECT_EQ(resumed.overall_adr, reference.overall_adr);
+  ExpectAccumulatorsBitwiseEqual(resumed_impacts, reference_impacts);
 }
 
 TEST(CreditScenarioTest, MultiChunkParallelDigestIsPinned) {

@@ -586,9 +586,11 @@ void MixedCrossSection(double special, std::vector<double>* values,
   }
 }
 
-TEST(AdrAccumulatorTest, GroupCrossSectionMatchesCrossSectionBitwise) {
+TEST(AdrAccumulatorTest, RunsMatchCrossSectionBitwise) {
   // Each step takes two cross-sections, so the second folds onto a
-  // populated cell.
+  // populated cell. Each group's values go in as runs of uneven lengths,
+  // in index order, the way the credit engine's race stages fold them
+  // chunk by chunk.
   std::vector<double> values;
   std::vector<uint8_t> groups;
   MixedCrossSection(std::numeric_limits<double>::quiet_NaN(), &values,
@@ -596,23 +598,34 @@ TEST(AdrAccumulatorTest, GroupCrossSectionMatchesCrossSectionBitwise) {
   const std::vector<double> reversed(values.rbegin(), values.rend());
   const std::vector<uint8_t> reversed_groups(groups.rbegin(), groups.rend());
   stats::AdrAccumulator whole(4, 2, 8, 0.0, 1.0);
-  stats::AdrAccumulator grouped(4, 2, 8, 0.0, 1.0);
-  std::vector<double> scratch;
+  stats::AdrAccumulator runs(4, 2, 8, 0.0, 1.0);
+  const auto add_runs = [&runs](size_t k, const std::vector<double>& section,
+                                const std::vector<uint8_t>& ids) {
+    for (size_t g = 0; g < 4; ++g) {
+      std::vector<double> members;
+      for (size_t i = 0; i < section.size(); ++i) {
+        if (ids[i] == g) members.push_back(section[i]);
+      }
+      for (size_t begin = 0, length = 1; begin < members.size();
+           begin += length, length += 2) {
+        length = std::min(length, members.size() - begin);
+        runs.AddRun(k, g, members.data() + begin, length);
+      }
+      runs.AddRun(k, g, members.data(), 0);
+    }
+  };
   for (int pass = 0; pass < 2; ++pass) {
     whole.AddCrossSection(0, values, groups);
     whole.AddCrossSection(1, reversed, reversed_groups);
-    for (size_t g = 0; g < 4; ++g) {
-      grouped.AddGroupCrossSection(0, g, values, groups, &scratch);
-      grouped.AddGroupCrossSection(1, g, reversed, reversed_groups,
-                                   &scratch);
-    }
+    add_runs(0, values, groups);
+    add_runs(1, reversed, reversed_groups);
   }
-  EXPECT_EQ(AccumulatorBytes(grouped), AccumulatorBytes(whole));
-  EXPECT_EQ(grouped.count(0, 2), 0);
-  EXPECT_EQ(grouped.count(0, 3), 10);
-  EXPECT_TRUE(std::isnan(grouped.stats(0, 3).Mean()));
+  EXPECT_EQ(AccumulatorBytes(runs), AccumulatorBytes(whole));
+  EXPECT_EQ(runs.count(0, 2), 0);
+  EXPECT_EQ(runs.count(0, 3), 10);
+  EXPECT_TRUE(std::isnan(runs.stats(0, 3).Mean()));
   // Both infinities clamp to an end bin; NaN counts in the last one.
-  EXPECT_EQ(grouped.bin_count(0, 3, 7), 4);
+  EXPECT_EQ(runs.bin_count(0, 3, 7), 4);
 }
 
 /// Four steps' sections of one group layout: section j rotates every
