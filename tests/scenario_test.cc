@@ -126,7 +126,7 @@ void ExpectExperimentMatchesLegacy(
 TEST(CreditScenarioTest, ExperimentMatchesLegacyBitwise) {
   // The engine's staged pass (the history fold, the race sums and one
   // accumulator fold per race, each taking the chunks in chunk order as
-  // they finish) against the legacy driver's sequential AddCrossSection
+  // they finish) against the legacy trials' sequential AddCrossSection
   // observer: 17 uneven chunks and one chunk (stages inline), the dense
   // fold (forgetting factor 1, accumulated history) and the hashed one,
   // on 1 to 8 within-trial threads.
